@@ -48,7 +48,6 @@ from .tridiagonal import (
     decay_profile,
     free_resolvent_entry,
     invert_dense_oracle,
-    invert_entry,
     resolvent_norm_estimate,
     transfer_spectrum,
 )
@@ -67,7 +66,6 @@ from .limits import (
     LimitVariance,
     fit_resolvent_approximation,
     pi_squared_check,
-    sigma2_for_c1,
     sigma2_quadrature,
     sigma2_residue,
     weighted_lipschitz_norm,

@@ -29,6 +29,7 @@ from . import (
     cumulant_bound_check,
     decay_profile,
     empirical_statistic,
+    free_resolvent_entry,
     hermite,
     invert_dense_oracle,
     laguerre,
@@ -49,18 +50,6 @@ IM_G = parse_test_function("im:1/(x-i)")
 RE_G = parse_test_function("re:1/(x-i)")
 
 
-def _free_closed_form_matrix(n_alpha: float, N: int) -> np.ndarray:
-    """Vectorized closed-form resolvent of the free matrix at the right edge."""
-    zp = 2.0 + 1j / n_alpha
-    u = (zp - np.sqrt(zp * zp - 4)) / 2
-    if abs(u) > 1:
-        u = 1 / u
-    idx = np.arange(1, N + 1)
-    return (
-        u ** np.abs(np.subtract.outer(idx, idx)) - u ** np.add.outer(idx, idx)
-    ) / (u - 1 / u)
-
-
 def criterion_1_free_resolvent() -> tuple[bool, str]:
     """Recursion inverse vs closed form, a=1/b=0, x0=2, eta=i, N=2000.
 
@@ -75,7 +64,8 @@ def criterion_1_free_resolvent() -> tuple[bool, str]:
         guard = math.ceil(20 * math.sqrt(n_alpha))
         J = TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2.0 + 1j / n_alpha)
         recursion = TridiagonalResolvent(J).dense()[: N - guard, : N - guard]
-        closed = _free_closed_form_matrix(n_alpha, N)[: N - guard, : N - guard]
+        idx = np.arange(1, N - guard + 1)
+        closed = free_resolvent_entry(1j, n_alpha, Side.RIGHT, idx[:, None], idx)
         dev = np.max(np.abs(recursion - closed))
         worst = max(worst, float(dev))
     return worst <= 1e-10, f"max entry deviation {worst:.3e} (tol 1e-10)"
@@ -239,7 +229,7 @@ def criterion_10_resolvent_norm() -> tuple[bool, str]:
 def criterion_11_monte_carlo() -> tuple[bool, str]:
     """GUE n=200, 1e4 samples, alpha=0.4: empirical variance within 3 SE; |skew| <= 0.15."""
     edge = EdgeSpec(side=Side.RIGHT, alpha=0.4, epsilon=0.1)
-    batch = sample_spectra(hermite(), 200, 10000, seed=20240817, threads=2)
+    batch = sample_spectra(hermite(), 200, 10000, seed=20240817)
     _, var, se = empirical_statistic(batch, IM_G, edge)
     F = build_F(hermite(), 200, edge, IM_G)
     exact = cumulant(F, 200, 2) / 200 ** (2 * 0.4)

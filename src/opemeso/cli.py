@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import time
@@ -34,7 +33,8 @@ from . import (
     sigma2_residue,
 )
 from .errors import OpemesoError
-from .sampling import load_batch, save_batch, standardized_skewness
+from .sampling import SampleBatch, load_batch, save_batch, standardized_skewness
+from .testfun import _parse_complex
 
 _FMT = "%.17g"  # full round-trip precision for golden-file stability
 
@@ -141,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--f", required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out-batch", default=None, help="persist spectra to a binary file")
     p.add_argument("--resume", action="store_true", help="extend an existing batch file")
     p.add_argument("--output", "-o", default=None)
@@ -156,12 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, help="comma-separated criterion numbers")
 
     return parser
-
-
-def _parse_complex_arg(text: str) -> complex:
-    from .testfun import _parse_complex
-
-    return _parse_complex(text)
 
 
 def _make_target(text: str):
@@ -236,7 +229,7 @@ def cmd_variance_limit(args) -> list[Path]:
 
 
 def cmd_decay(args) -> list[Path]:
-    eta = _parse_complex_arg(args.eta)
+    eta = _parse_complex(args.eta)
     N = args.size
     J = TridiagonalMatrix(np.zeros(N), np.ones(N - 1), args.x0 + eta / args.n_alpha)
     ref = args.ref_row if args.ref_row is not None else N // 2
@@ -276,7 +269,7 @@ def cmd_hypotheses(args) -> list[Path]:
     return []
 
 
-def cmd_sample(args, threads: int) -> list[Path]:
+def cmd_sample(args) -> list[Path]:
     spec = _ensemble_from_args(args)
     edge = _edge_from_args(args)
     f = parse_test_function(args.f)
@@ -289,17 +282,14 @@ def cmd_sample(args, threads: int) -> list[Path]:
         missing = args.count - existing.count
         if missing > 0:
             extra = sample_spectra(
-                spec, args.n, missing, args.seed, threads=threads,
-                start_index=existing.count,
+                spec, args.n, missing, args.seed, start_index=existing.count
             )
             spectra = np.vstack([existing.spectra, extra.spectra])
-            from .sampling import SampleBatch
-
             batch = SampleBatch(spec, args.n, args.seed, spectra)
         else:
             batch = existing
     else:
-        batch = sample_spectra(spec, args.n, args.count, args.seed, threads=threads)
+        batch = sample_spectra(spec, args.n, args.count, args.seed)
     if args.out_batch:
         save_batch(batch, args.out_batch)
         outputs.append(Path(args.out_batch))
@@ -378,10 +368,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
 
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = int(os.environ.get("OPE_MESO_THREADS", "1"))
-
     start = time.perf_counter()
     try:
         if args.command == "cumulants":
@@ -393,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "hypotheses":
             outputs = cmd_hypotheses(args)
         elif args.command == "sample":
-            outputs = cmd_sample(args, threads)
+            outputs = cmd_sample(args)
         elif args.command == "fit":
             outputs = cmd_fit(args)
         elif args.command == "selftest":

@@ -28,6 +28,7 @@ from scipy.linalg import solve_banded
 from .ensembles import EdgeSpec, EnsembleSpec, jacobi_window
 from .errors import InvalidParams, WindowTooSmall
 from .testfun import ResolventTestFunction
+from .tridiagonal import TridiagonalMatrix, _power_norm
 
 __all__ = [
     "build_F",
@@ -85,14 +86,9 @@ def build_F(
     F = np.zeros((W, W))
     # conjugate pairs: sum over the upper-half-plane poles of 2 Re(c_r R(z_r))
     m_half = len(c) // 2
-    nblk = hi - lo + 1
-    ident = np.eye(nblk, dtype=complex)
+    ident = np.eye(hi - lo + 1, dtype=complex)
     for r in range(m_half):
-        z = x0 + eta[r] / n_alpha
-        ab = np.zeros((3, nblk), dtype=complex)
-        ab[0, 1:] = off
-        ab[1, :] = diag - z
-        ab[2, :-1] = off
+        ab = TridiagonalMatrix(diag, off, x0 + eta[r] / n_alpha).banded()
         resolvent = solve_banded((1, 1), ab, ident)
         F[lo - 1 :, lo - 1 :] += 2.0 * np.real(c[r] * resolvent)
     if lo > 1:
@@ -158,6 +154,16 @@ class _PowerBlocks:
             total.append(-_trace_dot(self.B[s], self.chain(parts[k - 1 :])))
         return math.fsum(total)
 
+    def cumulant(self, m: int) -> float:
+        """C_m for 2 <= m <= max_power + 1: the composition sum of connected brackets."""
+        terms = []
+        for parts in _compositions(m):
+            j = len(parts)
+            weight = (-1.0) ** (j + 1) / j
+            fact = math.prod(math.factorial(p) for p in parts)
+            terms.append(weight * self.connected(parts) / fact)
+        return math.factorial(m) * math.fsum(terms)
+
 
 def cumulant(F: np.ndarray, n: int, m: int, method: str = "connected") -> float:
     """m-th cumulant functional C_m^{(n)}(F) from the window operator.
@@ -172,14 +178,7 @@ def cumulant(F: np.ndarray, n: int, m: int, method: str = "connected") -> float:
     if m == 1:
         return math.fsum(np.diagonal(F)[:n])
     if method == "connected":
-        blocks = _PowerBlocks(F, n, max_power=m - 1)
-        terms = []
-        for parts in _compositions(m):
-            j = len(parts)
-            weight = (-1.0) ** (j + 1) / j
-            fact = math.prod(math.factorial(p) for p in parts)
-            terms.append(weight * blocks.connected(parts) / fact)
-        return math.factorial(m) * math.fsum(terms)
+        return _PowerBlocks(F, n, max_power=m - 1).cumulant(m)
     if method == "raw":
         return _cumulant_raw(F, n, m)
     raise InvalidParams(f"unknown method {method!r}")
@@ -231,19 +230,9 @@ def second_cumulant_three_ways(F: np.ndarray, n: int) -> tuple[float, float, flo
 
 
 def operator_norm_estimate(F: np.ndarray, iters: int = 50, seed: int = 0) -> float:
-    """Power iteration on F F^T; reported, never asserted exact."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(F.shape[0])
-    v /= np.linalg.norm(v)
-    sigma2 = 0.0
-    for _ in range(iters):
-        w = F.T @ (F @ v)
-        sigma2 = float(v @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-    return math.sqrt(max(sigma2, 0.0))
+    """Power iteration on F^T F; reported, never asserted exact."""
+    v = np.random.default_rng(seed).standard_normal(F.shape[0])
+    return _power_norm(lambda x: F.T @ (F @ x), v, iters)
 
 
 @dataclass(frozen=True)
@@ -267,10 +256,11 @@ class BoundReport:
 
 def cumulant_bound_check(F: np.ndarray, n: int, m: int) -> BoundReport:
     """Check |C_m| <= sqrt(2/pi) m! m^(3/2) ||F||^(m-2) e^m C_2 numerically."""
-    if m < 3:
-        raise InvalidParams("bound check applies to m >= 3")
-    lhs = abs(cumulant(F, n, m))
-    c2 = cumulant(F, n, 2)
+    if not 3 <= m <= 6:
+        raise InvalidParams("bound check applies to 3 <= m <= 6")
+    blocks = _PowerBlocks(F, n, max_power=m - 1)
+    lhs = abs(blocks.cumulant(m))
+    c2 = blocks.cumulant(2)
     norm = operator_norm_estimate(F)
     rhs = (
         math.sqrt(2 / math.pi)
@@ -330,15 +320,9 @@ def convergence_sweep(
         F = build_F(spec, n, edge, f, window=window)
         n_alpha = float(n) ** edge.alpha
         scaled = {1: cumulant(F, n, 1) / n_alpha}
-        blocks = _PowerBlocks(F, n, max_power=max(m_max - 1, 1))
+        blocks = _PowerBlocks(F, n, max_power=m_max - 1)
         for m in range(2, m_max + 1):
-            terms = []
-            for parts in _compositions(m):
-                j = len(parts)
-                weight = (-1.0) ** (j + 1) / j
-                fact = math.prod(math.factorial(p) for p in parts)
-                terms.append(weight * blocks.connected(parts) / fact)
-            scaled[m] = math.factorial(m) * math.fsum(terms) / n_alpha ** m
+            scaled[m] = blocks.cumulant(m) / n_alpha ** m
         reports.append(
             CumulantReport(
                 n=n,

@@ -28,7 +28,6 @@ __all__ = [
     "LimitVariance",
     "sigma2_quadrature",
     "sigma2_residue",
-    "sigma2_for_c1",
     "pi_squared_check",
     "weighted_lipschitz_norm",
     "fit_resolvent_approximation",
@@ -214,21 +213,6 @@ def sigma2_quadrature(
     value = raw / (8 * math.pi ** 2)
     est = diff / (8 * math.pi ** 2) + _tail_bound(halfwidth, lw_norm)
     return LimitVariance(value=value, method="quadrature", side=side, est_error=est)
-
-
-def sigma2_for_c1(
-    f: Callable[[np.ndarray], np.ndarray],
-    side: Side,
-    tol: float = 1e-5,
-    domain_halfwidth: float | None = None,
-) -> LimitVariance:
-    """Limiting edge variance for a C^1 compactly supported test function.
-
-    Direct quadrature on f itself (no rational detour); cross-checkable
-    against sigma2_residue of a fitted pole approximation, with the
-    difference controlled by (1/16) |f-h|_Lw^2 |f+h|_Lw^2.
-    """
-    return sigma2_quadrature(f, side, domain_halfwidth=domain_halfwidth, tol=tol)
 
 
 def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:

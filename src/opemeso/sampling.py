@@ -3,14 +3,13 @@
 Gaussian (Hermite weight) and Wishart-type (Laguerre weight) spectra are
 sampled exactly in law from their beta = 2 tridiagonal models, one symmetric
 eigensolve per sample.  Every sample owns a counter-based RNG stream keyed by
-(seed, sample index), so batches are bit-identical across runs and across
-worker counts and can be resumed from any index.
+(seed, sample index), so batches are bit-identical across runs and can be
+resumed from any index.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +74,6 @@ def sample_spectra(
     n: int,
     count: int,
     seed: int,
-    threads: int = 1,
     start_index: int = 0,
 ) -> SampleBatch:
     """Sample ``count`` sorted spectra of size n; deterministic in (seed, index).
@@ -96,22 +94,22 @@ def sample_spectra(
     if ensemble.family is Family.LAGUERRE and gamma < 0:
         raise Unsupported("laguerre sampler requires gamma >= 0")
 
-    def one(index: int) -> np.ndarray:
-        rng = _stream(seed, start_index + index)
-        if ensemble.family is Family.HERMITE:
-            return _hermite_spectrum(n, rng)
-        return _laguerre_spectrum(n, gamma, rng)
-
     spectra = np.empty((count, n))
-    if threads <= 1:
-        for i in range(count):
-            spectra[i] = one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, vals in enumerate(pool.map(one, range(count), chunksize=64)):
-                spectra[i] = vals
+    for i in range(count):
+        rng = _stream(seed, start_index + i)
+        if ensemble.family is Family.HERMITE:
+            spectra[i] = _hermite_spectrum(n, rng)
+        else:
+            spectra[i] = _laguerre_spectrum(n, gamma, rng)
     spectra.setflags(write=False)
     return SampleBatch(ensemble=ensemble, n=n, seed=seed, spectra=spectra)
+
+
+def _statistic(batch: SampleBatch, f, edge: EdgeSpec) -> np.ndarray:
+    """Per-sample X = sum_i f(n^alpha (lambda_i - x0))."""
+    n_alpha = float(batch.n) ** edge.alpha
+    x0 = edge.center(batch.ensemble, batch.n)
+    return np.asarray(f(n_alpha * (batch.spectra - x0))).sum(axis=1)
 
 
 def empirical_statistic(
@@ -124,10 +122,7 @@ def empirical_statistic(
     """
     if batch.count == 0:
         raise InvalidParams("empty batch")
-    n = batch.n
-    x0 = edge.center(batch.ensemble, n)
-    n_alpha = float(n) ** edge.alpha
-    X = np.asarray(f(n_alpha * (batch.spectra - x0))).sum(axis=1)
+    X = _statistic(batch, f, edge)
     count = len(X)
     mean = float(X.mean())
     if count < 2:
@@ -141,9 +136,7 @@ def empirical_statistic(
 
 def standardized_skewness(batch: SampleBatch, f, edge: EdgeSpec) -> float:
     """Skewness of the standardized linear statistic over the batch."""
-    n_alpha = float(batch.n) ** edge.alpha
-    x0 = edge.center(batch.ensemble, batch.n)
-    X = np.asarray(f(n_alpha * (batch.spectra - x0))).sum(axis=1)
+    X = _statistic(batch, f, edge)
     centered = X - X.mean()
     sd = centered.std()
     if sd == 0:

@@ -173,42 +173,32 @@ class TridiagonalResolvent:
         self.d = d
         self.delta = delta
 
+    def _assemble(self, j, k):
+        """Entries (j, k), 1-based and broadcast, as sign * exp(log-modulus sum)."""
+        lo = np.minimum(j, k)
+        hi = np.maximum(j, k)
+        logval = self._La[hi - 1] - self._La[lo - 1] + self._Ld[hi] - self._Ldelta[lo - 1]
+        sign = (-1.0) ** (hi - lo) * self._sgn_a[hi - 1] * self._sgn_a[lo - 1]
+        return sign * np.exp(logval)
+
     def entry(self, j: int, k: int) -> complex:
         """(J^-1)_{j,k} with 1-based indices; symmetric by construction."""
         N = self.J.N
         if not (1 <= j <= N and 1 <= k <= N):
             raise InvalidParams(f"indices must lie in [1, {N}]")
-        lo, hi = (j, k) if j <= k else (k, j)
-        logval = self._La[hi - 1] - self._La[lo - 1] + self._Ld[hi] - self._Ldelta[lo - 1]
-        sign = (-1.0) ** (hi - lo) * self._sgn_a[hi - 1] * self._sgn_a[lo - 1]
-        return sign * cmath.exp(logval)
+        return self._assemble(j, k)
 
     def row(self, j: int) -> np.ndarray:
         """Full row (J^-1)_{j, 1..N} as a vector."""
         N = self.J.N
         if not 1 <= j <= N:
             raise InvalidParams(f"row index must lie in [1, {N}]")
-        ks = np.arange(1, N + 1)
-        lo = np.minimum(j, ks)
-        hi = np.maximum(j, ks)
-        logval = self._La[hi - 1] - self._La[lo - 1] + self._Ld[hi] - self._Ldelta[lo - 1]
-        sign = (-1.0) ** (hi - lo) * self._sgn_a[hi - 1] * self._sgn_a[lo - 1]
-        return sign * np.exp(logval)
+        return self._assemble(j, np.arange(1, N + 1))
 
     def dense(self) -> np.ndarray:
         """All N^2 entries, assembled from the prefix sums."""
-        N = self.J.N
-        idx = np.arange(1, N + 1)
-        lo = np.minimum.outer(idx, idx)
-        hi = np.maximum.outer(idx, idx)
-        logval = self._La[hi - 1] - self._La[lo - 1] + self._Ld[hi] - self._Ldelta[lo - 1]
-        sign = (-1.0) ** (hi - lo) * self._sgn_a[hi - 1] * self._sgn_a[lo - 1]
-        return sign * np.exp(logval)
-
-
-def invert_entry(J: TridiagonalMatrix, j: int, k: int) -> complex:
-    """Single resolvent entry; build a TridiagonalResolvent for bulk access."""
-    return TridiagonalResolvent(J).entry(j, k)
+        idx = np.arange(1, self.J.N + 1)
+        return self._assemble(idx[:, None], idx)
 
 
 @dataclass(frozen=True)
@@ -271,8 +261,8 @@ def transfer_spectrum(J: TridiagonalMatrix) -> TransferSpectrum:
 
 
 def free_resolvent_entry(
-    eta: complex, n_alpha: float, side: Side, j: int, k: int
-) -> complex:
+    eta: complex, n_alpha: float, side: Side, j: int | np.ndarray, k: int | np.ndarray
+) -> complex | np.ndarray:
     """Closed-form resolvent entry of the constant-coefficient matrix (a=1, b=0).
 
     Entry (j, k), 1-based, of the semi-infinite free matrix shifted by
@@ -281,14 +271,15 @@ def free_resolvent_entry(
         (u^{|j-k|} - u^{j+k}) / (u - 1/u),
 
     where u is the root of u + 1/u = x0 + eta/n^alpha with |u| < 1.  Finite
-    truncations converge to this exponentially fast.
+    truncations converge to this exponentially fast.  ``j`` and ``k`` may be
+    integer arrays; they broadcast against each other.
     """
     eta = complex(eta)
     if eta.imag == 0:
         raise InvalidParams("free resolvent needs Im eta != 0")
     if n_alpha <= 0:
         raise InvalidParams("n^alpha must be positive")
-    if j < 1 or k < 1:
+    if np.any(np.asarray(j) < 1) or np.any(np.asarray(k) < 1):
         raise InvalidParams("indices are 1-based")
     x0 = -2.0 if side is Side.LEFT else 2.0
     zp = x0 + eta / n_alpha
@@ -523,6 +514,20 @@ def decay_profile(J: TridiagonalMatrix, ref_row: int, floor: float = 1e-13) -> D
     )
 
 
+def _power_norm(gram, v: np.ndarray, iters: int) -> float:
+    """Largest singular value of A by power iteration from v; gram(x) = A^H A x."""
+    v = v / np.linalg.norm(v)
+    sigma2 = 0.0
+    for _ in range(iters):
+        w = gram(v)
+        sigma2 = float(np.real(np.conj(v) @ w))
+        norm = np.linalg.norm(w)
+        if norm == 0:
+            return 0.0
+        v = w / norm
+    return math.sqrt(max(sigma2, 0.0))
+
+
 def resolvent_norm_estimate(J: TridiagonalMatrix, iters: int = 50, seed: int = 0) -> float:
     """Power-iteration estimate of the l2 operator norm of J^-1.
 
@@ -533,14 +538,6 @@ def resolvent_norm_estimate(J: TridiagonalMatrix, iters: int = 50, seed: int = 0
     ab_conj = np.conj(ab)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(J.N) + 1j * rng.standard_normal(J.N)
-    v /= np.linalg.norm(v)
-    sigma2 = 0.0
-    for _ in range(iters):
-        w = solve_banded((1, 1), ab, v)
-        w = np.conj(solve_banded((1, 1), ab_conj, np.conj(w)))
-        sigma2 = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-    return math.sqrt(max(sigma2, 0.0))
+    return _power_norm(
+        lambda x: solve_banded((1, 1), ab_conj, solve_banded((1, 1), ab, x)), v, iters
+    )

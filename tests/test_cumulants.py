@@ -208,16 +208,28 @@ class TestSweep:
         assert payload["schema"] == 1
         assert payload["scaled_cumulants"]["2"] == rep.scaled_cumulants[2]
 
-    def test_golden_file(self, tmp_path):
-        # byte-for-byte CSV stability of the pinned fixture
+    CHEB_N200 = [
+        "cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5",
+        "--n", "200", "--m-max", "4", "--f", "im:1/(x-i)",
+    ]
+    GOLDEN_RUNS = {
+        "chebyshev_n200_img.csv": CHEB_N200,
+        # the JSON report also carries the window and the op-norm estimate
+        "chebyshev_n200_img.json": [*CHEB_N200, "--format", "json"],
+        "hermite_n100_sample.json": [
+            "sample", "--ensemble", "hermite", "--alpha", "0.4", "--n", "100",
+            "--count", "200", "--seed", "7", "--f", "im:1/(x-i)",
+        ],
+    }
+
+    @pytest.mark.parametrize("golden", list(GOLDEN_RUNS))
+    def test_golden_file(self, tmp_path, golden):
+        # byte-for-byte stability of the pinned fixtures
         from pathlib import Path
 
         from opemeso.cli import main
 
-        out = tmp_path / "sweep.csv"
-        assert main([
-            "cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5",
-            "--n", "200", "--m-max", "4", "--f", "im:1/(x-i)", "-o", str(out),
-        ]) == 0
-        golden = Path(__file__).parent / "golden" / "chebyshev_n200_img.csv"
-        assert out.read_text() == golden.read_text()
+        out = tmp_path / golden
+        assert main([*self.GOLDEN_RUNS[golden], "-o", str(out)]) == 0
+        expected = Path(__file__).parent / "golden" / golden
+        assert out.read_text() == expected.read_text()

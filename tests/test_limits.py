@@ -130,7 +130,7 @@ class TestVarianceApproximationChain:
         )
         sum_norm = om.weighted_lipschitz_norm(lambda x: smooth_bump(x) + fitted(x))
         for side in (om.Side.LEFT, om.Side.RIGHT):
-            sf = om.sigma2_for_c1(smooth_bump, side, tol=1e-6)
+            sf = om.sigma2_quadrature(smooth_bump, side, tol=1e-6)
             sh = om.sigma2_residue(fitted, side)
             bound = achieved ** 2 * sum_norm ** 2 / 16
             assert abs(sf.value - sh.value) <= bound + sf.est_error
@@ -186,18 +186,18 @@ class TestFit:
 class TestC1Variance:
     def test_triangle_hat_golden(self):
         # pinned after the first run (value 0.129432 +- 3e-6)
-        res = om.sigma2_for_c1(triangle_hat, om.Side.LEFT)
+        res = om.sigma2_quadrature(triangle_hat, om.Side.LEFT, tol=1e-5)
         assert res.value == pytest.approx(0.129432, abs=5e-5)
 
     def test_no_translation_invariance(self):
-        base = om.sigma2_for_c1(triangle_hat, om.Side.LEFT).value
-        shifted = om.sigma2_for_c1(
+        base = om.sigma2_quadrature(triangle_hat, om.Side.LEFT, tol=1e-5).value
+        shifted = om.sigma2_quadrature(
             lambda x: triangle_hat(np.asarray(x, float) - 0.35), om.Side.LEFT, tol=1e-4
         ).value
         assert abs(base - shifted) > 1e-3
 
     def test_positive_for_nonzero(self):
-        assert om.sigma2_for_c1(triangle_hat, om.Side.LEFT).value > 0
+        assert om.sigma2_quadrature(triangle_hat, om.Side.LEFT, tol=1e-5).value > 0
 
     def test_json(self):
         payload = om.sigma2_residue(IM_G, om.Side.RIGHT).to_json()

@@ -28,11 +28,6 @@ class TestDeterminism:
         b2 = om.sample_spectra(om.hermite(), 50, 5, seed=2)
         assert not np.array_equal(b1.spectra, b2.spectra)
 
-    def test_thread_count_irrelevant(self):
-        b1 = om.sample_spectra(om.laguerre(1.0), 60, 40, seed=5, threads=1)
-        b2 = om.sample_spectra(om.laguerre(1.0), 60, 40, seed=5, threads=3)
-        assert np.array_equal(b1.spectra, b2.spectra)
-
     def test_resume_matches_fresh(self):
         full = om.sample_spectra(om.hermite(), 40, 30, seed=9)
         tail = om.sample_spectra(om.hermite(), 40, 10, seed=9, start_index=20)
@@ -63,7 +58,7 @@ class TestDistribution:
 
     def test_skewness_small_at_soft_edge(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
-        batch = om.sample_spectra(om.hermite(), 400, 10000, seed=314, threads=2)
+        batch = om.sample_spectra(om.hermite(), 400, 10000, seed=314)
         assert abs(standardized_skewness(batch, IM_G, edge)) <= 0.15
 
 
@@ -81,7 +76,7 @@ class TestEmpiricalStatistic:
     def test_matches_exact_variance(self):
         n, count = 200, 4000
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
-        batch = om.sample_spectra(om.hermite(), n, count, seed=2718, threads=2)
+        batch = om.sample_spectra(om.hermite(), n, count, seed=2718)
         _, var, se = om.empirical_statistic(batch, IM_G, edge)
         F = om.build_F(om.hermite(), n, edge, IM_G)
         exact = om.cumulant(F, n, 2) / n ** 0.8

@@ -22,7 +22,8 @@ def _random_matrix(rng, n_max=64, im_lo=0.1, im_hi=2.0):
 class TestInversion:
     def test_scalar(self):
         J = om.TridiagonalMatrix([3.0], [], 1j)
-        assert om.invert_entry(J, 1, 1) == pytest.approx(1 / (3 - 1j), rel=1e-14)
+        res = om.TridiagonalResolvent(J)
+        assert res.entry(1, 1) == pytest.approx(1 / (3 - 1j), rel=1e-14)
 
     def test_two_by_two(self):
         J = om.TridiagonalMatrix([0.0, 0.0], [1.0], 1j)
@@ -62,10 +63,11 @@ class TestInversion:
 
     def test_index_bounds(self):
         J = om.TridiagonalMatrix([1.0, 2.0], [1.0], 1j)
+        res = om.TridiagonalResolvent(J)
         with pytest.raises(InvalidParams):
-            om.invert_entry(J, 0, 1)
+            res.entry(0, 1)
         with pytest.raises(InvalidParams):
-            om.invert_entry(J, 1, 3)
+            res.entry(1, 3)
 
     def test_real_shift_needs_oracle_blessing(self):
         # singular at z = 0: [[1, 1], [1, 1]]
@@ -171,11 +173,22 @@ class TestFreeResolvent:
         assert d_fit > 0
         assert abs(d_fit - math.sqrt(0.5)) < 0.2  # |Re sqrt(-i)| = sqrt(1/2)
 
+    def test_index_arrays_broadcast(self):
+        idx = np.arange(1, 8)
+        block = om.free_resolvent_entry(1j, 30.0, om.Side.RIGHT, idx[:, None], idx)
+        assert block.shape == (7, 7)
+        for j in (1, 4, 7):
+            for k in (1, 2, 7):
+                scalar = om.free_resolvent_entry(1j, 30.0, om.Side.RIGHT, j, k)
+                assert block[j - 1, k - 1] == pytest.approx(scalar, rel=1e-14)
+
     def test_input_validation(self):
         with pytest.raises(InvalidParams):
             om.free_resolvent_entry(1.0, 10.0, om.Side.LEFT, 1, 1)
         with pytest.raises(InvalidParams):
             om.free_resolvent_entry(1j, -1.0, om.Side.LEFT, 1, 1)
+        with pytest.raises(InvalidParams):
+            om.free_resolvent_entry(1j, 10.0, om.Side.LEFT, np.arange(0, 3), 1)
 
 
 class TestAlmostToeplitz:
@@ -280,6 +293,8 @@ class TestResolventNorm:
         J = _random_matrix(rng, n_max=120, im_lo=0.05, im_hi=2.0)
         est = om.resolvent_norm_estimate(J)
         assert est * abs(J.shift.imag) <= 1 + 1e-6
+        # and it finds the norm: the power iteration must reach most of it
+        assert est >= 0.9 * np.linalg.norm(om.invert_dense_oracle(J), 2)
 
 
 class TestSerialization:
