@@ -70,6 +70,16 @@ def _write_manifest(output: Path, command: str, config: dict, wallclock: float, 
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _emit(text: str, output: str | None) -> list[Path]:
+    """Write text to ``output`` and return that path, or print it and return none."""
+    if output:
+        out = Path(output)
+        out.write_text(text)
+        return [out]
+    sys.stdout.write(text)
+    return []
+
+
 def _edge_from_args(args) -> EdgeSpec:
     side = Side.LEFT if args.side == "left" else Side.RIGHT
     return EdgeSpec(side=side, alpha=args.alpha, x0=args.x0, epsilon=args.epsilon)
@@ -219,13 +229,7 @@ def cmd_variance_limit(args) -> list[Path]:
         r = sigma2_residue(f, side)
         payload["residue"] = r.to_json()
         payload["value"] = r.value
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        out = Path(args.output)
-        out.write_text(text)
-        return [out]
-    sys.stdout.write(text)
-    return []
+    return _emit(json.dumps(payload, indent=2) + "\n", args.output)
 
 
 def cmd_decay(args) -> list[Path]:
@@ -260,13 +264,7 @@ def cmd_hypotheses(args) -> list[Path]:
     spec = _ensemble_from_args(args)
     edge = _edge_from_args(args)
     report = check_hypotheses(spec, args.n, edge)
-    text = json.dumps(report.to_json(), indent=2) + "\n"
-    if args.output:
-        out = Path(args.output)
-        out.write_text(text)
-        return [out]
-    sys.stdout.write(text)
-    return []
+    return _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
 
 
 def cmd_sample(args) -> list[Path]:
@@ -293,6 +291,9 @@ def cmd_sample(args) -> list[Path]:
     if args.out_batch:
         save_batch(batch, args.out_batch)
         outputs.append(Path(args.out_batch))
+    if batch.count > args.count:
+        # resumed to fewer samples than stored: report the first --count only
+        batch = SampleBatch(spec, batch.n, batch.seed, batch.spectra[: args.count])
     mean, var, se = empirical_statistic(batch, f, edge)
     payload = {
         "schema": 1,
@@ -305,14 +306,7 @@ def cmd_sample(args) -> list[Path]:
         "variance_std_error": se,
         "skewness": standardized_skewness(batch, f, edge),
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.output:
-        out = Path(args.output)
-        out.write_text(text)
-        outputs.append(out)
-    else:
-        sys.stdout.write(text)
-    return outputs
+    return outputs + _emit(json.dumps(payload, indent=2) + "\n", args.output)
 
 
 def cmd_fit(args) -> list[Path]:

@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 from .ensembles import EdgeSpec, EnsembleSpec, jacobi_window
 from .errors import InvalidParams, WindowTooSmall
 from .testfun import ResolventTestFunction
-from .tridiagonal import TridiagonalMatrix, _power_norm
+from .tridiagonal import _DENSE_MAX_ROWS, _POWER_SEED, TridiagonalMatrix, _power_norm
 
 __all__ = [
     "build_F",
@@ -66,6 +66,8 @@ def build_F(
     ``two_sided=True`` defaults the lower end to n - margin instead.
 
     The result has real symmetric entries (conjugate closure of the poles).
+    Raises InvalidParams, before allocating anything, when ``hi`` exceeds
+    the 5000-row cap of the dense oracle.
     """
     if window is None:
         margin = default_margin(n, edge)
@@ -73,6 +75,10 @@ def build_F(
     lo, hi = window
     if lo < 1 or hi <= n:
         raise InvalidParams(f"window {window} must satisfy 1 <= lo, hi > n")
+    if hi > _DENSE_MAX_ROWS:
+        raise InvalidParams(
+            f"window end hi = {hi} exceeds the dense cap of {_DENSE_MAX_ROWS} rows"
+        )
     if hi - n < n ** (edge.alpha / 2):
         raise WindowTooSmall(
             f"margin {hi - n} below n^(alpha/2) = {n ** (edge.alpha / 2):.1f}"
@@ -229,10 +235,10 @@ def second_cumulant_three_ways(F: np.ndarray, n: int) -> tuple[float, float, flo
     return comp, qform, comm
 
 
-def operator_norm_estimate(F: np.ndarray, iters: int = 50, seed: int = 0) -> float:
+def operator_norm_estimate(F: np.ndarray) -> float:
     """Power iteration on F^T F; reported, never asserted exact."""
-    v = np.random.default_rng(seed).standard_normal(F.shape[0])
-    return _power_norm(lambda x: F.T @ (F @ x), v, iters)
+    v = np.random.default_rng(_POWER_SEED).standard_normal(F.shape[0])
+    return _power_norm(lambda x: F.T @ (F @ x), v)
 
 
 @dataclass(frozen=True)

@@ -336,6 +336,9 @@ def _diagonal_b(spec: EnsembleSpec, j: int, n: int) -> float:
         s = g1 + g2
         if g1 == g2:
             return 0.0
+        if s == 0:
+            # (g2^2 - g1^2) / s = g2 - g1 cancels the vanishing factor
+            return 2 * (g2 - g1) / (s + 2)
         return 2 * (g2 ** 2 - g1 ** 2) / (s * (s + 2))
     if fam is Family.LAGUERRE:
         return (p["gamma"] + 1) / n
@@ -494,6 +497,7 @@ class HypothesisReport:
 
 
 _THRESHOLD_FLOOR = 1e-9  # for quantities that vanish identically
+_REFERENCE_N = 1000      # default thresholds are 10x the quantities at this n
 
 
 def _hypothesis_quantities(spec, n, alpha, epsilon, x0):
@@ -542,21 +546,20 @@ def check_hypotheses(
     n: int,
     edge: EdgeSpec,
     thresholds: dict | None = None,
-    reference_n: int = 1000,
 ) -> HypothesisReport:
     """Report the slow-variation/cancellation quantities over the mesoscopic window.
 
     Pure reporting: each scaled quantity is flagged pass/fail against
     ``thresholds`` (defaults to 10x the same quantities measured at
-    ``reference_n``, floored at 1e-9 for identically-zero families).
+    n = 1000, floored at 1e-9 for identically-zero families).
     Raises OutOfDomain when the window leaves the family's support.
     """
     x0 = edge.center(spec, n)
     q = _hypothesis_quantities(spec, n, edge.alpha, edge.epsilon, x0)
 
     if thresholds is None:
-        x0_ref = edge.x0 if edge.x0 is not None else edge_location(spec, reference_n, edge.side)
-        ref = _hypothesis_quantities(spec, reference_n, edge.alpha, edge.epsilon, x0_ref)
+        x0_ref = edge.center(spec, _REFERENCE_N)
+        ref = _hypothesis_quantities(spec, _REFERENCE_N, edge.alpha, edge.epsilon, x0_ref)
         thresholds = {
             key: max(10.0 * ref[key], _THRESHOLD_FLOOR)
             for key in ("max_da_scaled", "max_db_scaled", "rec1_scaled", "rec2_scaled")

@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 _WEIGHT_INTEGRAL = math.pi / math.sqrt(2)  # int dx / (1+x^4) = int x^2 dx / (1+x^4)
+_DERIV_STEP = 1e-4         # relative step of the 5-point central difference
+_GL_DEGREE = 12            # Gauss-Legendre nodes per panel
+_MAX_LEVEL = 9             # panel refinement stops at 2^9 panels per axis
+_PI_SQUARED_TOL = 1e-7
+_FIT_GRID_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -55,9 +60,9 @@ class LimitVariance:
         }
 
 
-def _gl_panels(a: float, b: float, n_panels: int, deg: int = 12):
+def _gl_panels(a: float, b: float, n_panels: int):
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x0, w0 = np.polynomial.legendre.leggauss(deg)
+    x0, w0 = np.polynomial.legendre.leggauss(_GL_DEGREE)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -70,8 +75,6 @@ def _double_integral_tan(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     halfwidth: float,
     tol: float,
-    max_level: int = 9,
-    deg: int = 12,
 ) -> tuple[float, float]:
     """Integrate integrand(x, y) over [-L, L]^2 via x = tan(theta) panels.
 
@@ -83,8 +86,8 @@ def _double_integral_tan(
     prev = None
     diff = math.inf
     value = math.nan
-    for level in range(2, max_level + 1):
-        theta, w = _gl_panels(-theta_max, theta_max, 2 ** level, deg)
+    for level in range(2, _MAX_LEVEL + 1):
+        theta, w = _gl_panels(-theta_max, theta_max, 2 ** level)
         x = np.tan(theta)
         wx = w / np.cos(theta) ** 2
         total = 0.0
@@ -103,18 +106,25 @@ def _double_integral_tan(
     )
 
 
+def _derivative(f, x):
+    """f'(x): analytic for pole/weight test functions, else 5-point central differences."""
+    if isinstance(f, ResolventTestFunction):
+        return f.derivative(x)
+    h = _DERIV_STEP * (1 + np.abs(x))
+    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+
+
 def weighted_lipschitz_norm(
     f: Callable[[np.ndarray], np.ndarray],
     grid: int | np.ndarray = 2001,
-    deriv_step: float = 1e-4,
 ) -> float:
     """sup over pairs of sqrt(1+x^2) sqrt(1+y^2) |f(x)-f(y)| / |x-y| on a grid.
 
     The diagonal is filled with (1+x^2)|f'(x)|, the derivative taken
     analytically for pole/weight test functions and by 5-point central
-    differences (relative step) otherwise.  An integer ``grid`` selects that
-    many tangent-spaced points covering the real line out to ~1e6, which also
-    captures the pairs-at-infinity limit sup sqrt(1+y^2)|f(y)|.
+    differences (relative step 1e-4) otherwise.  An integer ``grid`` selects
+    that many tangent-spaced points covering the real line out to ~1e6, which
+    also captures the pairs-at-infinity limit sup sqrt(1+y^2)|f(y)|.
     """
     if isinstance(grid, (int, np.integer)):
         theta = np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, int(grid))
@@ -130,14 +140,7 @@ def weighted_lipschitz_norm(
     np.fill_diagonal(quot, 0.0)
     off_sup = float(quot.max())
 
-    if isinstance(f, ResolventTestFunction):
-        fp = np.abs(f.derivative(xs))
-    else:
-        h = deriv_step * (1 + np.abs(xs))
-        fp = np.abs(
-            (-f(xs + 2 * h) + 8 * f(xs + h) - 8 * f(xs - h) + f(xs - 2 * h)) / (12 * h)
-        )
-    diag_sup = float(np.max((1 + xs ** 2) * fp))
+    diag_sup = float(np.max((1 + xs ** 2) * np.abs(_derivative(f, xs))))
     return max(off_sup, diag_sup)
 
 
@@ -153,20 +156,12 @@ def _tail_bound(halfwidth: float, lw_norm: float) -> float:
     return lw_norm ** 2 * strips / (8 * math.pi ** 2)
 
 
-def _variance_integrand(f, s: float, deriv_step_scale: float):
-    analytic = isinstance(f, ResolventTestFunction)
-
+def _variance_integrand(f, s: float):
     def g(x):
         return f(s * x * x)
 
     def gprime(x):
-        u = s * x * x
-        if analytic:
-            fp = f.derivative(u)
-        else:
-            h = deriv_step_scale * (1 + np.abs(u))
-            fp = (-f(u + 2 * h) + 8 * f(u + h) - 8 * f(u - h) + f(u - 2 * h)) / (12 * h)
-        return 2 * s * x * fp
+        return 2 * s * x * _derivative(f, s * x * x)
 
     def integrand(X, Y):
         gx = g(X)
@@ -183,32 +178,19 @@ def _variance_integrand(f, s: float, deriv_step_scale: float):
     return integrand
 
 
-def sigma2_quadrature(
-    f,
-    side: Side,
-    domain_halfwidth: float | None = None,
-    tol: float = 1e-7,
-    lw_norm: float | None = None,
-    deriv_step_scale: float = 1e-4,
-) -> LimitVariance:
+def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
     """Limiting edge variance of f by adaptive double quadrature.
 
     ``f`` is any real function decaying at infinity (rational or compactly
-    supported).  The truncation half-width defaults to the value that makes
-    the weighted-Lipschitz tail bound contribute less than tol/10; pass
-    ``domain_halfwidth`` to override (e.g. to study truncation effects).
+    supported).  The truncation half-width is the value that makes the
+    weighted-Lipschitz tail bound contribute at most tol/10.
     """
     s = 1.0 if side is Side.LEFT else -1.0
-    if lw_norm is None:
-        lw_norm = weighted_lipschitz_norm(f)
-    if domain_halfwidth is None:
-        target = tol / 10
-        halfwidth = 50.0
-        while _tail_bound(halfwidth, lw_norm) > target:
-            halfwidth *= 2
-    else:
-        halfwidth = float(domain_halfwidth)
-    integrand = _variance_integrand(f, s, deriv_step_scale)
+    lw_norm = weighted_lipschitz_norm(f)
+    halfwidth = 50.0
+    while _tail_bound(halfwidth, lw_norm) > tol / 10:
+        halfwidth *= 2
+    integrand = _variance_integrand(f, s)
     raw, diff = _double_integral_tan(integrand, halfwidth, tol * 8 * math.pi ** 2)
     value = raw / (8 * math.pi ** 2)
     est = diff / (8 * math.pi ** 2) + _tail_bound(halfwidth, lw_norm)
@@ -230,26 +212,27 @@ def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     return LimitVariance(value=total.real, method="residue", side=side, est_error=est)
 
 
-def pi_squared_check(domain_halfwidth: float | None = None, tol: float = 1e-7) -> float:
+def pi_squared_check(domain_halfwidth: float | None = None) -> float:
     """Quadrature of the normalization integral whose exact value is pi^2.
 
-    integral over R^2 of ((x+y) / (sqrt(x^4+1) sqrt(y^4+1)))^2 dx dy.
-    The default truncation half-width follows the same tail rule as the
-    variance quadrature; a deliberately small ``domain_halfwidth`` exposes
-    the truncation error (used by tests to guard against silent truncation).
+    integral over R^2 of ((x+y) / (sqrt(x^4+1) sqrt(y^4+1)))^2 dx dy, to
+    tolerance 1e-7.  The default truncation half-width follows the same tail
+    rule as the variance quadrature; a deliberately small ``domain_halfwidth``
+    exposes the truncation error (used by tests to guard against silent
+    truncation).
     """
 
     def integrand(X, Y):
         return (X + Y) ** 2 / ((1 + X ** 4) * (1 + Y ** 4))
 
     if domain_halfwidth is None:
-        target = tol / 10
+        target = _PI_SQUARED_TOL / 10
         halfwidth = 50.0
         while 4 * _WEIGHT_INTEGRAL * (2 / halfwidth + 2 / (3 * halfwidth ** 3)) > target:
             halfwidth *= 2
     else:
         halfwidth = float(domain_halfwidth)
-    value, _ = _double_integral_tan(integrand, halfwidth, tol)
+    value, _ = _double_integral_tan(integrand, halfwidth, _PI_SQUARED_TOL)
     return value
 
 
@@ -258,17 +241,16 @@ def fit_resolvent_approximation(
     M: int,
     pole_height: float = 0.25,
     support: tuple[float, float] | None = None,
-    grid_points: int = 2000,
 ) -> tuple[ResolventTestFunction, float]:
     """Fit f by Im sum_r d_r / (x - lambda_r) with fixed poles, linear least squares.
 
     Poles sit at height ``pole_height`` above a uniform grid spanning an
-    interval 1.5x the support of f; the weights solve a weighted linear
-    least-squares problem combining value rows (weight sqrt(1+x^2), which
-    controls the pairs-at-infinity part of the weighted Lipschitz norm) and
-    consecutive difference-quotient rows (weight sqrt(1+x_i^2)
-    sqrt(1+x_{i+1}^2), the norm's seminorm part).  Returns the fitted test
-    function and its achieved weighted-Lipschitz distance to f.
+    interval 1.5x the support of f; on a 2000-point grid the weights solve a
+    weighted linear least-squares problem combining value rows (weight
+    sqrt(1+x^2), which controls the pairs-at-infinity part of the weighted
+    Lipschitz norm) and consecutive difference-quotient rows (weight
+    sqrt(1+x_i^2) sqrt(1+x_{i+1}^2), the norm's seminorm part).  Returns the
+    fitted test function and its achieved weighted-Lipschitz distance to f.
 
     Raises IllConditioned when the design matrix condition exceeds 1e12
     (reduce M or raise pole_height).
@@ -294,9 +276,9 @@ def fit_resolvent_approximation(
     poles = pole_xs + 1j * pole_height
 
     # fit grid: dense inside 3x the support, tangent-spaced far field
-    n_core = int(0.8 * grid_points)
+    n_core = int(0.8 * _FIT_GRID_POINTS)
     xs_core = np.linspace(center - 3 * half, center + 3 * half, n_core)
-    theta = np.linspace(0.1, math.pi / 2 - 1e-4, grid_points - n_core)
+    theta = np.linspace(0.1, math.pi / 2 - 1e-4, _FIT_GRID_POINTS - n_core)
     far = 3 * half * np.tan(theta)
     xs = np.sort(np.concatenate([xs_core, center + far, center - far]))
 

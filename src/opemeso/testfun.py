@@ -79,19 +79,6 @@ class ResolventTestFunction:
             weights=tuple(w / factor for w in self.weights),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "poles": [[p.real, p.imag] for p in self.poles],
-            "weights": [[w.real, w.imag] for w in self.weights],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "ResolventTestFunction":
-        return ResolventTestFunction(
-            poles=tuple(complex(re_, im_) for re_, im_ in obj["poles"]),
-            weights=tuple(complex(re_, im_) for re_, im_ in obj["weights"]),
-        )
-
 
 _TERM_RE = re.compile(r"^(im|re):([^/]+)/\(x-(.+)\)$")
 

@@ -22,6 +22,11 @@ from .errors import InvalidParams, Singular
 
 _EPS = np.finfo(float).eps
 _COND_LIMIT = 1.0 / _EPS
+_DENSE_MAX_ROWS = 5000      # largest matrix any dense (N x N) routine will build
+_DENOM_TOL = 1e-300        # continued-fraction pivots below this count as zero
+_DECAY_FLOOR = 1e-13       # decay fits ignore entries this far below the row maximum
+_POWER_ITERS = 50
+_POWER_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -68,25 +73,6 @@ class TridiagonalMatrix:
         ab[2, :-1] = self.offdiag
         return ab
 
-    def to_json(self) -> dict:
-        return {
-            "N": self.N,
-            "diag": self.diag.tolist(),
-            "offdiag": self.offdiag.tolist(),
-            "z": {"re": self.shift.real, "im": self.shift.imag},
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TridiagonalMatrix":
-        J = TridiagonalMatrix(
-            np.asarray(obj["diag"], dtype=float),
-            np.asarray(obj["offdiag"], dtype=float),
-            complex(obj["z"]["re"], obj["z"]["im"]),
-        )
-        if J.N != obj["N"]:
-            raise InvalidParams("inconsistent N in serialized matrix")
-        return J
-
 
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
     """Compensated cumulative sum; error stays O(eps * |partial|) at any length."""
@@ -110,8 +96,8 @@ def invert_dense_oracle(J: TridiagonalMatrix) -> np.ndarray:
     Raises Singular when the factorization fails or the 1-norm condition
     estimate exceeds 1/machine-eps.
     """
-    if J.N > 5000:
-        raise InvalidParams("dense oracle capped at N = 5000")
+    if J.N > _DENSE_MAX_ROWS:
+        raise InvalidParams(f"dense oracle capped at N = {_DENSE_MAX_ROWS}")
     A = J.to_dense()
     try:
         inv = np.linalg.inv(A)
@@ -121,6 +107,25 @@ def invert_dense_oracle(J: TridiagonalMatrix) -> np.ndarray:
     if not np.isfinite(cond1) or cond1 > _COND_LIMIT:
         raise Singular(f"condition estimate {cond1:.3g} exceeds 1/eps")
     return inv
+
+
+def _pivot_sweep(b: np.ndarray, a: np.ndarray, backward: bool) -> np.ndarray:
+    """Continued-fraction pivots p_1 = b_1, p_i = b_i - a_{i-1}^2 / p_{i-1}.
+
+    ``backward=True`` runs the same sweep on the reversed arrays, from the
+    last row up, and returns the pivots in row order.
+    """
+    N = len(b)
+    if backward:
+        b, a = b[::-1], a[::-1]
+    p = np.empty(N, dtype=complex)
+    p[0] = b[0]
+    for i in range(1, N):
+        if abs(p[i - 1]) < _DENOM_TOL:
+            row, name = (N - i + 1, "backward") if backward else (i, "forward")
+            raise Singular(f"{name} recursion denominator vanished at index {row}")
+        p[i] = b[i] - a[i - 1] ** 2 / p[i - 1]
+    return p[::-1] if backward else p
 
 
 class TridiagonalResolvent:
@@ -134,7 +139,7 @@ class TridiagonalResolvent:
     for j <= k (1-based), extended by symmetry.
     """
 
-    def __init__(self, J: TridiagonalMatrix, denom_tol: float = 1e-300):
+    def __init__(self, J: TridiagonalMatrix):
         self.J = J
         N = J.N
         if J.shift.imag == 0.0:
@@ -145,20 +150,9 @@ class TridiagonalResolvent:
         if np.any(a == 0.0):
             raise InvalidParams("resolvent recursions require nonzero off-diagonals")
 
-        d = np.empty(N, dtype=complex)      # d[j-1] = d_j
-        d[N - 1] = b[N - 1]
-        for j in range(N - 1, 0, -1):
-            if abs(d[j]) < denom_tol:
-                raise Singular(f"backward recursion denominator vanished at index {j + 1}")
-            d[j - 1] = b[j - 1] - a[j - 1] ** 2 / d[j]
-
-        delta = np.empty(N, dtype=complex)  # delta[j-1] = delta_j
-        delta[0] = b[0]
-        for j in range(2, N + 1):
-            if abs(delta[j - 2]) < denom_tol:
-                raise Singular(f"forward recursion denominator vanished at index {j - 1}")
-            delta[j - 1] = b[j - 1] - a[j - 2] ** 2 / delta[j - 2]
-        if abs(d[0]) < denom_tol or abs(delta[N - 1]) < denom_tol:
+        d = _pivot_sweep(b, a, backward=True)        # d[j-1] = d_j
+        delta = _pivot_sweep(b, a, backward=False)   # delta[j-1] = delta_j
+        if abs(d[0]) < _DENOM_TOL or abs(delta[N - 1]) < _DENOM_TOL:
             raise Singular("matrix numerically singular")
 
         # Suffix sums of complex logs: _Ld[k] = sum_{l=k+1}^N log d_l (0-based
@@ -221,6 +215,24 @@ class TransferSpectrum:
     E_norms: np.ndarray
 
 
+def _transfer_eigenvalues(bz, a_prev, a_curr):
+    """(omega+, omega-, lambda+, lambda-) of the steps with data b - z, a_{j-1}, a_j."""
+    root = np.sqrt(bz ** 2 - 4 * a_curr * a_prev)
+    return (
+        (bz + root) / (2 * a_prev),
+        (bz - root) / (2 * a_prev),
+        (bz + root) / (2 * a_curr),
+        (bz - root) / (2 * a_curr),
+    )
+
+
+def _mismatch_norms(plus, minus):
+    """Max-row-sum eigenbasis mismatch between consecutive steps over the local gap."""
+    return (np.abs(plus[:-1] - plus[1:]) + np.abs(minus[:-1] - minus[1:])) / np.abs(
+        minus[:-1] - plus[:-1]
+    )
+
+
 def transfer_spectrum(J: TridiagonalMatrix) -> TransferSpectrum:
     """Principal-branch transfer eigenvalues and basis-mismatch norms.
 
@@ -234,29 +246,17 @@ def transfer_spectrum(J: TridiagonalMatrix) -> TransferSpectrum:
     if np.any(a == 0.0):
         raise InvalidParams("transfer spectrum requires nonzero off-diagonals")
     bz = J.diag.astype(complex) - J.shift
-    a_jm1 = a[: N - 2]                 # a_{j-1} for j = 2..N-1
-    a_j = a[1 : N - 1]                 # a_j
-    root = np.sqrt(bz[1 : N - 1] ** 2 - 4 * a_j * a_jm1)
-    omp = (bz[1 : N - 1] + root) / (2 * a_jm1)
-    omm = (bz[1 : N - 1] - root) / (2 * a_jm1)
-    lap = (bz[1 : N - 1] + root) / (2 * a_j)
-    lam = (bz[1 : N - 1] - root) / (2 * a_j)
-    # mismatch toward the next index, normalized by the local eigenvalue gap
-    m_norms = (np.abs(omp[:-1] - omp[1:]) + np.abs(omm[:-1] - omm[1:])) / np.abs(
-        omm[:-1] - omp[:-1]
-    )
-    # mismatch toward the previous index
-    e_norms = (np.abs(lap[1:] - lap[:-1]) + np.abs(lam[1:] - lam[:-1])) / np.abs(
-        lam[1:] - lap[1:]
-    )
+    # steps j = 2..N-1 take b_{j-1}, a_{j-1} and a_j
+    omp, omm, lap, lam = _transfer_eigenvalues(bz[1 : N - 1], a[: N - 2], a[1 : N - 1])
     return TransferSpectrum(
         js=np.arange(2, N),
         omega_plus=omp,
         omega_minus=omm,
         lambda_plus=lap,
         lambda_minus=lam,
-        M_norms=m_norms,
-        E_norms=e_norms,
+        M_norms=_mismatch_norms(omp, omm),
+        # toward the previous index: the same norm along the reversed steps
+        E_norms=_mismatch_norms(lap[::-1], lam[::-1])[::-1],
     )
 
 
@@ -344,11 +344,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     # transfer eigenvalues for steps l = 1..N (boundary conventions above)
     a_prev = np.concatenate([[a[0]], a])          # a_{l-1}, l = 1..N
     a_curr = np.concatenate([a, [a[-1]]])         # a_l,     l = 1..N
-    root = np.sqrt(bz ** 2 - 4 * a_curr * a_prev)
-    omp = (bz + root) / (2 * a_prev)              # omega_l^+, index l-1
-    omm = (bz - root) / (2 * a_prev)
-    lap = (bz + root) / (2 * a_curr)
-    lam = (bz - root) / (2 * a_curr)
+    omp, omm, lap, lam = _transfer_eigenvalues(bz, a_prev, a_curr)  # index l-1 <-> step l
 
     opN1, omN1 = omp[N - 2], omm[N - 2]           # step N-1
     lpN1, lmN1 = lap[N - 2], lam[N - 2]
@@ -436,9 +432,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
         )
     )
     # eigenbasis mismatch over the interior steps l = 2..N-2 (real data only)
-    m_norms = (
-        np.abs(omp[1 : N - 2] - omp[2 : N - 1]) + np.abs(omm[1 : N - 2] - omm[2 : N - 1])
-    ) / np.abs(omm[1 : N - 2] - omp[1 : N - 2])
+    m_norms = _mismatch_norms(omp[1 : N - 1], omm[1 : N - 1])
     eps1 = float(N * np.max(m_norms)) if m_norms.size else 0.0
     eps2 = float(max(abs(suffix[2]), 5e-324))     # prod_{l=2}^{N-1} |ratio|
     kappa = ((1 + math.sqrt(5)) * c1 / (2 * c0)) ** 2
@@ -487,10 +481,10 @@ class DecayFit:
             yield int(dist), float(val)
 
 
-def decay_profile(J: TridiagonalMatrix, ref_row: int, floor: float = 1e-13) -> DecayFit:
+def decay_profile(J: TridiagonalMatrix, ref_row: int) -> DecayFit:
     """Fit log|(J^-1)_{ref_row, k}| ~ intercept - rate * |k - ref_row|.
 
-    Entries within ``floor`` of the row maximum are excluded so the noise
+    Entries below 1e-13 times the row maximum are excluded so the noise
     floor does not bias the slope.
     """
     if J.shift.imag == 0:
@@ -500,7 +494,7 @@ def decay_profile(J: TridiagonalMatrix, ref_row: int, floor: float = 1e-13) -> D
     ks = np.arange(1, J.N + 1)
     dist = np.abs(ks - ref_row)
     mags = np.abs(row)
-    mask = (dist > 0) & (mags > floor * mags.max())
+    mask = (dist > 0) & (mags > _DECAY_FLOOR * mags.max())
     x = dist[mask].astype(float)
     y = np.log(mags[mask])
     slope, intercept = np.polyfit(x, y, 1)
@@ -514,11 +508,14 @@ def decay_profile(J: TridiagonalMatrix, ref_row: int, floor: float = 1e-13) -> D
     )
 
 
-def _power_norm(gram, v: np.ndarray, iters: int) -> float:
-    """Largest singular value of A by power iteration from v; gram(x) = A^H A x."""
+def _power_norm(gram, v: np.ndarray) -> float:
+    """Largest singular value of A by power iteration from v; gram(x) = A^H A x.
+
+    Callers draw v from default_rng(_POWER_SEED), so estimates are reproducible.
+    """
     v = v / np.linalg.norm(v)
     sigma2 = 0.0
-    for _ in range(iters):
+    for _ in range(_POWER_ITERS):
         w = gram(v)
         sigma2 = float(np.real(np.conj(v) @ w))
         norm = np.linalg.norm(w)
@@ -528,7 +525,7 @@ def _power_norm(gram, v: np.ndarray, iters: int) -> float:
     return math.sqrt(max(sigma2, 0.0))
 
 
-def resolvent_norm_estimate(J: TridiagonalMatrix, iters: int = 50, seed: int = 0) -> float:
+def resolvent_norm_estimate(J: TridiagonalMatrix) -> float:
     """Power-iteration estimate of the l2 operator norm of J^-1.
 
     Iterates R^H R where each application of R is a banded solve; J is
@@ -536,8 +533,8 @@ def resolvent_norm_estimate(J: TridiagonalMatrix, iters: int = 50, seed: int = 0
     """
     ab = J.banded()
     ab_conj = np.conj(ab)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(J.N) + 1j * rng.standard_normal(J.N)
     return _power_norm(
-        lambda x: solve_banded((1, 1), ab_conj, solve_banded((1, 1), ab, x)), v, iters
+        lambda x: solve_banded((1, 1), ab_conj, solve_banded((1, 1), ab, x)), v
     )

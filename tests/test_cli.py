@@ -96,6 +96,16 @@ def test_sample_and_resume(tmp_path):
     assert batch_path.read_bytes() == fresh_path.read_bytes()
     assert json.loads(stats.read_text())["variance"] == resumed["variance"]
 
+    # resuming to a smaller count reports the first 10 samples only and
+    # leaves the 40 stored rows intact
+    assert main(base + ["--count", "10", "--resume", "-o", str(stats)]) == 0
+    shrunk = json.loads(stats.read_text())
+    assert batch_path.read_bytes() == fresh_path.read_bytes()
+    fresh10 = tmp_path / "fresh10.json"
+    assert main(base[:-2] + ["--count", "10", "-o", str(fresh10)]) == 0
+    expected = json.loads(fresh10.read_text())
+    assert (shrunk["count"], shrunk["variance"]) == (10, expected["variance"])
+
 
 def test_fit_outputs(tmp_path):
     out = tmp_path / "fit.csv"
@@ -124,11 +134,17 @@ def test_config_error_exit_code():
     assert code == 2
 
 
-def test_numerical_error_exit_code():
+def test_numerical_error_exit_code(tmp_path):
     # invalid family parameters surface as a numerical/domain failure
     code = main([
         "hypotheses", "--ensemble", "laguerre", "--params", '{"gamma": -2}',
         "--n", "100", "--alpha", "0.5",
+    ])
+    assert code == 1
+    # so does a window too large for the dense engine, before it allocates
+    code = main([
+        "cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5", "--n", "100000",
+        "--f", "im:1/(x-i)", "-o", str(tmp_path / "cum.csv"),
     ])
     assert code == 1
 

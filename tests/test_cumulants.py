@@ -38,6 +38,11 @@ class TestBuildF:
         with pytest.raises(WindowTooSmall):
             om.build_F(om.chebyshev2(), 100, EDGE_R, IM_G, window=(1, 103))
 
+    def test_oversized_window_rejected_before_allocating(self):
+        # the default window at n = 1e5 would need a dense 1e5 x 1e5 matrix
+        with pytest.raises(InvalidParams, match="exceeds the dense cap"):
+            om.build_F(om.chebyshev2(), 100_000, EDGE_R, IM_G)
+
     def test_two_sided_block(self):
         n = 120
         F1 = om.build_F(om.chebyshev2(), n, EDGE_R, IM_G)

@@ -301,6 +301,8 @@ class TestJacobiWindow:
         assert _diagonal_b(om.laguerre(0.0), 0, 4) == 0.25
         assert _diagonal_b(om.hermite(), 0, 4) == 0.0
         assert _diagonal_b(om.modified_jacobi(0.5, 0.5), 0, 1) == 0.0
+        # gamma1 + gamma2 = 0: the Gauss-Jacobi first moment gives -1.0
+        assert _diagonal_b(om.modified_jacobi(0.5, -0.5), 0, 1) == -1.0
         assert _diagonal_b(om.krawtchouk(0.25, 2.0), 0, 10) == pytest.approx(0.5)
 
 

@@ -58,11 +58,6 @@ class TestResolventTestFunction:
         with pytest.raises(InvalidParams):
             om.ResolventTestFunction((1.0 - 0.5j,), (1.0,))
 
-    def test_json_round_trip(self):
-        f = om.ResolventTestFunction((0.5 + 1j,), (2.0,))
-        g = om.ResolventTestFunction.from_json(f.to_json())
-        assert g == f
-
 
 class TestGrammar:
     def test_basic_im(self):

@@ -298,13 +298,6 @@ class TestResolventNorm:
 
 
 class TestSerialization:
-    def test_json_round_trip(self):
-        J = om.TridiagonalMatrix([1.0, 2.0, 3.0], [0.5, -0.5], 1 + 2j)
-        K = om.TridiagonalMatrix.from_json(J.to_json())
-        assert np.array_equal(K.diag, J.diag)
-        assert np.array_equal(K.offdiag, J.offdiag)
-        assert K.shift == J.shift
-
     def test_shape_validation(self):
         with pytest.raises(InvalidParams):
             om.TridiagonalMatrix([1.0, 2.0], [1.0, 2.0], 0.0)
