@@ -37,6 +37,7 @@ from .sampling import SampleBatch, load_batch, save_batch, standardized_skewness
 from .testfun import _parse_complex
 
 _FMT = "%.17g"  # full round-trip precision for golden-file stability
+_RESUME_RTOL = 1e-12  # sample 0 of a resumed batch must match a fresh draw this closely
 
 
 def _fmt(x: float) -> str:
@@ -267,18 +268,38 @@ def cmd_hypotheses(args) -> list[Path]:
     return _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
 
 
+def _check_batch_ensemble(batch: SampleBatch) -> None:
+    """Refuse a stored batch whose first row is not sample 0 of the requested ensemble.
+
+    The file format stores no ensemble, so sample 0 is drawn again and
+    compared with a normwise relative tolerance (not bitwise, so that a
+    different LAPACK build still resumes).
+    """
+    if batch.count == 0:
+        return
+    fresh = sample_spectra(batch.ensemble, batch.n, 1, batch.seed).spectra[0]
+    stored = batch.spectra[0]
+    if np.max(np.abs(stored - fresh)) > _RESUME_RTOL * np.max(np.abs(fresh)):
+        raise OpemesoError(
+            f"existing batch was not sampled from {batch.ensemble}: "
+            "its first spectrum differs from sample 0 of that ensemble"
+        )
+
+
 def cmd_sample(args) -> list[Path]:
     spec = _ensemble_from_args(args)
     edge = _edge_from_args(args)
     f = parse_test_function(args.f)
-    batch = None
     outputs = []
+    appended = True
     if args.resume and args.out_batch and Path(args.out_batch).exists():
         existing = load_batch(args.out_batch, spec)
         if existing.seed != args.seed or existing.n != args.n:
             raise OpemesoError("existing batch does not match the requested seed/n")
+        _check_batch_ensemble(existing)
         missing = args.count - existing.count
-        if missing > 0:
+        appended = missing > 0
+        if appended:
             extra = sample_spectra(
                 spec, args.n, missing, args.seed, start_index=existing.count
             )
@@ -289,7 +310,8 @@ def cmd_sample(args) -> list[Path]:
     else:
         batch = sample_spectra(spec, args.n, args.count, args.seed)
     if args.out_batch:
-        save_batch(batch, args.out_batch)
+        if appended:
+            save_batch(batch, args.out_batch)
         outputs.append(Path(args.out_batch))
     if batch.count > args.count:
         # resumed to fewer samples than stored: report the first --count only
@@ -340,22 +362,35 @@ def _config_echo(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
 
 
+def _replay_args(path: str) -> list[str]:
+    """The command line recorded in a manifest file."""
+    manifest = json.loads(Path(path).read_text())
+    if not (isinstance(manifest, dict) and "command" in manifest
+            and isinstance(manifest.get("config"), dict)):
+        raise ValueError(f"{path} is not a manifest: needs 'command' and a 'config' object")
+    replay = [manifest["command"]]
+    for key, value in manifest["config"].items():
+        if value is None or key == "command":
+            continue
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            if value:
+                replay.append(flag)
+        else:
+            replay.extend([flag, str(value)])
+    return replay
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text())
-        replay = [manifest["command"]]
-        for key, value in manifest["config"].items():
-            if value is None or key == "command":
-                continue
-            flag = "--" + key.replace("_", "-")
-            if isinstance(value, bool):
-                if value:
-                    replay.append(flag)
-            else:
-                replay.extend([flag, str(value)])
+        try:
+            replay = _replay_args(args.from_manifest)
+        except (OSError, ValueError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         return main(replay)
 
     if args.command is None:
@@ -383,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     except OpemesoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable/unwritable paths, bad JSON or values
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -122,15 +122,19 @@ def _trace_dot(A: np.ndarray, B: np.ndarray) -> float:
     return math.fsum(np.sum(A * B, axis=1))
 
 
+def _check_window(F: np.ndarray, n: int) -> None:
+    """F must be a square window operator with at least n rows."""
+    if F.shape[0] != F.shape[1]:
+        raise InvalidParams("F must be square")
+    if F.shape[0] < n:
+        raise InvalidParams(f"window {F.shape[0]} smaller than n = {n}")
+
+
 class _PowerBlocks:
     """Corner (P-side) and off-diagonal (Q-side) blocks of powers of F."""
 
     def __init__(self, F: np.ndarray, n: int, max_power: int):
-        W = F.shape[0]
-        if F.shape[0] != F.shape[1]:
-            raise InvalidParams("F must be square")
-        if W < n:
-            raise InvalidParams(f"window {W} smaller than n = {n}")
+        _check_window(F, n)
         slab = F[:, :n].copy()
         self.K = {1: slab[:n, :]}
         self.B = {1: slab[n:, :]}
@@ -181,6 +185,7 @@ def cumulant(F: np.ndarray, n: int, m: int, method: str = "connected") -> float:
     """
     if not 1 <= m <= 6:
         raise InvalidParams("cumulant order limited to 1..6")
+    _check_window(F, n)
     if m == 1:
         return math.fsum(np.diagonal(F)[:n])
     if method == "connected":

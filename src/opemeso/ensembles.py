@@ -3,7 +3,9 @@
 Every supported family exposes the orthonormal three-term recurrence
 coefficients (a_{j,n}, b_{j,n}) through :func:`recurrence`.  Families whose
 measure is rescaled with the ensemble size n have ``varying=True``; for the
-others the coefficients are independent of n.
+others the coefficients are independent of n.  Each catalog family is one
+``_FamilyRecord`` in ``_CATALOG`` (parameters and their checks, the varying
+flag, the support end, the a_j and b_j formulas) plus one constructor.
 
 Index convention: a_j is the off-diagonal entry coupling rows j-1 and j of
 the Jacobi matrix (j >= 1), b_j the diagonal entry of row j (j >= 0), so the
@@ -41,29 +43,128 @@ class Side(Enum):
     RIGHT = "right"
 
 
-# Allowed parameter keys per family; unknown keys are rejected.
-_PARAM_KEYS = {
-    Family.CHEBYSHEV2: frozenset(),
-    Family.MODIFIED_JACOBI: frozenset({"gamma1", "gamma2"}),
-    Family.LAGUERRE: frozenset({"gamma"}),
-    Family.HERMITE: frozenset(),
-    Family.FREUD: frozenset({"gamma"}),
-    Family.TRICOMI_CARLITZ: frozenset({"gamma"}),
-    Family.KRAWTCHOUK: frozenset({"p", "t"}),
-    Family.HAHN: frozenset({"t1", "t2", "t3"}),
-    Family.LOG_SINGULAR: frozenset(),
-}
+@dataclass(frozen=True)
+class _FamilyRecord:
+    """Everything the catalog knows about one family.
 
-_VARYING = {
-    Family.CHEBYSHEV2: False,
-    Family.MODIFIED_JACOBI: False,
-    Family.LAGUERRE: True,
-    Family.HERMITE: True,
-    Family.FREUD: True,
-    Family.TRICOMI_CARLITZ: True,
-    Family.KRAWTCHOUK: True,
-    Family.HAHN: True,
-    Family.LOG_SINGULAR: False,
+    ``a(p, j, n)`` is a_{j,n} for j >= 1 and ``b(p, j, n)`` is b_{j,n} for
+    j >= 0, with p the spec's params; b defaults to 0.0.  ``checks`` pairs a
+    range predicate on p with the InvalidParams message raised when it
+    fails.  A discrete family's ``support`` is (label, last index as a
+    function of (p, n)).
+    """
+
+    params: frozenset
+    varying: bool
+    a: Callable[[dict, int, int], float]
+    b: Callable[[dict, int, int], float] = lambda p, j, n: 0.0
+    checks: tuple = ()
+    support: tuple[str, Callable[[dict, int], float]] | None = None
+    determinate: Callable[[dict], bool] = lambda p: True
+
+
+def _jacobi_a(p, j, n):
+    g1, g2 = p["gamma1"], p["gamma2"]
+    s = g1 + g2
+    if j == 1:
+        # the common factor (1+s) of numerator and denominator is
+        # cancelled analytically; the raw quotient is 0/0 at s = -1
+        return math.sqrt(16 * (1 + g1) * (1 + g2) / ((2 + s) ** 2 * (3 + s)))
+    return math.sqrt(
+        16 * j * (j + s) * (j + g1) * (j + g2)
+        / ((2 * j + s - 1) * (2 * j + s) ** 2 * (2 * j + s + 1))
+    )
+
+
+def _jacobi_b(p, j, n):
+    g1, g2 = p["gamma1"], p["gamma2"]
+    s = g1 + g2
+    if j == 0 and (g1 == g2 or s == 0):
+        # (g2^2 - g1^2) / s = g2 - g1 cancels the factor s, which vanishes
+        # at s = 0 (0/0) and whose sign would turn g1 = g2 < 0 into -0.0
+        return 2 * (g2 - g1) / (s + 2)
+    return 2 * (g2 ** 2 - g1 ** 2) / ((2 * j + s) * (2 * j + s + 2))
+
+
+# Hahn coefficients as printed in the source material.  The diagonal's
+# (2j+a+b+N+1) factor is dimensionally inconsistent with the standard Hahn
+# recurrence; see README ("Known quirks") and the weight-based cross-check
+# in the tests.
+
+def _hahn_a(p, j, n):
+    aa, bb, big_n = p["t1"] * n, p["t2"] * n, p["t3"] * n
+    s = 2 * j + aa + bb
+    return (
+        j * (j + aa + bb + big_n + 1) * (j + bb) / (big_n * s * (s + 1))
+    ) * math.sqrt(
+        (big_n - j) * (j + aa + bb) * (aa + j) * (s + 1)
+        / (j * (j + aa + bb + big_n + 1) * (bb + j) * (s - 1))
+    )
+
+
+def _hahn_b(p, j, n):
+    aa, bb, big_n = p["t1"] * n, p["t2"] * n, p["t3"] * n
+    s = 2 * j + aa + bb
+    return (big_n - j) * (j + aa + bb + 1) * (j + aa + 1) / (big_n * (s + big_n + 1) * (s + 2))
+
+
+# Asymptotic coefficients for the log(2/(1-x)) weight; the 1/(j^2 log^2 j)
+# corrections are dropped at j = 1 where log j = 0, and b_0 takes the value
+# of its j = 1 neighbour.
+
+def _log_singular_a(p, j, n):
+    return 0.5 - 1 / (16 * j * j) - (3 / (32 * j * j * math.log(j) ** 2) if j > 1 else 0)
+
+
+def _log_singular_b(p, j, n):
+    j = max(j, 1)
+    return 1 / (4 * j * j) - (3 / (16 * j * j * math.log(j) ** 2) if j > 1 else 0)
+
+
+_CATALOG = {
+    Family.CHEBYSHEV2: _FamilyRecord(frozenset(), varying=False, a=lambda p, j, n: 1.0),
+    Family.MODIFIED_JACOBI: _FamilyRecord(
+        frozenset({"gamma1", "gamma2"}), varying=False, a=_jacobi_a, b=_jacobi_b,
+        checks=((lambda p: p["gamma1"] > -1 and p["gamma2"] > -1,
+                 "modified_jacobi requires gamma1, gamma2 > -1"),),
+    ),
+    Family.LAGUERRE: _FamilyRecord(
+        frozenset({"gamma"}), varying=True,
+        a=lambda p, j, n: math.sqrt(j * (j + p["gamma"])) / n,
+        b=lambda p, j, n: (2 * j + p["gamma"] + 1) / n,
+        checks=((lambda p: p["gamma"] > -1, "laguerre requires gamma > -1"),),
+    ),
+    Family.HERMITE: _FamilyRecord(frozenset(), varying=True, a=lambda p, j, n: math.sqrt(j / n)),
+    # leading term only; the slowly-decaying residual is not available in
+    # closed form and is exposed as exactly zero
+    Family.FREUD: _FamilyRecord(
+        frozenset({"gamma"}), varying=True,
+        a=lambda p, j, n: freud_scale_constant(p["gamma"]) * (j / n) ** (1.0 / p["gamma"]),
+        checks=((lambda p: p["gamma"] > 0, "freud requires gamma > 0"),),
+        determinate=lambda p: p["gamma"] >= 1,
+    ),
+    Family.TRICOMI_CARLITZ: _FamilyRecord(
+        frozenset({"gamma"}), varying=True,
+        a=lambda p, j, n: math.sqrt(j * n / ((j + p["gamma"] - 1) * (j + p["gamma"]))),
+        checks=((lambda p: p["gamma"] > 1, "tricomi_carlitz requires gamma > 1"),),
+    ),
+    Family.KRAWTCHOUK: _FamilyRecord(
+        frozenset({"p", "t"}), varying=True,
+        a=lambda p, j, n: math.sqrt((p["t"] * n - j + 1) * j * p["p"] * (1 - p["p"])) / n,
+        b=lambda p, j, n: ((p["t"] * n - j) * p["p"] + j * (1 - p["p"])) / n,
+        checks=((lambda p: 0 < p["p"] < 1, "krawtchouk requires p in (0, 1)"),
+                (lambda p: p["t"] >= 1, "krawtchouk requires t >= 1 (support K = t*n >= n)")),
+        support=("K = t*n", lambda p, n: p["t"] * n),
+    ),
+    Family.HAHN: _FamilyRecord(
+        frozenset({"t1", "t2", "t3"}), varying=True, a=_hahn_a, b=_hahn_b,
+        checks=((lambda p: p["t1"] > 0 and p["t2"] > 0, "hahn requires t1, t2 > 0"),
+                (lambda p: p["t3"] >= 1, "hahn requires t3 >= 1")),
+        support=("N = t3*n", lambda p, n: p["t3"] * n),
+    ),
+    Family.LOG_SINGULAR: _FamilyRecord(
+        frozenset(), varying=False, a=_log_singular_a, b=_log_singular_b
+    ),
 }
 
 
@@ -85,44 +186,24 @@ class EnsembleSpec:
             if self.coeff_fn is None:
                 raise InvalidParams("custom family requires a coefficient callback")
             return
-        allowed = _PARAM_KEYS[self.family]
-        unknown = set(self.params) - allowed
+        record = _CATALOG[self.family]
+        unknown = set(self.params) - record.params
         if unknown:
             raise InvalidParams(
                 f"unknown params for {self.family.value}: {sorted(unknown)}"
             )
-        missing = allowed - set(self.params)
+        missing = record.params - set(self.params)
         if missing:
             raise InvalidParams(
                 f"missing params for {self.family.value}: {sorted(missing)}"
             )
-        p = self.params
-        if self.family is Family.LAGUERRE and not p["gamma"] > -1:
-            raise InvalidParams("laguerre requires gamma > -1")
-        if self.family is Family.MODIFIED_JACOBI and not (
-            p["gamma1"] > -1 and p["gamma2"] > -1
-        ):
-            raise InvalidParams("modified_jacobi requires gamma1, gamma2 > -1")
-        if self.family is Family.FREUD and not p["gamma"] > 0:
-            raise InvalidParams("freud requires gamma > 0")
-        if self.family is Family.TRICOMI_CARLITZ and not p["gamma"] > 1:
-            raise InvalidParams("tricomi_carlitz requires gamma > 1")
-        if self.family is Family.KRAWTCHOUK:
-            if not 0 < p["p"] < 1:
-                raise InvalidParams("krawtchouk requires p in (0, 1)")
-            if not p["t"] >= 1:
-                raise InvalidParams("krawtchouk requires t >= 1 (support K = t*n >= n)")
-        if self.family is Family.HAHN:
-            if not (p["t1"] > 0 and p["t2"] > 0):
-                raise InvalidParams("hahn requires t1, t2 > 0")
-            if not p["t3"] >= 1:
-                raise InvalidParams("hahn requires t3 >= 1")
+        for ok, message in record.checks:
+            if not ok(self.params):
+                raise InvalidParams(message)
 
     @property
     def varying(self) -> bool:
-        if self.family is Family.CUSTOM:
-            return True
-        return _VARYING[self.family]
+        return self.family is Family.CUSTOM or _CATALOG[self.family].varying
 
     @property
     def moment_determinate(self) -> bool | None:
@@ -133,9 +214,7 @@ class EnsembleSpec:
         """
         if self.family is Family.CUSTOM:
             return None
-        if self.family is Family.FREUD:
-            return self.params["gamma"] >= 1
-        return True
+        return _CATALOG[self.family].determinate(self.params)
 
     def to_json(self) -> dict:
         if self.family is Family.CUSTOM:
@@ -218,6 +297,17 @@ def freud_scale_constant(gamma: float) -> float:
     return 0.5 * g ** (1.0 / gamma)
 
 
+def _record(spec: EnsembleSpec, j: int, n: int) -> _FamilyRecord:
+    """The catalog record of a closed-form spec whose support contains index j."""
+    record = _CATALOG[spec.family]
+    if record.support is not None:
+        label, end = record.support
+        last = end(spec.params, n)
+        if j > last:
+            raise OutOfDomain(f"{spec.family.value} support ends at j = {label} = {last:g}")
+    return record
+
+
 def recurrence(spec: EnsembleSpec, j: int, n: int) -> tuple[float, float]:
     """Return (a_{j,n}, b_{j,n}) for index j >= 1 and ensemble size n >= 1.
 
@@ -228,130 +318,11 @@ def recurrence(spec: EnsembleSpec, j: int, n: int) -> tuple[float, float]:
         raise OutOfDomain(f"recurrence index must be >= 1, got {j}")
     if n < 1:
         raise OutOfDomain(f"ensemble size must be >= 1, got {n}")
-    fam = spec.family
-    p = spec.params
-
-    if fam is Family.CUSTOM:
+    if spec.family is Family.CUSTOM:
         a, b = spec.coeff_fn(j, n)
         return float(a), float(b)
-
-    if fam is Family.CHEBYSHEV2:
-        return 1.0, 0.0
-
-    if fam is Family.MODIFIED_JACOBI:
-        g1, g2 = p["gamma1"], p["gamma2"]
-        s = g1 + g2
-        if j == 1:
-            # the common factor (1+s) of numerator and denominator is
-            # cancelled analytically; the raw quotient is 0/0 at s = -1
-            a2 = 16 * (1 + g1) * (1 + g2) / ((2 + s) ** 2 * (3 + s))
-        else:
-            a2 = (
-                16 * j * (j + s) * (j + g1) * (j + g2)
-                / ((2 * j + s - 1) * (2 * j + s) ** 2 * (2 * j + s + 1))
-            )
-        b = 2 * (g2 ** 2 - g1 ** 2) / ((2 * j + s) * (2 * j + s + 2))
-        return math.sqrt(a2), b
-
-    if fam is Family.LAGUERRE:
-        g = p["gamma"]
-        return math.sqrt(j * (j + g)) / n, (2 * j + g + 1) / n
-
-    if fam is Family.HERMITE:
-        return math.sqrt(j / n), 0.0
-
-    if fam is Family.FREUD:
-        g = p["gamma"]
-        # leading term only; the slowly-decaying residual is not available in
-        # closed form and is exposed as exactly zero
-        return freud_scale_constant(g) * (j / n) ** (1.0 / g), 0.0
-
-    if fam is Family.TRICOMI_CARLITZ:
-        g = p["gamma"]
-        return math.sqrt(j * n / ((j + g - 1) * (j + g))), 0.0
-
-    if fam is Family.KRAWTCHOUK:
-        pp, t = p["p"], p["t"]
-        big_k = t * n
-        if j > big_k:
-            raise OutOfDomain(f"krawtchouk support ends at j = K = t*n = {big_k:g}")
-        a = math.sqrt((big_k - j + 1) * j * pp * (1 - pp)) / n
-        b = ((big_k - j) * pp + j * (1 - pp)) / n
-        return a, b
-
-    if fam is Family.HAHN:
-        aa, bb, big_n = p["t1"] * n, p["t2"] * n, p["t3"] * n
-        if j > big_n:
-            raise OutOfDomain(f"hahn support ends at j = N = t3*n = {big_n:g}")
-        # Coefficients as printed in the source material.  The diagonal's
-        # (2j+a+b+N+1) factor is dimensionally inconsistent with the standard
-        # Hahn recurrence; see README ("Known quirks") and the weight-based
-        # cross-check in the tests.
-        s = 2 * j + aa + bb
-        a = (
-            j * (j + aa + bb + big_n + 1) * (j + bb) / (big_n * s * (s + 1))
-        ) * math.sqrt(
-            (big_n - j) * (j + aa + bb) * (aa + j) * (s + 1)
-            / (j * (j + aa + bb + big_n + 1) * (bb + j) * (s - 1))
-        )
-        b = (
-            (big_n - j) * (j + aa + bb + 1) * (j + aa + 1)
-            / (big_n * (s + big_n + 1) * (s + 2))
-        )
-        return a, b
-
-    if fam is Family.LOG_SINGULAR:
-        # asymptotic coefficients for the log(2/(1-x)) weight; the
-        # 1/(j^2 log^2 j) corrections are dropped at j = 1 where log j = 0
-        lg2 = math.log(j) ** 2
-        a = 0.5 - 1 / (16 * j * j)
-        b = 1 / (4 * j * j)
-        if j > 1:
-            a -= 3 / (32 * j * j * lg2)
-            b -= 3 / (16 * j * j * lg2)
-        return a, b
-
-    raise InvalidParams(f"unhandled family {fam}")
-
-
-def _diagonal_b(spec: EnsembleSpec, j: int, n: int) -> float:
-    """Diagonal coefficient b_{j,n} for j >= 0 (row j+1 of the Jacobi matrix).
-
-    recurrence() covers j >= 1; the closed forms extend to j = 0 for every
-    family except LOG_SINGULAR, whose asymptotic formula is singular there
-    and is filled with its j = 1 neighbour.
-    """
-    if j >= 1:
-        return recurrence(spec, j, n)[1]
-    if j < 0:
-        raise OutOfDomain("diagonal index must be >= 0")
-    fam = spec.family
-    p = spec.params
-    if fam is Family.CUSTOM:
-        return float(spec.coeff_fn(0, n)[1])
-    if fam in (Family.CHEBYSHEV2, Family.HERMITE, Family.FREUD, Family.TRICOMI_CARLITZ):
-        return 0.0
-    if fam is Family.MODIFIED_JACOBI:
-        g1, g2 = p["gamma1"], p["gamma2"]
-        s = g1 + g2
-        if g1 == g2:
-            return 0.0
-        if s == 0:
-            # (g2^2 - g1^2) / s = g2 - g1 cancels the vanishing factor
-            return 2 * (g2 - g1) / (s + 2)
-        return 2 * (g2 ** 2 - g1 ** 2) / (s * (s + 2))
-    if fam is Family.LAGUERRE:
-        return (p["gamma"] + 1) / n
-    if fam is Family.KRAWTCHOUK:
-        return p["t"] * p["p"]
-    if fam is Family.HAHN:
-        aa, bb, big_n = p["t1"] * n, p["t2"] * n, p["t3"] * n
-        return big_n * (aa + bb + 1) * (aa + 1) / (
-            big_n * (aa + bb + big_n + 1) * (aa + bb + 2)
-        )
-    if fam is Family.LOG_SINGULAR:
-        return 0.25  # nearest-neighbour fill; the asymptotics start at j = 1
-    raise InvalidParams(f"unhandled family {fam}")
+    record = _record(spec, j, n)
+    return record.a(spec.params, j, n), record.b(spec.params, j, n)
 
 
 def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
@@ -359,17 +330,20 @@ def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
 
     Returns (diag, offdiag) as float arrays: diag[i] = b_{lo-1+i,n} and
     offdiag[i] = a_{lo+i,n}, matching the TridiagonalMatrix layout for the
-    window block.
+    window block.  At lo = 1, diag[0] = b_{0,n} comes from the same b formula.
     """
     if not 1 <= lo <= hi:
         raise OutOfDomain(f"window ({lo}, {hi}) must satisfy 1 <= lo <= hi")
     diag = np.empty(hi - lo + 1)
     offdiag = np.empty(hi - lo)
-    diag[0] = _diagonal_b(spec, lo - 1, n)
+    if lo > 1:
+        diag[0] = recurrence(spec, lo - 1, n)[1]
+    elif spec.family is Family.CUSTOM:
+        diag[0] = spec.coeff_fn(0, n)[1]
+    else:
+        diag[0] = _CATALOG[spec.family].b(spec.params, 0, n)
     for j in range(lo, hi):
-        a, b = recurrence(spec, j, n)
-        offdiag[j - lo] = a
-        diag[j - lo + 1] = b
+        offdiag[j - lo], diag[j - lo + 1] = recurrence(spec, j, n)
     return diag, offdiag
 
 
@@ -500,33 +474,26 @@ _THRESHOLD_FLOOR = 1e-9  # for quantities that vanish identically
 _REFERENCE_N = 1000      # default thresholds are 10x the quantities at this n
 
 
+def _peak(values: np.ndarray) -> float:
+    """Largest entry, 0.0 for none."""
+    return float(np.max(values, initial=0.0))
+
+
 def _hypothesis_quantities(spec, n, alpha, epsilon, x0):
     lo, hi = hypothesis_window(n, alpha, epsilon)
-    coeffs = {j: recurrence(spec, j, n) for j in range(max(1, lo - 2), hi + 1)}
-
-    def a(j):
-        return coeffs[j][0]
-
-    def b(j):
-        return coeffs[j][1]
-
-    max_da = max_db = 0.0
-    rec1 = rec2 = 0.0
-    for j in range(lo, hi + 1):
-        if j - 1 in coeffs:
-            max_da = max(max_da, abs(a(j) - a(j - 1)))
-            max_db = max(max_db, abs(b(j) - b(j - 1)))
-        if j - 2 in coeffs:
-            rec1 = max(rec1, abs(a(j) * a(j - 2) - a(j - 1) ** 2))
-            rec2 = max(
-                rec2,
-                abs(
-                    (b(j - 1) - x0 - a(j)) * a(j - 2)
-                    - (b(j - 2) - x0 - a(j - 1)) * a(j - 1)
-                ),
-            )
-    abs_a = [abs(a(j)) for j in range(lo, hi + 1)]
-    abs_b = [abs(b(j)) for j in range(lo, hi + 1)]
+    first = max(1, lo - 2)
+    diag, a = jacobi_window(spec, n, first, hi + 1)
+    b = diag[1:]  # a[i], b[i] are a_j, b_j at j = first + i
+    k = lo - first  # the window's rows are i >= k; np.diff(a)[i-1] = a[i] - a[i-1]
+    max_da = _peak(np.abs(np.diff(a))[max(k - 1, 0):])
+    max_db = _peak(np.abs(np.diff(b))[max(k - 1, 0):])
+    # float_power is libm pow, as in the scalar a_{j-1} ** 2 (x * x rounds differently)
+    rec1 = _peak(np.abs(a[2:] * a[:-2] - np.float_power(a[1:-1], 2)))
+    rec2 = _peak(
+        np.abs((b[1:-1] - x0 - a[2:]) * a[:-2] - (b[:-2] - x0 - a[1:-1]) * a[1:-1])
+    )
+    abs_a = np.abs(a[k:])
+    abs_b = np.abs(b[k:])
     return {
         "window": (lo, hi),
         "max_da_scaled": max_da * n,
@@ -535,9 +502,9 @@ def _hypothesis_quantities(spec, n, alpha, epsilon, x0):
         "rec2_scaled": rec2 * n ** (1.5 * alpha + epsilon),
         "rec1_raw": rec1,
         "rec2_raw": rec2,
-        "a_abs_min": min(abs_a),
-        "a_abs_max": max(abs_a),
-        "b_abs_max": max(abs_b),
+        "a_abs_min": float(abs_a.min()),
+        "a_abs_max": float(abs_a.max()),
+        "b_abs_max": float(abs_b.max()),
     }
 
 

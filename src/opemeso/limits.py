@@ -152,8 +152,12 @@ def _tail_bound(halfwidth: float, lw_norm: float) -> float:
     lw^2 (I0 * 2/L + I2 * 2/(3 L^3)) with I0 = I2 = pi/sqrt(2), all divided
     by the 8 pi^2 prefactor.
     """
-    strips = 4 * _WEIGHT_INTEGRAL * (2 / halfwidth + 2 / (3 * halfwidth ** 3))
-    return lw_norm ** 2 * strips / (8 * math.pi ** 2)
+    return lw_norm ** 2 * _tail_strips(halfwidth) / (8 * math.pi ** 2)
+
+
+def _tail_strips(halfwidth: float) -> float:
+    """Sum over the four strips beyond [-L, L]^2 of I0 * 2/L + I2 * 2/(3 L^3)."""
+    return 4 * _WEIGHT_INTEGRAL * (2 / halfwidth + 2 / (3 * halfwidth ** 3))
 
 
 def _variance_integrand(f, s: float):
@@ -228,7 +232,7 @@ def pi_squared_check(domain_halfwidth: float | None = None) -> float:
     if domain_halfwidth is None:
         target = _PI_SQUARED_TOL / 10
         halfwidth = 50.0
-        while 4 * _WEIGHT_INTEGRAL * (2 / halfwidth + 2 / (3 * halfwidth ** 3)) > target:
+        while _tail_strips(halfwidth) > target:
             halfwidth *= 2
     else:
         halfwidth = float(domain_halfwidth)

@@ -155,6 +155,10 @@ def load_batch(path, ensemble: EnsembleSpec) -> SampleBatch:
     """Read a batch written by save_batch; the ensemble is supplied by the caller."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise InvalidParams(
+                f"batch file truncated: {len(header)} bytes, the header alone is {_HEADER.size}"
+            )
         magic, version, n, count, seed = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise InvalidParams(f"not a batch file: bad magic {magic!r}")

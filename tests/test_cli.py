@@ -107,6 +107,44 @@ def test_sample_and_resume(tmp_path):
     assert (shrunk["count"], shrunk["variance"]) == (10, expected["variance"])
 
 
+def _sample_argv(batch_path, ensemble, params, count):
+    argv = [
+        "sample", "--ensemble", ensemble, "--alpha", "0.4", "--n", "30",
+        "--seed", "3", "--f", "im:1/(x-i)", "--out-batch", str(batch_path),
+        "--count", str(count),
+    ]
+    return argv + (["--params", params] if params else [])
+
+
+@pytest.mark.parametrize(
+    "stored, requested",
+    [
+        (("hermite", None), ("laguerre", '{"gamma": 0}')),
+        (("laguerre", '{"gamma": 0}'), ("laguerre", '{"gamma": 0.5}')),
+    ],
+)
+def test_resume_refuses_another_ensemble(tmp_path, capsys, stored, requested):
+    batch_path = tmp_path / "batch.bin"
+    assert main(_sample_argv(batch_path, *stored, 5)) == 0
+    before = batch_path.read_bytes()
+    capsys.readouterr()
+    assert main(_sample_argv(batch_path, *requested, 10) + ["--resume"]) == 1
+    assert "was not sampled from" in capsys.readouterr().err
+    assert batch_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("count", [5, 8])
+def test_resume_without_new_rows_does_not_rewrite(tmp_path, monkeypatch, count):
+    batch_path = tmp_path / "batch.bin"
+    assert main(_sample_argv(batch_path, "hermite", None, 8)) == 0
+    calls = []
+    monkeypatch.setattr(
+        "opemeso.cli.save_batch", lambda *args: calls.append(args)
+    )
+    assert main(_sample_argv(batch_path, "hermite", None, count) + ["--resume"]) == 0
+    assert calls == []
+
+
 def test_fit_outputs(tmp_path):
     out = tmp_path / "fit.csv"
     assert main([
@@ -134,6 +172,22 @@ def test_config_error_exit_code():
     assert code == 2
 
 
+def test_bad_paths_are_config_errors(tmp_path, capsys):
+    hyp = ["hypotheses", "--ensemble", "hermite", "--n", "100", "--alpha", "0.5"]
+    malformed = tmp_path / "bad.manifest.json"
+    malformed.write_text("{not json")
+    not_manifest = tmp_path / "list.manifest.json"
+    not_manifest.write_text("[1, 2]")
+    for argv in (
+        ["--from-manifest", str(tmp_path / "missing.manifest.json")],
+        ["--from-manifest", str(malformed)],
+        ["--from-manifest", str(not_manifest)],
+        hyp + ["-o", str(tmp_path / "no_such_dir" / "x.json")],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_numerical_error_exit_code(tmp_path):
     # invalid family parameters surface as a numerical/domain failure
     code = main([
@@ -147,6 +201,10 @@ def test_numerical_error_exit_code(tmp_path):
         "--f", "im:1/(x-i)", "-o", str(tmp_path / "cum.csv"),
     ])
     assert code == 1
+    # and an empty batch file offered for resuming
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    assert main(_sample_argv(empty, "hermite", None, 4) + ["--resume"]) == 1
 
 
 def test_no_command_prints_help(capsys):

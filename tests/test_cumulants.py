@@ -131,6 +131,11 @@ class TestCumulantIdentities:
             om.cumulant(F, 5, 7)
         with pytest.raises(InvalidParams):
             om.cumulant(F, 5, 2, method="nope")
+        # an F with fewer than n rows is refused at every order and method,
+        # not summed as a partial trace
+        for m, method in ((1, "connected"), (1, "raw"), (2, "raw"), (3, "connected")):
+            with pytest.raises(InvalidParams, match="smaller than n"):
+                om.cumulant(np.eye(10), 20, m, method=method)
 
 
 class TestBoundCheck:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import opemeso as om
 from opemeso.ensembles import (
     Family,
-    _diagonal_b,
     hypothesis_window,
     laguerre_rec2_exact_fraction,
 )
@@ -236,6 +235,37 @@ class TestHypotheses:
         assert rep.max_da_scaled == pytest.approx(brute * n, rel=1e-12)
         assert 0.4 <= rep.max_da_scaled <= 0.6
 
+    @pytest.mark.parametrize(
+        "spec",
+        [om.laguerre(0.5), om.modified_jacobi(0.3, -0.6), om.krawtchouk(0.3, 3.0),
+         om.hahn(0.5, 0.7, 3.0), om.log_singular()],
+    )
+    @pytest.mark.parametrize("n", [3, 40, 333])
+    def test_matches_per_index_loop(self, spec, n):
+        # reference: the maxima accumulated index by index from recurrence()
+        edge = om.EdgeSpec(side=om.Side.LEFT, alpha=1.3)
+        x0 = edge.center(spec, n)
+        lo, hi = hypothesis_window(n, edge.alpha, edge.epsilon)
+        a, b = {}, {}
+        for j in range(max(1, lo - 2), hi + 1):
+            a[j], b[j] = om.recurrence(spec, j, n)
+        da = db = rec1 = rec2 = 0.0
+        for j in range(lo, hi + 1):
+            if j - 1 in a:
+                da = max(da, abs(a[j] - a[j - 1]))
+                db = max(db, abs(b[j] - b[j - 1]))
+            if j - 2 in a:
+                rec1 = max(rec1, abs(a[j] * a[j - 2] - a[j - 1] ** 2))
+                rec2 = max(rec2, abs((b[j - 1] - x0 - a[j]) * a[j - 2]
+                                     - (b[j - 2] - x0 - a[j - 1]) * a[j - 1]))
+        rep = om.check_hypotheses(spec, n, edge, thresholds={})
+        window = range(lo, hi + 1)
+        assert (rep.max_da_scaled, rep.max_db_scaled) == (da * n, db * n)
+        assert (rep.rec1_raw, rep.rec2_raw) == (rec1, rec2)
+        assert rep.a_abs_min == min(abs(a[j]) for j in window)
+        assert rep.a_abs_max == max(abs(a[j]) for j in window)
+        assert rep.b_abs_max == max(abs(b[j]) for j in window)
+
     def test_threshold_flags(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
         rep = om.check_hypotheses(
@@ -298,12 +328,15 @@ class TestJacobiWindow:
         assert diag[0] == om.recurrence(spec, 2, n)[1]
 
     def test_b0_values(self):
-        assert _diagonal_b(om.laguerre(0.0), 0, 4) == 0.25
-        assert _diagonal_b(om.hermite(), 0, 4) == 0.0
-        assert _diagonal_b(om.modified_jacobi(0.5, 0.5), 0, 1) == 0.0
+        def b0(spec, n):
+            return om.jacobi_window(spec, n, 1, 1)[0][0]
+
+        assert b0(om.laguerre(0.0), 4) == 0.25
+        assert b0(om.hermite(), 4) == 0.0
+        assert b0(om.modified_jacobi(0.5, 0.5), 1) == 0.0
         # gamma1 + gamma2 = 0: the Gauss-Jacobi first moment gives -1.0
-        assert _diagonal_b(om.modified_jacobi(0.5, -0.5), 0, 1) == -1.0
-        assert _diagonal_b(om.krawtchouk(0.25, 2.0), 0, 10) == pytest.approx(0.5)
+        assert b0(om.modified_jacobi(0.5, -0.5), 1) == -1.0
+        assert b0(om.krawtchouk(0.25, 2.0), 10) == pytest.approx(0.5)
 
 
 def _stieltjes_from_weight(xs, ws, kmax):

@@ -137,6 +137,8 @@ class TestPersistence:
         path = tmp_path / "batch.bin"
         om.save_batch(batch, path)
         data = path.read_bytes()
-        path.write_bytes(data[:-16])
-        with pytest.raises(InvalidParams):
-            om.load_batch(path, om.hermite())
+        # short data, no header at all, and a header cut after 20 of its 36 bytes
+        for cut in (data[:-16], b"", data[:20]):
+            path.write_bytes(cut)
+            with pytest.raises(InvalidParams):
+                om.load_batch(path, om.hermite())
