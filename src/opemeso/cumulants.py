@@ -88,20 +88,48 @@ def build_F(
     diag, off = jacobi_window(spec, n, lo, hi)
 
     c, eta = f.expanded()
-    W = hi
-    F = np.zeros((W, W))
-    # conjugate pairs: sum over the upper-half-plane poles of 2 Re(c_r R(z_r))
-    m_half = len(c) // 2
-    ident = np.eye(hi - lo + 1, dtype=complex)
-    for r in range(m_half):
+    F = np.zeros((hi, hi))
+    block = F[lo - 1 :, lo - 1 :]
+    # conjugate pairs: sum over the upper-half-plane poles of 2 Re(c_r R(z_r));
+    # each resolvent overwrites its own Fortran-ordered identity and is scaled
+    # in place, so one complex block is alive at a time
+    for r in range(len(c) // 2):
         ab = TridiagonalMatrix(diag, off, x0 + eta[r] / n_alpha).banded()
-        resolvent = solve_banded((1, 1), ab, ident)
-        F[lo - 1 :, lo - 1 :] += 2.0 * np.real(c[r] * resolvent)
+        resolvent = solve_banded(
+            (1, 1), ab, np.eye(hi - lo + 1, dtype=complex, order="F"), overwrite_b=True
+        )
+        resolvent *= c[r]
+        resolvent.real *= 2.0
+        block += resolvent.real
+        del resolvent
     if lo > 1:
         # identity block below the window inverts to itself
         sigma = float(np.real(np.sum(c)))
         F[np.arange(lo - 1), np.arange(lo - 1)] = sigma
     return F
+
+
+# a row whose couplings to the rows >= n all sit below this fraction of the
+# largest such coupling adds nothing representable to C_{m>=2}
+_COUPLING_CUT = 2.0 ** -53
+# rows are cut in whole panels: a window with fewer negligible rows than one
+# panel keeps the full-window arithmetic, and each kept row keeps its index
+# modulo the panel, so sums over the kept rows group their terms as before
+_CUT_PANEL = 64
+
+
+def _first_coupled_row(F: np.ndarray, n: int) -> int:
+    """First row of the panel that holds the first row coupled to n.
+
+    Row i couples to n when max_{j>=n} |F_ij| exceeds _COUPLING_CUT of the
+    largest such value over i < n.  A row above the first coupled one reaches
+    the rows >= n only through at least two couplings below the cut, so
+    C_{m>=2}(F, n) equals C_m(F[lo:, lo:], n - lo) to rounding.  The result
+    is a multiple of _CUT_PANEL below n, and 0 when no row couples at all.
+    """
+    coupling = np.max(np.abs(F[:n, n:]), axis=1)
+    first = int(np.argmax(coupling > _COUPLING_CUT * coupling.max()))
+    return first - first % _CUT_PANEL
 
 
 def _compositions(m: int):
@@ -319,7 +347,13 @@ def convergence_sweep(
     n_list: list[int],
     m_max: int = 4,
 ) -> list[CumulantReport]:
-    """One CumulantReport per n, sharing the power blocks across orders."""
+    """One CumulantReport per n, sharing the power blocks across orders.
+
+    C_1 and the norm estimate read the whole window operator.  The resolvent
+    decays away from the diagonal, so C_{m>=2} are evaluated on the block of
+    rows that couple to n (see _first_coupled_row), a small corner of F at
+    large n.
+    """
     if list(n_list) != sorted(n_list) or len(n_list) == 0:
         raise InvalidParams("n_list must be nonempty and ascending")
     if not 2 <= m_max <= 6:
@@ -331,7 +365,8 @@ def convergence_sweep(
         F = build_F(spec, n, edge, f, window=window)
         n_alpha = float(n) ** edge.alpha
         scaled = {1: cumulant(F, n, 1) / n_alpha}
-        blocks = _PowerBlocks(F, n, max_power=m_max - 1)
+        lo = _first_coupled_row(F, n)
+        blocks = _PowerBlocks(F[lo:, lo:], n - lo, max_power=m_max - 1)
         for m in range(2, m_max + 1):
             scaled[m] = blocks.cumulant(m) / n_alpha ** m
         reports.append(

@@ -508,6 +508,24 @@ def _hypothesis_quantities(spec, n, alpha, epsilon, x0):
     }
 
 
+def _reference_quantities(spec, n, edge, q):
+    """The quantities at _REFERENCE_N, doubled while its window leaves the support.
+
+    A discrete family's support grows like n and the window sublinearly, so a
+    larger reference n fits; once the doubling reaches n, the requested n's
+    own quantities ``q`` (whose window fits) are the reference.
+    """
+    ref_n = _REFERENCE_N
+    while True:
+        try:
+            x0_ref = edge.center(spec, ref_n)
+            return _hypothesis_quantities(spec, ref_n, edge.alpha, edge.epsilon, x0_ref)
+        except OutOfDomain:
+            ref_n *= 2
+            if ref_n >= n:
+                return q
+
+
 def check_hypotheses(
     spec: EnsembleSpec,
     n: int,
@@ -518,15 +536,17 @@ def check_hypotheses(
 
     Pure reporting: each scaled quantity is flagged pass/fail against
     ``thresholds`` (defaults to 10x the same quantities measured at
-    n = 1000, floored at 1e-9 for identically-zero families).
+    n = 1000, floored at 1e-9 for identically-zero families; when the
+    n = 1000 window leaves a discrete family's support, at the first
+    doubling of 1000 whose window fits, or at n itself once the doubling
+    reaches it).
     Raises OutOfDomain when the window leaves the family's support.
     """
     x0 = edge.center(spec, n)
     q = _hypothesis_quantities(spec, n, edge.alpha, edge.epsilon, x0)
 
     if thresholds is None:
-        x0_ref = edge.center(spec, _REFERENCE_N)
-        ref = _hypothesis_quantities(spec, _REFERENCE_N, edge.alpha, edge.epsilon, x0_ref)
+        ref = _reference_quantities(spec, n, edge, q)
         thresholds = {
             key: max(10.0 * ref[key], _THRESHOLD_FLOOR)
             for key in ("max_da_scaled", "max_db_scaled", "rec1_scaled", "rec2_scaled")

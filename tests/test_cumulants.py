@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import opemeso as om
-from opemeso.cumulants import _compositions
+from opemeso.cumulants import _compositions, _first_coupled_row, _PowerBlocks
 from opemeso.errors import InvalidParams, WindowTooSmall
 
 IM_G = om.parse_test_function("im:1/(x-i)")
@@ -243,3 +243,76 @@ class TestSweep:
         assert main([*self.GOLDEN_RUNS[golden], "-o", str(out)]) == 0
         expected = Path(__file__).parent / "golden" / golden
         assert out.read_text() == expected.read_text()
+
+
+class TestSweepCut:
+    """The sweep's C_{m>=2} on the coupled block against the full-window oracle."""
+
+    RE_G = om.parse_test_function("re:1/(x-i)")
+    TWO_POLE = om.parse_test_function("im:1/(x-i)+re:0.5/(x-0.4+2i)")
+
+    @staticmethod
+    def check_against_full_window(spec, edge, f, n, m_max):
+        rep = om.convergence_sweep(spec, edge, f, [n], m_max=m_max)[0]
+        F = om.build_F(spec, n, edge, f, window=rep.window)
+        n_alpha = n ** edge.alpha
+        assert rep.scaled_cumulants[1] == om.cumulant(F, n, 1) / n_alpha
+        assert rep.op_norm_estimate == om.operator_norm_estimate(F)
+        c2 = abs(rep.scaled_cumulants[2])
+        for m in range(2, m_max + 1):
+            full = om.cumulant(F, n, m) / n_alpha ** m
+            assert abs(rep.scaled_cumulants[m] - full) <= 1e-12 * c2, m
+        return F
+
+    def test_chebyshev_large_n_block_is_small(self):
+        n = 2000
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, x0=2.0, epsilon=0.1)
+        F = self.check_against_full_window(om.chebyshev2(), edge, IM_G, n, 4)
+        assert F.shape[0] - _first_coupled_row(F, n) < F.shape[0] / 3
+
+    def test_hermite_two_pole_order_six(self):
+        n = 600
+        F = self.check_against_full_window(om.hermite(), EDGE_R, self.TWO_POLE, n, 6)
+        assert _first_coupled_row(F, n) > 0
+
+    @pytest.mark.parametrize("side", [om.Side.LEFT, om.Side.RIGHT])
+    def test_laguerre_both_edges_re(self, side):
+        n = 300
+        edge = om.EdgeSpec(side=side, alpha=0.5, epsilon=0.1)
+        F = self.check_against_full_window(om.laguerre(0.0), edge, self.RE_G, n, 4)
+        assert _first_coupled_row(F, n) > 0
+
+    def test_chebyshev_left_edge(self):
+        n = 500
+        edge = om.EdgeSpec(side=om.Side.LEFT, alpha=0.5, epsilon=0.1)
+        F = self.check_against_full_window(om.chebyshev2(), edge, IM_G, n, 4)
+        assert _first_coupled_row(F, n) > 0
+
+    def test_bulk_point_decays_slowly(self):
+        # at x0 = 0 the resolvent decays slowly, so every row couples to n
+        n = 400
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, x0=0.0, epsilon=0.1)
+        F = self.check_against_full_window(om.chebyshev2(), edge, IM_G, n, 4)
+        assert _first_coupled_row(F, n) == 0
+
+    def test_zero_operator_is_not_cut(self):
+        assert _first_coupled_row(np.zeros((30, 30)), 20) == 0
+
+    def test_cut_is_whole_panels_below_n(self):
+        # a tridiagonal F couples only row n - 1 to the rows >= n
+        F = np.eye(300) + np.diag(np.ones(299), 1) + np.diag(np.ones(299), -1)
+        assert _first_coupled_row(F, 200) == 192
+
+    def test_two_sided_identity_rows_are_cut(self):
+        # the sigma * identity rows below a two-sided window couple to nothing:
+        # their off-diagonal entries are exact zeros, and the cut keeps whole
+        # panels, so the kept sums see the same terms in the same order
+        n = 1000
+        F = om.build_F(om.hermite(), n, EDGE_R, self.RE_G, two_sided=True)
+        window_lo = n - om.default_margin(n, EDGE_R)
+        assert F[0, 0] != 0.0
+        lo = _first_coupled_row(F, n)
+        assert window_lo - 1 - 64 < lo < window_lo
+        blocks = _PowerBlocks(F[lo:, lo:], n - lo, max_power=3)
+        for m in (2, 3, 4):
+            assert blocks.cumulant(m) == om.cumulant(F, n, m)

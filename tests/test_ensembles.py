@@ -278,6 +278,30 @@ class TestHypotheses:
         with pytest.raises(OutOfDomain):
             om.check_hypotheses(om.krawtchouk(0.5, 1.0), 1000, edge)
 
+    def test_reference_n_doubles_until_its_window_fits(self):
+        # at alpha = 1.5 the n = 1000 and 2000 windows run past K = t n; the
+        # thresholds come from n = 4000, the first doubling whose window fits
+        spec = om.krawtchouk(0.3, 1.3)
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=1.5)
+        for ref_n in (1000, 2000):
+            with pytest.raises(OutOfDomain):
+                om.check_hypotheses(spec, ref_n, edge)
+        ref = om.check_hypotheses(spec, 4000, edge, thresholds={})
+        rep = om.check_hypotheses(spec, 100_000, edge)
+        assert rep.window == (82218, 117782)
+        keys = ("max_da_scaled", "max_db_scaled", "rec1_scaled", "rec2_scaled")
+        assert rep.thresholds == {k: max(10.0 * getattr(ref, k), 1e-9) for k in keys}
+
+    def test_reference_falls_back_to_requested_n(self):
+        # 1000 and 2000 leave the support, and the doubling reaches n = 3500
+        # before a reference window fits: n's own quantities set the thresholds
+        spec = om.krawtchouk(0.3, 1.3)
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=1.5)
+        rep = om.check_hypotheses(spec, 3500, edge)
+        keys = ("max_da_scaled", "max_db_scaled", "rec1_scaled", "rec2_scaled")
+        assert rep.thresholds == {k: max(10.0 * getattr(rep, k), 1e-9) for k in keys}
+        assert rep.all_pass
+
     def test_report_json(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
         payload = om.check_hypotheses(om.chebyshev2(), 100, edge).to_json()
