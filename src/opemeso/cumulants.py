@@ -112,9 +112,9 @@ def build_F(
 # a row whose couplings to the rows >= n all sit below this fraction of the
 # largest such coupling adds nothing representable to C_{m>=2}
 _COUPLING_CUT = 2.0 ** -53
-# rows are cut in whole panels: a window with fewer negligible rows than one
-# panel keeps the full-window arithmetic, and each kept row keeps its index
-# modulo the panel, so sums over the kept rows group their terms as before
+# rows are cut in whole panels, so a window with fewer negligible rows than
+# one panel is not cut and keeps the full-window arithmetic bit for bit (the
+# pinned n = 200 golden files have 7 such rows; any cut regroups their sums)
 _CUT_PANEL = 64
 
 
@@ -122,10 +122,14 @@ def _first_coupled_row(F: np.ndarray, n: int) -> int:
     """First row of the panel that holds the first row coupled to n.
 
     Row i couples to n when max_{j>=n} |F_ij| exceeds _COUPLING_CUT of the
-    largest such value over i < n.  A row above the first coupled one reaches
-    the rows >= n only through at least two couplings below the cut, so
-    C_{m>=2}(F, n) equals C_m(F[lo:, lo:], n - lo) to rounding.  The result
-    is a multiple of _CUT_PANEL below n, and 0 when no row couples at all.
+    largest such value over i < n.  The result is a multiple of _CUT_PANEL
+    below n, and 0 when no row couples at all.
+
+    C_{m>=2}(F, n) equals C_m(F[lo:, lo:], n - lo) to rounding only when F is
+    a sum of resolvents whose entries decay with |i - j|, as build_F gives
+    away from the bulk: a path i -> k -> j through a row k above lo then has
+    a small F_ik as well as a small F_kj.  A general F may carry O(1) entries
+    between the cut rows and the rows >= n and needs the full _PowerBlocks.
     """
     coupling = np.max(np.abs(F[:n, n:]), axis=1)
     first = int(np.argmax(coupling > _COUPLING_CUT * coupling.max()))

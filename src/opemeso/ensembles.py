@@ -539,7 +539,9 @@ def check_hypotheses(
     n = 1000, floored at 1e-9 for identically-zero families; when the
     n = 1000 window leaves a discrete family's support, at the first
     doubling of 1000 whose window fits, or at n itself once the doubling
-    reaches it).
+    reaches it).  In that last case every quantity is checked against 10x
+    itself, so the default flags pass trivially and say nothing; pass
+    ``thresholds`` explicitly to check such a call.
     Raises OutOfDomain when the window leaves the family's support.
     """
     x0 = edge.center(spec, n)

@@ -305,8 +305,9 @@ class TestSweepCut:
 
     def test_two_sided_identity_rows_are_cut(self):
         # the sigma * identity rows below a two-sided window couple to nothing:
-        # their off-diagonal entries are exact zeros, and the cut keeps whole
-        # panels, so the kept sums see the same terms in the same order
+        # their off-diagonal entries are exact zeros.  Exact equality also
+        # needs the BLAS kernel to group the kept rows' sums as it does on the
+        # full window, which holds for whole 64-row panels on OpenBLAS
         n = 1000
         F = om.build_F(om.hermite(), n, EDGE_R, self.RE_G, two_sided=True)
         window_lo = n - om.default_margin(n, EDGE_R)

@@ -4,10 +4,11 @@
     python3 tools/bench_record.py --root ../other-checkout --commit abc1234 ...
 
 Runs ``perfbench/run.py --trace 0`` of the checkout at ``--root`` for every
-workload and seed, one after another, then one ``--trace 1`` run per workload
-named by ``--traced``.  Each metric gets its per-seed values, median and
-quartiles (inclusive method); the machine record is the one the first run
-printed.  Two files made this way on the same machine diff metric by metric.
+workload and each of SEEDS, SECONDS each, one after another, then one
+``--trace 1`` run of each TRACED workload.  Each metric gets its per-seed
+values, median and quartiles (inclusive method); the machine record is the
+one the first run printed.  Two files made this way on the same machine diff
+metric by metric.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("edge-sweep", "mc-batch", "variance-limit", "resolvent-decay")
+SEEDS = (1, 2, 3)
+SECONDS = 20.0
+TRACED = ("edge-sweep", "mc-batch")
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -44,19 +48,16 @@ def main(argv=None) -> int:
     parser.add_argument("--output", type=Path, required=True)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--commit", help="recorded as is; defaults to the root's git HEAD")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--traced", nargs="*", default=["edge-sweep"], choices=WORKLOADS)
     args = parser.parse_args(argv)
 
     commit = args.commit or subprocess.run(
         ["git", "rev-parse", "--short", "HEAD"], cwd=args.root, capture_output=True, text=True
     ).stdout.strip()
-    record = {"schema": 1, "label": args.label, "commit": commit, "seeds": args.seeds,
-              "seconds": args.seconds, "command": "python3 perfbench/run.py --trace 0",
+    record = {"schema": 1, "label": args.label, "commit": commit, "seeds": list(SEEDS),
+              "seconds": SECONDS, "command": "python3 perfbench/run.py --trace 0",
               "machine": None, "workloads": {}, "traced": {}}
     for workload in WORKLOADS:
-        runs = [bench(args.root, workload, seed, args.seconds, 0) for seed in args.seeds]
+        runs = [bench(args.root, workload, seed, SECONDS, 0) for seed in SEEDS]
         record["machine"] = record["machine"] or runs[0]["machine"]
         record["workloads"][workload] = {
             "attempted": sum(r["attempted"] for r in runs),
@@ -64,10 +65,10 @@ def main(argv=None) -> int:
             "metrics": {name: summary([r["metrics"][name]["value"] for r in runs])
                         for name in runs[0]["metrics"]},
         }
-    for workload in args.traced:
-        run = bench(args.root, workload, args.seeds[0], args.seconds, 1)
+    for workload in TRACED:
+        run = bench(args.root, workload, SEEDS[0], SECONDS, 1)
         record["traced"][workload] = {
-            "seed": args.seeds[0], "correct": run["correct"], "absent": run["absent"],
+            "seed": SEEDS[0], "correct": run["correct"], "absent": run["absent"],
             "metrics": {name: m["value"] for name, m in run["metrics"].items()},
         }
     args.output.write_text(json.dumps(record, indent=1) + "\n")
