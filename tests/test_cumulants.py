@@ -230,19 +230,32 @@ class TestSweep:
             "sample", "--ensemble", "hermite", "--alpha", "0.4", "--n", "100",
             "--count", "200", "--seed", "7", "--f", "im:1/(x-i)",
         ],
+        # decay and fit also write a <output>.fit.json sidecar, pinned alongside
+        "decay_n400.csv": ["decay", "--n-alpha", "100", "--x0", "2.0", "--size", "400"],
+        "fit_hat_p8.csv": ["fit", "--target", "hat:0,1", "--poles", "8"],
+        "variance_left_residue.json": [
+            "variance-limit", "--f", "im:1/(x-i)", "--side", "left", "--method", "residue",
+        ],
+        "hypotheses_hermite_n1000.json": [
+            "hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--n", "1000",
+        ],
     }
 
     @pytest.mark.parametrize("golden", list(GOLDEN_RUNS))
     def test_golden_file(self, tmp_path, golden):
-        # byte-for-byte stability of the pinned fixtures
+        # byte-for-byte stability of the pinned fixtures and their sidecars
         from pathlib import Path
 
         from opemeso.cli import main
 
-        out = tmp_path / golden
-        assert main([*self.GOLDEN_RUNS[golden], "-o", str(out)]) == 0
-        expected = Path(__file__).parent / "golden" / golden
-        assert out.read_text() == expected.read_text()
+        assert main([*self.GOLDEN_RUNS[golden], "-o", str(tmp_path / golden)]) == 0
+        golden_dir = Path(__file__).parent / "golden"
+        written = sorted(
+            p.name for p in tmp_path.iterdir() if not p.name.endswith(".manifest.json")
+        )
+        assert written == sorted(p.name for p in golden_dir.glob(golden + "*"))
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (golden_dir / name).read_bytes(), name
 
 
 class TestSweepCut:
