@@ -32,16 +32,13 @@ from . import (
     sigma2_quadrature,
     sigma2_residue,
 )
-from .errors import OpemesoError
+from .errors import InvalidParams, OpemesoError
 from .sampling import SampleBatch, load_batch, save_batch, standardized_skewness
 from .testfun import _parse_complex
 
 _FMT = "%.17g"  # full round-trip precision for golden-file stability
 _RESUME_RTOL = 1e-12  # sample 0 of a resumed batch must match a fresh draw this closely
-
-
-def _fmt(x: float) -> str:
-    return _FMT % x
+_DECAY_MAX_ROWS = 10 ** 6  # largest decay --size (O(N) vectors, ~0.25 GB peak at the cap)
 
 
 def _git_describe() -> str:
@@ -58,21 +55,25 @@ def _git_describe() -> str:
         return "nogit"
 
 
-def _write_manifest(output: Path, command: str, config: dict, wallclock: float, outputs):
-    manifest = {
-        "schema": 1,
-        "command": command,
-        "config": config,
-        "git_describe": _git_describe(),
-        "wallclock_s": wallclock,
-        "outputs": [str(p) for p in outputs],
-    }
-    path = output.with_suffix(output.suffix + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+def _csv(header: str, rows) -> str:
+    """CSV text: integers via ``str``, floats with full round-trip precision."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, int) else _FMT % v for v in row))
+    return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, output: str | None) -> list[Path]:
-    """Write text to ``output`` and return that path, or print it and return none."""
+def _json(payload: dict, **options) -> str:
+    return json.dumps(payload, indent=2, **options) + "\n"
+
+
+def _emit(text: str, output: str | Path | None) -> list[Path]:
+    """Write text to ``output`` and return that path, or print it and return none.
+
+    Every report, sidecar and manifest the CLI writes goes through here.  A
+    command whose output is required passes a ``Path``, so ``-o ""`` names
+    the current directory (an unwritable path), not stdout.
+    """
     if output:
         out = Path(output)
         out.write_text(text)
@@ -82,8 +83,7 @@ def _emit(text: str, output: str | None) -> list[Path]:
 
 
 def _edge_from_args(args) -> EdgeSpec:
-    side = Side.LEFT if args.side == "left" else Side.RIGHT
-    return EdgeSpec(side=side, alpha=args.alpha, x0=args.x0, epsilon=args.epsilon)
+    return EdgeSpec(side=Side(args.side), alpha=args.alpha, x0=args.x0, epsilon=args.epsilon)
 
 
 def _ensemble_from_args(args):
@@ -101,10 +101,6 @@ def _add_edge_args(p: argparse.ArgumentParser):
     p.add_argument("--epsilon", type=float, default=None, help="window exponent margin")
     p.add_argument("--side", choices=["left", "right"], default="right")
     p.add_argument("--x0", type=float, default=None, help="override the exact finite-n edge")
-
-
-def _parse_n_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,26 +197,19 @@ def cmd_cumulants(args) -> list[Path]:
     spec = _ensemble_from_args(args)
     edge = _edge_from_args(args)
     f = parse_test_function(args.f)
-    n_list = _parse_n_list(args.n)
+    n_list = [int(tok) for tok in args.n.split(",") if tok]
     reports = convergence_sweep(spec, edge, f, n_list, m_max=args.m_max)
-    out = Path(args.output)
     if args.format == "csv":
-        lines = ["n,alpha,m,value_re,value_im"]
-        for rep in reports:
-            for n, alpha, m, re_, im_ in rep.csv_rows():
-                lines.append(f"{n},{_fmt(alpha)},{m},{_fmt(re_)},{_fmt(im_)}")
-        out.write_text("\n".join(lines) + "\n")
+        rows = (row for rep in reports for row in rep.csv_rows())
+        text = _csv("n,alpha,m,value_re,value_im", rows)
     else:
-        out.write_text(
-            json.dumps({"schema": 1, "reports": [r.to_json() for r in reports]}, indent=2)
-            + "\n"
-        )
-    return [out]
+        text = _json({"schema": 1, "reports": [r.to_json() for r in reports]})
+    return _emit(text, Path(args.output))
 
 
 def cmd_variance_limit(args) -> list[Path]:
     f = parse_test_function(args.f)
-    side = Side.LEFT if args.side == "left" else Side.RIGHT
+    side = Side(args.side)
     payload = {"schema": 1}
     if args.method in ("quadrature", "both"):
         q = sigma2_quadrature(f, side, tol=args.tol)
@@ -230,42 +219,33 @@ def cmd_variance_limit(args) -> list[Path]:
         r = sigma2_residue(f, side)
         payload["residue"] = r.to_json()
         payload["value"] = r.value
-    return _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    return _emit(_json(payload), args.output)
 
 
 def cmd_decay(args) -> list[Path]:
     eta = _parse_complex(args.eta)
     N = args.size
+    if N > _DECAY_MAX_ROWS:
+        raise InvalidParams(f"decay size {N} exceeds the cap of {_DECAY_MAX_ROWS} rows")
     J = TridiagonalMatrix(np.zeros(N), np.ones(N - 1), args.x0 + eta / args.n_alpha)
     ref = args.ref_row if args.ref_row is not None else N // 2
     fit = decay_profile(J, ref_row=ref)
-    out = Path(args.output)
-    lines = ["distance,log_abs"]
-    for dist, val in fit.csv_rows():
-        lines.append(f"{dist},{_fmt(val)}")
-    out.write_text("\n".join(lines) + "\n")
-    fit_path = out.with_suffix(out.suffix + ".fit.json")
-    fit_path.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "rate": fit.rate,
-                "intercept": fit.intercept,
-                "ref_row": fit.ref_row,
-                "n_points": fit.n_points,
-            },
-            indent=2,
-        )
-        + "\n"
-    )
-    return [out, fit_path]
+    summary = {
+        "schema": 1,
+        "rate": fit.rate,
+        "intercept": fit.intercept,
+        "ref_row": fit.ref_row,
+        "n_points": fit.n_points,
+    }
+    written = _emit(_csv("distance,log_abs", fit.csv_rows()), Path(args.output))
+    return written + _emit(_json(summary), f"{written[0]}.fit.json")
 
 
 def cmd_hypotheses(args) -> list[Path]:
     spec = _ensemble_from_args(args)
     edge = _edge_from_args(args)
     report = check_hypotheses(spec, args.n, edge)
-    return _emit(json.dumps(report.to_json(), indent=2) + "\n", args.output)
+    return _emit(_json(report.to_json()), args.output)
 
 
 def _check_batch_ensemble(batch: SampleBatch) -> None:
@@ -328,25 +308,16 @@ def cmd_sample(args) -> list[Path]:
         "variance_std_error": se,
         "skewness": standardized_skewness(batch, f, edge),
     }
-    return outputs + _emit(json.dumps(payload, indent=2) + "\n", args.output)
+    return outputs + _emit(_json(payload), args.output)
 
 
 def cmd_fit(args) -> list[Path]:
     target = _make_target(args.target)
     fitted, achieved = fit_resolvent_approximation(target, args.poles, args.height)
-    out = Path(args.output)
-    lines = ["pole_re,pole_im,weight_re,weight_im"]
-    for pole, weight in zip(fitted.poles, fitted.weights):
-        lines.append(
-            f"{_fmt(pole.real)},{_fmt(pole.imag)},{_fmt(weight.real)},{_fmt(weight.imag)}"
-        )
-    out.write_text("\n".join(lines) + "\n")
-    meta = out.with_suffix(out.suffix + ".fit.json")
-    meta.write_text(
-        json.dumps({"schema": 1, "achieved_lw_norm": achieved, "poles": args.poles}, indent=2)
-        + "\n"
-    )
-    return [out, meta]
+    rows = ((p.real, p.imag, w.real, w.imag) for p, w in zip(fitted.poles, fitted.weights))
+    meta = {"schema": 1, "achieved_lw_norm": achieved, "poles": args.poles}
+    written = _emit(_csv("pole_re,pole_im,weight_re,weight_im", rows), Path(args.output))
+    return written + _emit(_json(meta), f"{written[0]}.fit.json")
 
 
 def cmd_selftest(args) -> int:
@@ -357,9 +328,14 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _config_echo(args) -> dict:
-    skip = {"from_manifest"}
-    return {k: v for k, v in vars(args).items() if k not in skip and not callable(v)}
+_COMMANDS = {
+    "cumulants": cmd_cumulants,
+    "variance-limit": cmd_variance_limit,
+    "decay": cmd_decay,
+    "hypotheses": cmd_hypotheses,
+    "sample": cmd_sample,
+    "fit": cmd_fit,
+}
 
 
 def _replay_args(path: str) -> list[str]:
@@ -399,22 +375,9 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     try:
-        if args.command == "cumulants":
-            outputs = cmd_cumulants(args)
-        elif args.command == "variance-limit":
-            outputs = cmd_variance_limit(args)
-        elif args.command == "decay":
-            outputs = cmd_decay(args)
-        elif args.command == "hypotheses":
-            outputs = cmd_hypotheses(args)
-        elif args.command == "sample":
-            outputs = cmd_sample(args)
-        elif args.command == "fit":
-            outputs = cmd_fit(args)
-        elif args.command == "selftest":
+        if args.command == "selftest":
             return cmd_selftest(args)
-        else:  # pragma: no cover
-            parser.error(f"unknown command {args.command}")
+        outputs = _COMMANDS[args.command](args)
     except OpemesoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -424,7 +387,15 @@ def main(argv: list[str] | None = None) -> int:
 
     wallclock = time.perf_counter() - start
     if outputs:
-        _write_manifest(outputs[0], args.command, _config_echo(args), wallclock, outputs)
+        manifest = {
+            "schema": 1,
+            "command": args.command,
+            "config": {k: v for k, v in vars(args).items() if k != "from_manifest"},
+            "git_describe": _git_describe(),
+            "wallclock_s": wallclock,
+            "outputs": [str(p) for p in outputs],
+        }
+        _emit(_json(manifest, sort_keys=True), f"{outputs[0]}.manifest.json")
     return 0
 
 

@@ -149,6 +149,17 @@ def _compositions(m: int):
             yield tuple(parts)
 
 
+def _composition_sum(m: int, bracket) -> float:
+    """m! sum over compositions of (-1)^(j+1)/j bracket(parts) / prod(parts!)."""
+    terms = []
+    for parts in _compositions(m):
+        j = len(parts)
+        weight = (-1.0) ** (j + 1) / j
+        fact = math.prod(math.factorial(p) for p in parts)
+        terms.append(weight * bracket(parts) / fact)
+    return math.factorial(m) * math.fsum(terms)
+
+
 def _trace_dot(A: np.ndarray, B: np.ndarray) -> float:
     """sum(A * B) with a compensated reduction over the row partial sums."""
     return math.fsum(np.sum(A * B, axis=1))
@@ -198,13 +209,7 @@ class _PowerBlocks:
 
     def cumulant(self, m: int) -> float:
         """C_m for 2 <= m <= max_power + 1: the composition sum of connected brackets."""
-        terms = []
-        for parts in _compositions(m):
-            j = len(parts)
-            weight = (-1.0) ** (j + 1) / j
-            fact = math.prod(math.factorial(p) for p in parts)
-            terms.append(weight * self.connected(parts) / fact)
-        return math.factorial(m) * math.fsum(terms)
+        return _composition_sum(m, self.connected)
 
 
 def cumulant(F: np.ndarray, n: int, m: int, method: str = "connected") -> float:
@@ -244,17 +249,10 @@ def _cumulant_raw(F: np.ndarray, n: int, m: int) -> float:
         cache[parts] = mat
         return mat
 
-    terms = []
-    for parts in _compositions(m):
-        j = len(parts)
-        weight = (-1.0) ** (j + 1) / j
-        fact = math.prod(math.factorial(p) for p in parts)
-        if len(parts) == 2:
-            tr = _trace_dot(K[parts[0]], K[parts[1]].T)
-        else:
-            tr = _trace_dot(product(parts[:-1]), K[parts[-1]].T)
-        terms.append(weight * (tr - tr_full) / fact)
-    return math.factorial(m) * math.fsum(terms)
+    def bracket(parts: tuple[int, ...]) -> float:
+        return _trace_dot(product(parts[:-1]), K[parts[-1]].T) - tr_full
+
+    return _composition_sum(m, bracket)
 
 
 def second_cumulant_three_ways(F: np.ndarray, n: int) -> tuple[float, float, float]:

@@ -39,6 +39,7 @@ _GL_DEGREE = 12            # Gauss-Legendre nodes per panel
 _MAX_LEVEL = 9             # panel refinement stops at 2^9 panels per axis
 _PI_SQUARED_TOL = 1e-7
 _FIT_GRID_POINTS = 2000
+_MAX_POLES = 1000          # the fit's design matrix is ~4800 x M float64: 38 MB at the cap
 
 
 @dataclass(frozen=True)
@@ -261,6 +262,8 @@ def fit_resolvent_approximation(
     """
     if M < 1:
         raise InvalidParams("need at least one pole")
+    if M > _MAX_POLES:
+        raise InvalidParams(f"fit supports at most {_MAX_POLES} poles, got {M}")
     if pole_height <= 0:
         raise InvalidParams("pole height must be positive")
     if support is None:

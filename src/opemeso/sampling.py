@@ -21,6 +21,7 @@ from .errors import InvalidParams, Unsupported
 _MAGIC = b"OPEBATCH"
 _VERSION = 1
 _HEADER = struct.Struct("<8sIQQQ")  # magic, version, n, count, seed
+_MAX_ENTRIES = 10 ** 7  # largest count * n sampled at once (~50 B per entry at peak)
 
 __all__ = ["SampleBatch", "sample_spectra", "empirical_statistic", "save_batch", "load_batch"]
 
@@ -88,6 +89,8 @@ def sample_spectra(
         raise InvalidParams("sampler supports 1 <= n <= 2000")
     if not 1 <= count <= 10 ** 6:
         raise InvalidParams("sampler supports 1 <= count <= 1e6")
+    if count * n > _MAX_ENTRIES:
+        raise InvalidParams(f"sampler supports count * n <= 1e7, got {count} * {n}")
     if seed < 0 or seed >= 2 ** 64:
         raise InvalidParams("seed must fit in 64 unsigned bits")
     gamma = ensemble.params.get("gamma", 0.0)

@@ -1,6 +1,7 @@
 """CLI: subcommands, output schemas, manifest replay, exit codes."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +38,45 @@ def test_cumulants_csv_and_manifest(tmp_path):
     first = out.read_bytes()
     assert main(["--from-manifest", str(tmp_path / "cum.csv.manifest.json")]) == 0
     assert out.read_bytes() == first
+
+
+# one run per file-writing command, with relative output paths
+REPLAY_RUNS = {
+    "cumulants": [
+        "cumulants", "--ensemble", "hermite", "--alpha", "0.4", "--n", "100,150",
+        "--m-max", "3", "--f", "im:1/(x-i)", "--format", "json", "-o", "cum.json",
+    ],
+    "variance-limit": [
+        "variance-limit", "--f", "im:1/(x-i)", "--method", "residue", "-o", "var.json",
+    ],
+    "decay": ["decay", "--n-alpha", "100", "--size", "300", "-o", "decay.csv"],
+    "hypotheses": [
+        "hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--n", "200",
+        "-o", "hyp.json",
+    ],
+    "sample": [
+        "sample", "--ensemble", "laguerre", "--params", '{"gamma": 0.5}',
+        "--alpha", "0.5", "--n", "30", "--count", "6", "--seed", "5",
+        "--f", "im:1/(x-i)", "--out-batch", "batch.bin", "-o", "stats.json",
+    ],
+    "fit": ["fit", "--target", "bump:-1,1", "--poles", "6", "-o", "fit.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REPLAY_RUNS.values()), ids=list(REPLAY_RUNS))
+def test_manifest_replay_reproduces_every_output(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    outputs = json.loads(manifest.read_text())["outputs"]
+    # the manifest names every file the run wrote, the first one first
+    assert manifest.name == outputs[0] + ".manifest.json"
+    assert sorted(outputs) == sorted(p.name for p in tmp_path.iterdir() if p != manifest)
+    first = {path: Path(path).read_bytes() for path in outputs}
+    for path in outputs:
+        Path(path).unlink()
+    assert main(["--from-manifest", manifest.name]) == 0
+    assert {path: Path(path).read_bytes() for path in outputs} == first
 
 
 def test_cumulants_json_format(tmp_path):
@@ -205,6 +245,34 @@ def test_numerical_error_exit_code(tmp_path):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
     assert main(_sample_argv(empty, "hermite", None, 4) + ["--resume"]) == 1
+
+
+BIG_SAMPLE = [
+    "sample", "--ensemble", "hermite", "--alpha", "0.4", "--n", "2000",
+    "--f", "im:1/(x-i)", "--out-batch", "batch.bin", "--count", "1000000",
+]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        BIG_SAMPLE,
+        BIG_SAMPLE + ["--resume"],
+        ["decay", "--n-alpha", "100", "--size", "10000000000", "-o", "decay.csv"],
+        ["fit", "--target", "hat:0,1", "--poles", "10000000", "-o", "fit.csv"],
+    ],
+    ids=["sample", "sample-resume", "decay", "fit"],
+)
+def test_oversized_inputs_fail_before_allocating(tmp_path, monkeypatch, capsys, argv):
+    # each would ask for 15-358 GiB; a cap refuses it with a typed error instead
+    monkeypatch.chdir(tmp_path)
+    if "--resume" in argv:
+        assert main(BIG_SAMPLE[:-1] + ["1"]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_no_command_prints_help(capsys):
