@@ -21,7 +21,7 @@ from .errors import InvalidParams, Unsupported
 _MAGIC = b"OPEBATCH"
 _VERSION = 1
 _HEADER = struct.Struct("<8sIQQQ")  # magic, version, n, count, seed
-_MAX_ENTRIES = 10 ** 7  # largest count * n sampled at once (~50 B per entry at peak)
+_MAX_ENTRIES = 10 ** 7  # largest count * n; `opemeso sample` peaks near 50 B per entry
 
 __all__ = ["SampleBatch", "sample_spectra", "empirical_statistic", "save_batch", "load_batch"]
 
