@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import time
@@ -67,19 +68,21 @@ def _json(payload: dict, **options) -> str:
     return json.dumps(payload, indent=2, **options) + "\n"
 
 
-def _emit(text: str, output: str | Path | None) -> list[Path]:
-    """Write text to ``output`` and return that path, or print it and return none.
+def _emit(text: str, output: str | None) -> list[Path]:
+    """Write text to ``output`` and return that path, or print it if ``output`` is None.
 
-    Every report, sidecar and manifest the CLI writes goes through here.  A
-    command whose output is required passes a ``Path``, so ``-o ""`` names
-    the current directory (an unwritable path), not stdout.
+    Every report, sidecar and manifest the CLI writes goes through here.  An
+    empty path is a configuration error for every command, so ``-o ""``
+    writes nothing and never means stdout.
     """
-    if output:
-        out = Path(output)
-        out.write_text(text)
-        return [out]
-    sys.stdout.write(text)
-    return []
+    if output is None:
+        sys.stdout.write(text)
+        return []
+    if not output:
+        raise ValueError("empty output path")
+    out = Path(output)
+    out.write_text(text)
+    return [out]
 
 
 def _edge_from_args(args) -> EdgeSpec:
@@ -204,7 +207,7 @@ def cmd_cumulants(args) -> list[Path]:
         text = _csv("n,alpha,m,value_re,value_im", rows)
     else:
         text = _json({"schema": 1, "reports": [r.to_json() for r in reports]})
-    return _emit(text, Path(args.output))
+    return _emit(text, args.output)
 
 
 def cmd_variance_limit(args) -> list[Path]:
@@ -225,6 +228,8 @@ def cmd_variance_limit(args) -> list[Path]:
 def cmd_decay(args) -> list[Path]:
     eta = _parse_complex(args.eta)
     N = args.size
+    if not (math.isfinite(args.n_alpha) and args.n_alpha > 0):
+        raise InvalidParams(f"n^alpha must be finite and positive, got {args.n_alpha!r}")
     if N > _DECAY_MAX_ROWS:
         raise InvalidParams(f"decay size {N} exceeds the cap of {_DECAY_MAX_ROWS} rows")
     J = TridiagonalMatrix(np.zeros(N), np.ones(N - 1), args.x0 + eta / args.n_alpha)
@@ -237,7 +242,7 @@ def cmd_decay(args) -> list[Path]:
         "ref_row": fit.ref_row,
         "n_points": fit.n_points,
     }
-    written = _emit(_csv("distance,log_abs", fit.csv_rows()), Path(args.output))
+    written = _emit(_csv("distance,log_abs", fit.csv_rows()), args.output)
     return written + _emit(_json(summary), f"{written[0]}.fit.json")
 
 
@@ -316,7 +321,7 @@ def cmd_fit(args) -> list[Path]:
     fitted, achieved = fit_resolvent_approximation(target, args.poles, args.height)
     rows = ((p.real, p.imag, w.real, w.imag) for p, w in zip(fitted.poles, fitted.weights))
     meta = {"schema": 1, "achieved_lw_norm": achieved, "poles": args.poles}
-    written = _emit(_csv("pole_re,pole_im,weight_re,weight_im", rows), Path(args.output))
+    written = _emit(_csv("pole_re,pole_im,weight_re,weight_im", rows), args.output)
     return written + _emit(_json(meta), f"{written[0]}.fit.json")
 
 

@@ -15,6 +15,7 @@ top-left corner of the Jacobi matrix reads [[b_0, a_1], [a_1, b_1, a_2], ...].
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -186,6 +187,12 @@ class EnsembleSpec:
             if self.coeff_fn is None:
                 raise InvalidParams("custom family requires a coefficient callback")
             return
+        if not isinstance(self.params, dict) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.params.values()
+        ):
+            raise InvalidParams(
+                f"params for {self.family.value} must map names to real numbers"
+            )
         record = _CATALOG[self.family]
         unknown = set(self.params) - record.params
         if unknown:
@@ -242,7 +249,10 @@ def from_json(obj: dict) -> EnsembleSpec:
         raise InvalidParams(f"unknown family {name!r}") from None
     if fam is Family.CUSTOM:
         raise InvalidParams("custom family cannot be parsed from JSON")
-    return EnsembleSpec(fam, dict(obj.get("params", {})))
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise InvalidParams("ensemble params must be a JSON object")
+    return EnsembleSpec(fam, dict(params))
 
 
 # Convenience constructors.

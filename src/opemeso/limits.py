@@ -190,6 +190,8 @@ def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
     supported).  The truncation half-width is the value that makes the
     weighted-Lipschitz tail bound contribute at most tol/10.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParams(f"quadrature tolerance must be finite and positive, got {tol!r}")
     s = 1.0 if side is Side.LEFT else -1.0
     lw_norm = weighted_lipschitz_norm(f)
     halfwidth = 50.0

@@ -320,9 +320,17 @@ class AlmostToeplitzDecomposition:
     diagnostics: ToeplitzDiagnostics
 
 
-def _inv2x2(m: np.ndarray) -> np.ndarray:
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+def _scaled_transfer(bz, a_in, a_out, scale, x: complex, y: complex) -> np.ndarray:
+    """First components of scaled transfer products applied to (x, y), step by step.
+
+    Step i is the scalar recurrence (x, y) <- (y, (bz_i y - a_in_i x) / a_out_i) / scale_i.
+    """
+    out = np.empty(len(bz), dtype=complex)
+    for i, step in enumerate(zip(bz.tolist(), a_in.tolist(), a_out.tolist(), scale.tolist())):
+        b_i, a_i, a_o, s_i = step
+        x, y = y / s_i, (b_i * y - a_i * x) / a_o / s_i
+        out[i] = x
+    return out
 
 
 def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecomposition:
@@ -332,6 +340,10 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     does not carry; both are set to their nearest neighbours (a_0 := a_1,
     a_N := a_{N-1}).  The choice only rescales boundary bookkeeping and is
     absorbed by H.
+
+    Every eigenbasis V = [[1, 1], [w+, w-]] satisfies (1, 1) V^-1 = (1, 0),
+    so the corrections C, D and the normalization of T reduce to first
+    components of scaled transfer products applied to one vector each.
     """
     N = J.N
     if N < 4:
@@ -355,6 +367,9 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     gamma2 = -lp2 * a[0] + bz[0]
     delta1 = bz[N - 1] * lpN1 - a[N - 2]
     delta2 = bz[N - 1] * lmN1 - a[N - 2]
+    r_beta = beta2 / beta1
+    r_gamma = gamma2 / gamma1
+    r_delta = delta2 * gamma2 / (delta1 * gamma1)
 
     # signed eigenvalue-ratio products (complex logs; moduli < 1 in regime)
     log_ratio = np.log(omm / omp)                 # index l-1 <-> step l
@@ -365,58 +380,42 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     prefix = np.ones(N + 1, dtype=complex)
     prefix[2:] = np.exp(np.cumsum(log_ratio[1:]))
 
-    # C(k), k = 1..N-1 (C(N) = 0): scaled right-to-left transfer products
-    VN1 = np.array([[1, 1], [opN1, omN1]], dtype=complex)
-    VN1_inv = _inv2x2(VN1)
+    # C(k) = (P_k w)_0 - 1 - r_beta suffix[k], k = 1..N-1 (C(N) = 0), with P_k the
+    # scaled product A_k ... A_{N-1} and w = V_{N-1} (1, r_beta)
+    rev = slice(N - 2, None, -1)                  # steps k = N-1 down to 1
     C = np.zeros(N + 1, dtype=complex)
-    P = np.eye(2, dtype=complex)
-    for k in range(N - 1, 0, -1):
-        A_scaled = np.array(
-            [[0, 1], [-a_curr[k - 1] / a_prev[k - 1], bz[k - 1] / a_prev[k - 1]]],
-            dtype=complex,
-        ) / omp[k - 1]
-        P = A_scaled @ P
-        Vk = np.array([[1, 1], [omp[k - 1], omm[k - 1]]], dtype=complex)
-        mid = Vk @ np.array([[1, 0], [0, suffix[k]]], dtype=complex) @ VN1_inv
-        M = _inv2x2(Vk) @ (P - mid) @ VN1
-        C[k] = (M[0, 0] + M[1, 0]) + (beta2 / beta1) * (M[0, 1] + M[1, 1])
-
-    # D(j), j = 2..N (D(1) = 0): scaled left-to-right products
-    W2 = np.array([[1, 1], [lp2, lm2]], dtype=complex)
+    C[N - 1 : 0 : -1] = _scaled_transfer(
+        bz[rev], a_curr[rev], a_prev[rev], omp[rev], 1 + r_beta, opN1 + r_beta * omN1
+    ) - 1 - r_beta * suffix[N - 1 : 0 : -1]
+    # D(j) = (Q_j g)_0 - 1 - r_gamma prefix[j], j = 2..N (D(1) = 0), with Q_j the
+    # scaled product B_j ... B_2 and g = W_2 (1, r_gamma); phi's denominator
+    # 1 + r_delta prefix[N-1] + dtilde is (Q_{N-1} W_2 (1, r_delta))_0
     D = np.zeros(N + 1, dtype=complex)
-    Q = np.eye(2, dtype=complex)
-    dtilde = 0j
-    for j in range(2, N + 1):
-        B_scaled = np.array(
-            [[0, 1], [-a_prev[j - 1] / a_curr[j - 1], bz[j - 1] / a_curr[j - 1]]],
-            dtype=complex,
-        ) / lap[j - 1]
-        Q = B_scaled @ Q
-        Wj = np.array([[1, 1], [lap[j - 1], lam[j - 1]]], dtype=complex)
-        mid = Wj @ np.array([[1, 0], [0, prefix[j]]], dtype=complex) @ _inv2x2(W2)
-        M = _inv2x2(Wj) @ (Q - mid) @ W2
-        D[j] = (M[0, 0] + M[1, 0]) + (gamma2 / gamma1) * (M[0, 1] + M[1, 1])
-        if j == N - 1:
-            dtilde = (M[0, 0] + M[1, 0]) + (delta2 * gamma2 / (delta1 * gamma1)) * (
-                M[0, 1] + M[1, 1]
-            )
-    phi_denom = 1.0 + (delta2 * gamma2 / (delta1 * gamma1)) * prefix[N - 1] + dtilde
+    D[2:] = _scaled_transfer(
+        bz[1:], a_prev[1:], a_curr[1:], lap[1:], 1 + r_gamma, lp2 + r_gamma * lm2
+    ) - 1 - r_gamma * prefix[2:]
+    phi_denom = _scaled_transfer(
+        bz[1 : N - 1], a_prev[1 : N - 1], a_curr[1 : N - 1], lap[1 : N - 1],
+        1 + r_delta, lp2 + r_delta * lm2,
+    )[-1]
+    dtilde = phi_denom - 1 - r_delta * prefix[N - 1]
 
-    # T entries: for j <= k (1-based),
-    #   T_jk = (-1)^{k-j} pref * exp(LW(k-1) - LW(j)) * (1+D(j)) (1+C(k)) / a_{k-1}
+    # T entries: for lo = min(j, k) <= hi = max(j, k) (1-based),
+    #   T = (-1)^{hi-lo} pref (1+D(lo)) (1+C(hi)) / a_{hi-1} * exp(LW(hi-1) - LW(lo))
     # with LW(i) = sum_{l=2}^{i} log omega_l^-; the unified exponent covers
-    # the diagonal (k = j gives the 1/omega_j^- of the exact formula).
-    log_omm = np.log(omm)
+    # the diagonal (hi = lo >= 2 gives the 1/omega_lo^- of the exact formula).  The
+    # exponents are differenced before exp, so long windows do not overflow,
+    # and the sign splits as (-1)^hi (-1)^lo into the per-index factors.
     LW = np.zeros(N + 1, dtype=complex)           # LW[i], i = 0..N
-    LW[2:] = np.cumsum(log_omm[1:])
-    jdx = np.arange(1, N + 1)
+    LW[2:] = np.cumsum(np.log(omm[1:]))
+    alt = (-1.0) ** np.arange(1, N + 1)
     pref = omN1 / ((opN1 - omN1) * phi_denom)
-    rowfac = (1.0 + D[jdx]) * np.exp(-LW[jdx])
-    colfac = (1.0 + np.where(jdx < N, C[jdx], 0.0)) * np.exp(LW[jdx - 1]) / a_prev[jdx - 1]
-    signs = (-1.0) ** np.abs(np.subtract.outer(jdx, jdx))
-    T_upper = pref * signs * np.outer(rowfac, colfac)
-    T = np.triu(T_upper)
-    T = T + np.triu(T_upper, k=1).T
+    rowfac = pref * alt * (1.0 + D[1:])
+    colfac = alt * (1.0 + C[1:]) / a_prev
+    idx = np.arange(N)
+    lo = np.minimum.outer(idx, idx)
+    hi = np.maximum.outer(idx, idx)
+    T = rowfac[lo] * colfac[hi] * np.exp(LW[hi] - LW[lo + 1])
 
     Jinv = TridiagonalResolvent(J).dense()
     H = Jinv - T
@@ -424,13 +423,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     # smallness certificates
     c0 = float(np.min(np.abs(a)))
     c1 = float(max(np.max(np.abs(a)), np.max(np.abs(bz))))
-    c2 = float(
-        max(
-            1.0,
-            abs((-a[0] + lm2 * bz[0]) / (a[0] - lp2 * bz[0])),
-            abs((-opN1 * a[N - 2] + bz[N - 1]) / (omN1 * a[N - 2] - bz[N - 1])),
-        )
-    )
+    c2 = float(max(1.0, abs((-a[0] + lm2 * bz[0]) / (a[0] - lp2 * bz[0])), abs(r_beta)))
     # eigenbasis mismatch over the interior steps l = 2..N-2 (real data only)
     m_norms = _mismatch_norms(omp[1 : N - 1], omm[1 : N - 1])
     eps1 = float(N * np.max(m_norms)) if m_norms.size else 0.0

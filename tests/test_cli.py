@@ -228,13 +228,32 @@ def test_bad_paths_are_config_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("config error:")
 
 
-def test_numerical_error_exit_code(tmp_path):
-    # invalid family parameters surface as a numerical/domain failure
-    code = main([
-        "hypotheses", "--ensemble", "laguerre", "--params", '{"gamma": -2}',
-        "--n", "100", "--alpha", "0.5",
-    ])
-    assert code == 1
+@pytest.mark.parametrize("argv", list(REPLAY_RUNS.values()), ids=list(REPLAY_RUNS))
+def test_empty_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, argv):
+    # -o "" never means stdout; only a batch file saved before the report remains
+    monkeypatch.chdir(tmp_path)
+    assert argv[-2] == "-o"
+    assert main(argv[:-1] + [""]) == 2
+    assert capsys.readouterr() == ("", "config error: empty output path\n")
+    expected = ["batch.bin"] if "--out-batch" in argv else []
+    assert [p.name for p in tmp_path.iterdir()] == expected
+
+
+def test_numerical_error_exit_code(tmp_path, capsys):
+    # invalid family parameters surface as a numerical/domain failure, and so
+    # do params that are not an object of real numbers and non-positive or
+    # non-finite tolerances and zoom scales
+    hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
+    for argv in (
+        hyp + ["--params", '{"gamma": -2}'],
+        hyp + ["--params", "[1]"],
+        hyp + ["--params", '{"gamma": "a"}'],
+        *(["variance-limit", "--f", "im:1/(x-i)", "--tol", tol] for tol in ("0", "-1", "nan")),
+        ["decay", "--n-alpha", "0", "-o", str(tmp_path / "decay.csv")],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:"), argv
+    assert list(tmp_path.iterdir()) == []
     # so does a window too large for the dense engine, before it allocates
     code = main([
         "cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5", "--n", "100000",

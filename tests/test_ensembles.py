@@ -157,6 +157,13 @@ class TestJson:
         with pytest.raises(InvalidParams):
             om.from_json({"family": "laguerre", "params": {"gamma": 0, "bad": 2}})
 
+    @pytest.mark.parametrize("params", [[1], {"gamma": "a"}])
+    def test_params_must_be_an_object_of_real_numbers(self, params):
+        with pytest.raises(InvalidParams):
+            om.from_json({"family": "laguerre", "params": params})
+        with pytest.raises(InvalidParams):
+            om.EnsembleSpec(Family.LAGUERRE, params)
+
     def test_unknown_family(self):
         with pytest.raises(InvalidParams):
             om.from_json({"family": "wigner", "params": {}})

@@ -191,6 +191,58 @@ class TestFreeResolvent:
             om.free_resolvent_entry(1j, 10.0, om.Side.LEFT, np.arange(0, 3), 1)
 
 
+def _split_T_by_matrix_products(J):
+    """T of the almost-Toeplitz split with C, D and phi from explicit 2x2 products.
+
+    C(k) = (1, 1) M_k (1, beta2/beta1) with M_k = V_k^-1 (P_k - V_k diag(1, suffix_k)
+    V_{N-1}^-1) V_{N-1}, P_k = A_k ... A_{N-1}; D and dtilde likewise from W_j,
+    Q_j = B_j ... B_2; entries are plain products of omega^-.
+    """
+    N = J.N
+    bz = J.diag - J.shift
+    a = J.offdiag
+    a_prev, a_curr = np.r_[a[0], a], np.r_[a, a[-1]]
+    root = np.sqrt(bz ** 2 - 4 * a_prev * a_curr)
+    omp, omm = (bz + root) / (2 * a_prev), (bz - root) / (2 * a_prev)
+    lap, lam = (bz + root) / (2 * a_curr), (bz - root) / (2 * a_curr)
+    ratio = omm / omp
+
+    def basis(i, plus, minus):
+        return np.array([[1, 1], [plus[i], minus[i]]])
+
+    def corrected(M, r):
+        return M.sum(axis=0) @ [1, r]
+
+    VN, W2 = basis(N - 2, omp, omm), basis(1, lap, lam)
+    r_beta = (bz[N - 1] - omp[N - 2] * a[N - 2]) / (omm[N - 2] * a[N - 2] - bz[N - 1])
+    r_gamma = (bz[0] - lap[1] * a[0]) / (lam[1] * a[0] - bz[0])
+    r_delta = r_gamma * (bz[N - 1] * lam[N - 2] - a[N - 2]) / (bz[N - 1] * lap[N - 2] - a[N - 2])
+    C, D = np.zeros(N + 1, complex), np.zeros(N + 1, complex)
+    P = Q = np.eye(2)
+    for k in range(N - 1, 0, -1):
+        A = np.array([[0, 1], [-a_curr[k - 1] / a_prev[k - 1], bz[k - 1] / a_prev[k - 1]]])
+        P = A / omp[k - 1] @ P
+        M = np.linalg.solve(basis(k - 1, omp, omm), P @ VN)
+        C[k] = corrected(M - np.diag([1, np.prod(ratio[k - 1 : N - 1])]), r_beta)
+    for j in range(2, N + 1):
+        B = np.array([[0, 1], [-a_prev[j - 1] / a_curr[j - 1], bz[j - 1] / a_curr[j - 1]]])
+        Q = B / lap[j - 1] @ Q
+        M = np.linalg.solve(basis(j - 1, lap, lam), Q @ W2) - np.diag([1, np.prod(ratio[1:j])])
+        D[j] = corrected(M, r_gamma)
+        if j == N - 1:
+            phi = 1 + r_delta * np.prod(ratio[1:j]) + corrected(M, r_delta)
+    pref = omm[N - 2] / ((omp[N - 2] - omm[N - 2]) * phi)
+    T = np.zeros((N, N), complex)
+    for j in range(1, N + 1):
+        # the diagonal carries 1/omega^-_j for j >= 2 (the products start at l = 2)
+        step = omm[j - 1] if j > 1 else 1
+        T[j - 1, j - 1] = pref * (1 + D[j]) * (1 + C[j]) / (a_prev[j - 1] * step)
+        prods = np.cumprod(np.r_[1, omm[j : N - 1]])        # omega^-_{j+1} ... omega^-_{k-1}
+        signs = (-1.0) ** np.arange(1, N - j + 1)
+        T[j - 1, j:] = pref * (1 + D[j]) * signs * prods * (1 + C[j + 1 :]) / a_prev[j:]
+    return T + np.triu(T, 1).T
+
+
 class TestAlmostToeplitz:
     def test_toeplitz_reflection_structure(self):
         # constant coefficients: H equals the corner reflection term exactly
@@ -239,6 +291,39 @@ class TestAlmostToeplitz:
         assert dec.diagnostics.reason is not None
         oracle = om.invert_dense_oracle(J)
         assert np.max(np.abs(dec.T + dec.H - oracle)) < 1e-10
+
+    def test_long_toeplitz_window_stays_finite(self):
+        # exp(-LW_j) and exp(LW_{k-1}) each overflow at this length; their
+        # difference does not
+        N = 1000
+        J = om.TridiagonalMatrix(2.0 * np.ones(N), np.ones(N - 1), 2j)
+        dec = om.almost_toeplitz_decompose(J)
+        assert np.all(np.isfinite(dec.T)) and np.all(np.isfinite(dec.H))
+        assert dec.diagnostics.applicable
+        bz = 2.0 - 2j
+        root = np.sqrt(bz ** 2 - 4)
+        omp, omm = (bz + root) / 2, (bz - root) / 2
+        j = np.arange(2, 41)
+        pred = -((-omm) ** (j[:, None] + j)) / (omp - omm)
+        assert np.max(np.abs(dec.H[1:40, 1:40] - pred)) <= 1e-12 * np.max(np.abs(dec.T))
+        oracle = om.invert_dense_oracle(J)
+        assert np.max(np.abs(dec.T + dec.H - oracle)) <= 1e-10
+
+    @pytest.mark.parametrize("fixture", ["toeplitz", "criterion8", "laguerre"])
+    def test_T_matches_explicit_transfer_products(self, fixture):
+        if fixture == "toeplitz":
+            J = om.TridiagonalMatrix(2.0 * np.ones(200), np.ones(199), 0.1j)
+        elif fixture == "criterion8":
+            N = 300
+            diag = 2.0 + 0.1 * np.arange(N) / N
+            off = 1.0 + 0.05 * np.arange(N - 1) / N
+            J = om.TridiagonalMatrix(diag, off, 0.05 + 0.02j)
+        else:
+            n = 4000
+            w = 2 * math.ceil(n ** 0.55)
+            J = om.TridiagonalMatrix(*om.jacobi_window(om.laguerre(0.0), n, n - w, n + w), 1j / n)
+        T = om.almost_toeplitz_decompose(J).T
+        assert np.max(np.abs(T - _split_T_by_matrix_products(J))) <= 1e-11 * np.max(np.abs(T))
 
     def test_diagnostics_fields(self):
         N = 50
