@@ -77,30 +77,33 @@ def _double_integral_tan(
     halfwidth: float,
     tol: float,
 ) -> tuple[float, float]:
-    """Integrate integrand(x, y) over [-L, L]^2 via x = tan(theta) panels.
+    """Integrate a nonnegative integrand(x, y) over [-L, L]^2 via x = tan(theta) panels.
 
     Doubles the panel count until two successive values agree to tol/2;
-    returns (value, |last refinement step|).  Raises NoConvergence when the
-    refinement stalls.
+    returns (value, |last refinement step| + sqrt(n) eps |value|), the second
+    term the probabilistic rounding bound of n-term sums of nonnegative terms.
+    Raises NoConvergence when that term, which grows with n, exceeds 2 tol/5,
+    or when the refinement stalls.
     """
     theta_max = math.atan(halfwidth)
     prev = None
     diff = math.inf
-    value = math.nan
     for level in range(2, _MAX_LEVEL + 1):
         theta, w = _gl_panels(-theta_max, theta_max, 2 ** level)
         x = np.tan(theta)
         wx = w / np.cos(theta) ** 2
-        total = 0.0
+        value = 0.0
         chunk = max(1, 2 ** 22 // len(x))
         for start in range(0, len(x), chunk):
             block = integrand(x[start : start + chunk, None], x[None, :])
-            total += float(wx[start : start + chunk] @ block @ wx)
-        value = total
+            value += float(wx[start : start + chunk] @ block @ wx)
+        rounding = math.sqrt(len(x)) * np.finfo(float).eps * abs(value)
+        if rounding > 0.4 * tol:
+            raise NoConvergence(f"tolerance below the rounding floor ({rounding / tol:.3g} tol)")
         if prev is not None:
             diff = abs(value - prev)
             if diff < tol / 2:
-                return value, diff
+                return value, diff + rounding
         prev = value
     raise NoConvergence(
         f"refinement stalled at |delta| = {diff:.3g} > tol/2 = {tol / 2:.3g}"
@@ -145,20 +148,36 @@ def weighted_lipschitz_norm(
     return max(off_sup, diag_sup)
 
 
-def _tail_bound(halfwidth: float, lw_norm: float) -> float:
-    """Tail of the variance integral outside [-L, L]^2.
+def _dominating_integrand(X, Y):
+    """(x+y)^2 / ((1+x^4)(1+y^4)), whose integral over R^2 is pi^2.
 
-    The integrand is dominated by lw^2 (x+y)^2 / ((1+x^4)(1+y^4)); each of
-    the four strips beyond the square contributes at most
-    lw^2 (I0 * 2/L + I2 * 2/(3 L^3)) with I0 = I2 = pi/sqrt(2), all divided
-    by the 8 pi^2 prefactor.
+    Times lw(f)^2 it dominates the variance integrand ((f(s x^2) - f(s y^2)) / (x - y))^2.
     """
-    return lw_norm ** 2 * _tail_strips(halfwidth) / (8 * math.pi ** 2)
+    return (X + Y) ** 2 / ((1 + X ** 4) * (1 + Y ** 4))
 
 
 def _tail_strips(halfwidth: float) -> float:
-    """Sum over the four strips beyond [-L, L]^2 of I0 * 2/L + I2 * 2/(3 L^3)."""
-    return 4 * _WEIGHT_INTEGRAL * (2 / halfwidth + 2 / (3 * halfwidth ** 3))
+    """Bound on the integral of ``_dominating_integrand`` beyond [-L, L]^2.
+
+    Each of the four strips contributes at most I0 * 2/L + I2 * 2/(3 L^3),
+    I0 = I2 = pi/sqrt(2); L*L*L overflows to inf where L ** 3 would raise.
+    """
+    cube = halfwidth * halfwidth * halfwidth
+    return 4 * _WEIGHT_INTEGRAL * (2 / halfwidth + 2 / (3 * cube))
+
+
+def _truncated_square(integrand, bound: float, scale: float, tol: float) -> tuple[float, float]:
+    """(value, est_error) of (1/scale) times the integral over R^2 of integrand, to tol.
+
+    ``integrand`` is nonnegative and at most bound * ``_dominating_integrand``.
+    The half-width is the smallest L = 50 * 2^k whose tail bound is at most
+    tol/10; the budget adds that bound to the refinement's step and rounding.
+    """
+    halfwidth = 50.0
+    while (tail := bound * _tail_strips(halfwidth) / scale) > tol / 10:
+        halfwidth *= 2
+    raw, err = _double_integral_tan(integrand, halfwidth, tol * scale)
+    return raw / scale, err / scale + tail
 
 
 def _variance_integrand(f, s: float):
@@ -187,20 +206,15 @@ def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
     """Limiting edge variance of f by adaptive double quadrature.
 
     ``f`` is any real function decaying at infinity (rational or compactly
-    supported).  The truncation half-width is the value that makes the
-    weighted-Lipschitz tail bound contribute at most tol/10.
+    supported).  est_error is the last refinement step plus the rounding term
+    plus the weighted-Lipschitz tail bound; NoConvergence when tol lies below
+    the rounding floor.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParams(f"quadrature tolerance must be finite and positive, got {tol!r}")
     s = 1.0 if side is Side.LEFT else -1.0
-    lw_norm = weighted_lipschitz_norm(f)
-    halfwidth = 50.0
-    while _tail_bound(halfwidth, lw_norm) > tol / 10:
-        halfwidth *= 2
-    integrand = _variance_integrand(f, s)
-    raw, diff = _double_integral_tan(integrand, halfwidth, tol * 8 * math.pi ** 2)
-    value = raw / (8 * math.pi ** 2)
-    est = diff / (8 * math.pi ** 2) + _tail_bound(halfwidth, lw_norm)
+    bound = weighted_lipschitz_norm(f) ** 2
+    value, est = _truncated_square(_variance_integrand(f, s), bound, 8 * math.pi ** 2, tol)
     return LimitVariance(value=value, method="quadrature", side=side, est_error=est)
 
 
@@ -219,27 +233,12 @@ def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     return LimitVariance(value=total.real, method="residue", side=side, est_error=est)
 
 
-def pi_squared_check(domain_halfwidth: float | None = None) -> float:
-    """Quadrature of the normalization integral whose exact value is pi^2.
+def pi_squared_check() -> float:
+    """Integral over R^2 of ``_dominating_integrand``, exactly pi^2, to tolerance 1e-7.
 
-    integral over R^2 of ((x+y) / (sqrt(x^4+1) sqrt(y^4+1)))^2 dx dy, to
-    tolerance 1e-7.  The default truncation half-width follows the same tail
-    rule as the variance quadrature; a deliberately small ``domain_halfwidth``
-    exposes the truncation error (used by tests to guard against silent
-    truncation).
+    Runs the variance quadrature's half-width rule, tail bound and refinement.
     """
-
-    def integrand(X, Y):
-        return (X + Y) ** 2 / ((1 + X ** 4) * (1 + Y ** 4))
-
-    if domain_halfwidth is None:
-        target = _PI_SQUARED_TOL / 10
-        halfwidth = 50.0
-        while _tail_strips(halfwidth) > target:
-            halfwidth *= 2
-    else:
-        halfwidth = float(domain_halfwidth)
-    value, _ = _double_integral_tan(integrand, halfwidth, _PI_SQUARED_TOL)
+    value, _ = _truncated_square(_dominating_integrand, 1.0, 1.0, _PI_SQUARED_TOL)
     return value
 
 
@@ -301,12 +300,11 @@ def fit_resolvent_approximation(
     A = np.vstack([rows_val, rows_diff])
     y = np.concatenate([target * w_val, np.diff(target) / dx * w_diff])
 
-    sv = np.linalg.svd(A, compute_uv=False)
+    weights, _, _, sv = np.linalg.lstsq(A, y, rcond=None)
     if sv[-1] == 0 or sv[0] / sv[-1] > 1e12:
         raise IllConditioned(
             f"design matrix condition {sv[0] / max(sv[-1], 1e-300):.3g} exceeds 1e12"
         )
-    weights, *_ = np.linalg.lstsq(A, y, rcond=None)
     fitted = ResolventTestFunction(tuple(poles), tuple(weights))
     achieved = weighted_lipschitz_norm(lambda x: np.asarray(f(x)) - fitted(x))
     return fitted, achieved

@@ -402,12 +402,12 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
 
     # T entries: for lo = min(j, k) <= hi = max(j, k) (1-based),
     #   T = (-1)^{hi-lo} pref (1+D(lo)) (1+C(hi)) / a_{hi-1} * exp(LW(hi-1) - LW(lo))
-    # with LW(i) = sum_{l=2}^{i} log omega_l^-; the unified exponent covers
-    # the diagonal (hi = lo >= 2 gives the 1/omega_lo^- of the exact formula).  The
-    # exponents are differenced before exp, so long windows do not overflow,
-    # and the sign splits as (-1)^hi (-1)^lo into the per-index factors.
+    # with LW(i) = sum_{l=1}^{i} log omega_l^-; the unified exponent covers
+    # the diagonal (hi = lo gives the 1/omega_lo^- of the exact formula, also at
+    # lo = 1).  The exponents are differenced before exp, so long windows do not
+    # overflow, and the sign splits as (-1)^hi (-1)^lo into the per-index factors.
     LW = np.zeros(N + 1, dtype=complex)           # LW[i], i = 0..N
-    LW[2:] = np.cumsum(np.log(omm[1:]))
+    LW[1:] = np.cumsum(np.log(omm))
     alt = (-1.0) ** np.arange(1, N + 1)
     pref = omN1 / ((opN1 - omN1) * phi_denom)
     rowfac = pref * alt * (1.0 + D[1:])

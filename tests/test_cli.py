@@ -241,14 +241,15 @@ def test_empty_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, argv
 
 def test_numerical_error_exit_code(tmp_path, capsys):
     # invalid family parameters surface as a numerical/domain failure, and so
-    # do params that are not an object of real numbers and non-positive or
-    # non-finite tolerances and zoom scales
+    # do params that are not an object of real numbers, non-positive or
+    # non-finite tolerances and zoom scales, and tolerances below the rounding floor
     hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
     for argv in (
         hyp + ["--params", '{"gamma": -2}'],
         hyp + ["--params", "[1]"],
         hyp + ["--params", '{"gamma": "a"}'],
-        *(["variance-limit", "--f", "im:1/(x-i)", "--tol", tol] for tol in ("0", "-1", "nan")),
+        *(["variance-limit", "--f", "im:1/(x-i)", "--tol", tol]
+          for tol in ("0", "-1", "nan", "1e-120", "1e-300")),
         ["decay", "--n-alpha", "0", "-o", str(tmp_path / "decay.csv")],
     ):
         assert main(argv) == 1, argv

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import opemeso as om
+from opemeso import limits
 from opemeso.errors import IllConditioned, InvalidParams, NoConvergence
 
 IM_G = om.parse_test_function("im:1/(x-i)")
@@ -95,13 +96,36 @@ class TestPiSquared:
     def test_truncation_guard(self):
         # a deliberately small domain, then halved: the change must exceed
         # the tolerance, proving the check is sensitive to silent truncation
-        v_small = om.pi_squared_check(domain_halfwidth=50.0)
-        v_half = om.pi_squared_check(domain_halfwidth=25.0)
+        v_small, _ = limits._double_integral_tan(limits._dominating_integrand, 50.0, 1e-7)
+        v_half, _ = limits._double_integral_tan(limits._dominating_integrand, 25.0, 1e-7)
         assert abs(v_small - v_half) > 1e-6
 
     def test_integrand_zero_at_origin(self):
-        # (x+y)^2 factor vanishes at the origin
-        assert (0.0 + 0.0) ** 2 / ((1 + 0.0) * (1 + 0.0)) == 0.0
+        # the (x+y)^2 factor vanishes at the origin and on the anti-diagonal
+        g = limits._dominating_integrand
+        assert g(0.0, 0.0) == 0.0
+        assert g(1.5, -1.5) == 0.0
+        assert g(1.0, 1.0) == 1.0
+        assert g(2.0, -1.0) == g(-1.0, 2.0) > 0
+
+
+class TestQuadratureBudget:
+    # 3/32 and 1/32 are exact in binary; sigma2_residue reproduces them within its budget
+    @pytest.mark.parametrize("tol", [1e-14, 1e-16, 1e-30])
+    @pytest.mark.parametrize("side", [om.Side.LEFT, om.Side.RIGHT])
+    @pytest.mark.parametrize("f, exact", [(IM_G, 3 / 32), (RE_G, 1 / 32)], ids=["im", "re"])
+    def test_budget_covers_exact_value_or_raises(self, f, exact, side, tol):
+        residue = om.sigma2_residue(f, side)
+        assert abs(residue.value - exact) <= residue.est_error
+        try:
+            q = om.sigma2_quadrature(f, side, tol=tol)
+        except NoConvergence as exc:
+            # refused only when the rounding floor sqrt(n) eps |value| exceeds 2 tol/5
+            assert "rounding floor" in str(exc)
+            assert tol < 2.5 * math.sqrt(12 * 2 ** 9) * np.finfo(float).eps * exact
+            return
+        assert abs(q.value - exact) <= q.est_error <= tol
+        assert q.est_error >= np.finfo(float).eps * abs(q.value)
 
 
 class TestWeightedLipschitzNorm:

@@ -234,9 +234,9 @@ def _split_T_by_matrix_products(J):
     pref = omm[N - 2] / ((omp[N - 2] - omm[N - 2]) * phi)
     T = np.zeros((N, N), complex)
     for j in range(1, N + 1):
-        # the diagonal carries 1/omega^-_j for j >= 2 (the products start at l = 2)
-        step = omm[j - 1] if j > 1 else 1
-        T[j - 1, j - 1] = pref * (1 + D[j]) * (1 + C[j]) / (a_prev[j - 1] * step)
+        # k = j in prod_{l=j+1}^{k-1} omega^-_l is the reversed empty range, 1/omega^-_j,
+        # for every j >= 1: T_jj = pref (1+D_j)(1+C_j) / (a_{j-1} omega^-_j)
+        T[j - 1, j - 1] = pref * (1 + D[j]) * (1 + C[j]) / (a_prev[j - 1] * omm[j - 1])
         prods = np.cumprod(np.r_[1, omm[j : N - 1]])        # omega^-_{j+1} ... omega^-_{k-1}
         signs = (-1.0) ** np.arange(1, N - j + 1)
         T[j - 1, j:] = pref * (1 + D[j]) * signs * prods * (1 + C[j + 1 :]) / a_prev[j:]
@@ -253,7 +253,7 @@ class TestAlmostToeplitz:
         bz = 2.0 - 0.1j
         root = np.sqrt(bz ** 2 - 4)
         omp, omm = (bz + root) / 2, (bz - root) / 2
-        for j, k in [(3, 5), (8, 8), (2, 10), (15, 15), (4, 20)]:
+        for j, k in [(1, 1), (3, 5), (8, 8), (2, 10), (15, 15), (4, 20)]:
             pred = -((-omm) ** (j + k)) / (omp - omm)
             got = dec.H[j - 1, k - 1]
             assert abs(got - pred) < 1e-10 * abs(pred)
@@ -303,9 +303,10 @@ class TestAlmostToeplitz:
         bz = 2.0 - 2j
         root = np.sqrt(bz ** 2 - 4)
         omp, omm = (bz + root) / 2, (bz - root) / 2
-        j = np.arange(2, 41)
+        j = np.arange(1, 41)
         pred = -((-omm) ** (j[:, None] + j)) / (omp - omm)
-        assert np.max(np.abs(dec.H[1:40, 1:40] - pred)) <= 1e-12 * np.max(np.abs(dec.T))
+        assert np.max(np.abs(dec.H[:40, :40] - pred)) <= 1e-12 * np.max(np.abs(dec.T))
+        assert abs(dec.T[0, 0] - dec.T[1, 1]) <= 1e-12 * abs(dec.T[1, 1])
         oracle = om.invert_dense_oracle(J)
         assert np.max(np.abs(dec.T + dec.H - oracle)) <= 1e-10
 
