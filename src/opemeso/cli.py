@@ -1,9 +1,10 @@
 """Command-line front end: sweeps, variance limits, decay studies, sampling.
 
 Every file-writing run drops a ``<output>.manifest.json`` next to its output
-(config echo + git describe + wall clock); ``--from-manifest`` replays a
-manifest and reproduces the outputs bit-exactly.  Exit codes: 0 success,
-1 numerical failure, 2 configuration error.
+(config echo, git describe, versions, wall clock); ``--from-manifest``
+replays a manifest and reproduces the outputs bit-exactly.  Every output is
+overwritten in place.  Exit codes: 0 success, 1 numerical failure,
+2 configuration error.
 """
 
 from __future__ import annotations
@@ -11,14 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import (
+    __version__,
     EdgeSpec,
     Side,
     TridiagonalMatrix,
@@ -33,6 +37,7 @@ from . import (
     sigma2_quadrature,
     sigma2_residue,
 )
+from ._files import write_in_place
 from .errors import InvalidParams, OpemesoError
 from .sampling import SampleBatch, load_batch, save_batch, standardized_skewness
 from .testfun import _parse_complex
@@ -43,9 +48,11 @@ _DECAY_MAX_ROWS = 10 ** 6  # largest decay --size (O(N) vectors, ~0.25 GB peak a
 
 
 def _git_describe() -> str:
+    """``git describe`` of the checkout this package runs from, whatever the cwd."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             check=False,
@@ -54,6 +61,18 @@ def _git_describe() -> str:
         return out.stdout.strip() or "nogit"
     except OSError:
         return "nogit"
+
+
+def _versions() -> dict:
+    """The package, interpreter, numpy, scipy and BLAS versions behind a run."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "opemeso": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+    }
 
 
 def _csv(header: str, rows) -> str:
@@ -71,9 +90,10 @@ def _json(payload: dict, **options) -> str:
 def _emit(text: str, output: str | None) -> list[Path]:
     """Write text to ``output`` and return that path, or print it if ``output`` is None.
 
-    Every report, sidecar and manifest the CLI writes goes through here.  An
-    empty path is a configuration error for every command, so ``-o ""``
-    writes nothing and never means stdout.
+    Every report, sidecar and manifest the CLI writes goes through here, and
+    is overwritten in place (``write_in_place``).  An empty path is a
+    configuration error for every command, so ``-o ""`` writes nothing and
+    never means stdout.
     """
     if output is None:
         sys.stdout.write(text)
@@ -81,7 +101,7 @@ def _emit(text: str, output: str | None) -> list[Path]:
     if not output:
         raise ValueError("empty output path")
     out = Path(output)
-    out.write_text(text)
+    write_in_place(out, text.encode())
     return [out]
 
 
@@ -397,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
             "command": args.command,
             "config": {k: v for k, v in vars(args).items() if k != "from_manifest"},
             "git_describe": _git_describe(),
+            "versions": _versions(),
             "wallclock_s": wallclock,
             "outputs": [str(p) for p in outputs],
         }

@@ -75,16 +75,19 @@ def _gl_panels(a: float, b: float, n_panels: int):
 def _double_integral_tan(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     halfwidth: float,
+    scale: float,
     tol: float,
 ) -> tuple[float, float]:
-    """Integrate a nonnegative integrand(x, y) over [-L, L]^2 via x = tan(theta) panels.
+    """(1/scale) times the integral of a nonnegative integrand(x, y) over [-L, L]^2.
 
-    Doubles the panel count until two successive values agree to tol/2;
-    returns (value, |last refinement step| + sqrt(n) eps |value|), the second
-    term the probabilistic rounding bound of n-term sums of nonnegative terms.
-    Raises NoConvergence when that term, which grows with n, exceeds 2 tol/5,
-    or when the refinement stalls.
+    Uses x = tan(theta) panels and doubles the panel count until two
+    successive values agree to tol/2; returns (value, |last refinement step|
+    + sqrt(n) eps |value|), the second term the probabilistic rounding bound
+    of n-term sums of nonnegative terms.  Raises NoConvergence when that term,
+    which grows with n, exceeds 2 tol/5, or when the refinement stalls.
+    ``tol``, the result and the error messages are all in units of 1/scale.
     """
+    raw_tol = tol * scale  # the loop compares raw integrals
     theta_max = math.atan(halfwidth)
     prev = None
     diff = math.inf
@@ -98,15 +101,17 @@ def _double_integral_tan(
             block = integrand(x[start : start + chunk, None], x[None, :])
             value += float(wx[start : start + chunk] @ block @ wx)
         rounding = math.sqrt(len(x)) * np.finfo(float).eps * abs(value)
-        if rounding > 0.4 * tol:
-            raise NoConvergence(f"tolerance below the rounding floor ({rounding / tol:.3g} tol)")
+        if rounding > 0.4 * raw_tol:
+            raise NoConvergence(
+                f"tolerance below the rounding floor ({rounding / raw_tol:.3g} tol)"
+            )
         if prev is not None:
             diff = abs(value - prev)
-            if diff < tol / 2:
-                return value, diff + rounding
+            if diff < raw_tol / 2:
+                return value / scale, (diff + rounding) / scale
         prev = value
     raise NoConvergence(
-        f"refinement stalled at |delta| = {diff:.3g} > tol/2 = {tol / 2:.3g}"
+        f"refinement stalled at |delta| = {diff / scale:.3g} > tol/2 = {tol / 2:.3g}"
     )
 
 
@@ -176,8 +181,8 @@ def _truncated_square(integrand, bound: float, scale: float, tol: float) -> tupl
     halfwidth = 50.0
     while (tail := bound * _tail_strips(halfwidth) / scale) > tol / 10:
         halfwidth *= 2
-    raw, err = _double_integral_tan(integrand, halfwidth, tol * scale)
-    return raw / scale, err / scale + tail
+    value, err = _double_integral_tan(integrand, halfwidth, scale, tol)
+    return value, err + tail
 
 
 def _variance_integrand(f, s: float):
@@ -221,15 +226,27 @@ def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
 def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     """Exact limiting edge variance of a rational test function.
 
-    Closed form sum_{r,s} c_r c_s / (4 rho_r rho_s (rho_r + rho_s)^2) with
-    rho_r the principal square root of -eta_r (left edge) or +eta_r (right
-    edge), summed over the conjugate-closed pole expansion.
+    Closed form sum_{r,s} t_rs, t_rs = c_r c_s / (4 rho_r rho_s (rho_r + rho_s)^2)
+    with rho_r the principal square root of -eta_r (left edge) or +eta_r
+    (right edge), summed over the conjugate-closed pole expansion.
+
+    est_error is |Im total| plus eps sum_{r,s} |t_rs| (2 kappa_rs + 27), a
+    first-order rounding bound (u = eps/2): each rho errs by at most 2u; a
+    term takes four complex products (sqrt(5) u each), one sum and one
+    quotient, about 10 eps in all, while rho_r + rho_s magnifies the square
+    roots' errors by kappa_rs = (|rho_r| + |rho_s|) / |rho_r + rho_s|, twice
+    after squaring; numpy's pairwise sum of up to 4e6 terms adds at most
+    17 eps sum |t_rs|.  The |t_rs| weighting matters when terms cancel, and
+    kappa when two poles nearly coincide close to the real axis.
     """
     c, eta = f.expanded()
     rho = np.sqrt(-eta) if side is Side.LEFT else np.sqrt(eta)
-    denom = 4.0 * np.outer(rho, rho) * (rho[:, None] + rho[None, :]) ** 2
-    total = complex(np.sum(np.outer(c, c) / denom))
-    est = abs(total.imag) + 8 * np.finfo(float).eps * abs(total.real)
+    pair_sum = rho[:, None] + rho[None, :]
+    terms = np.outer(c, c) / (4.0 * np.outer(rho, rho) * pair_sum ** 2)
+    total = complex(np.sum(terms))
+    kappa = np.add.outer(np.abs(rho), np.abs(rho)) / np.abs(pair_sum)
+    rounding = np.finfo(float).eps * float(np.sum(np.abs(terms) * (2 * kappa + 27)))
+    est = abs(total.imag) + rounding
     return LimitVariance(value=total.real, method="residue", side=side, est_error=est)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from ._files import write_in_place
 from .ensembles import EdgeSpec, EnsembleSpec, Family
 from .errors import InvalidParams, Unsupported
 
@@ -148,10 +149,15 @@ def standardized_skewness(batch: SampleBatch, f, edge: EdgeSpec) -> float:
 
 
 def save_batch(batch: SampleBatch, path) -> None:
-    """Flat binary: header (magic, version, n, count, seed) + row-major float64."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, batch.n, batch.count, batch.seed))
-        fh.write(np.ascontiguousarray(batch.spectra, dtype="<f8").tobytes())
+    """Flat binary: header (magic, version, n, count, seed) + row-major float64.
+
+    An existing file is overwritten in place (``write_in_place``).
+    """
+    write_in_place(
+        path,
+        _HEADER.pack(_MAGIC, _VERSION, batch.n, batch.count, batch.seed),
+        np.ascontiguousarray(batch.spectra, dtype="<f8"),
+    )
 
 
 def load_batch(path, ensemble: EnsembleSpec) -> SampleBatch:

@@ -1,11 +1,16 @@
 """CLI: subcommands, output schemas, manifest replay, exit codes."""
 
 import json
+import os
+import platform
+import subprocess
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import opemeso
 from opemeso.cli import main
 
 
@@ -77,6 +82,79 @@ def test_manifest_replay_reproduces_every_output(tmp_path, monkeypatch, argv):
         Path(path).unlink()
     assert main(["--from-manifest", manifest.name]) == 0
     assert {path: Path(path).read_bytes() for path in outputs} == first
+
+
+@pytest.mark.parametrize("argv", list(REPLAY_RUNS.values()), ids=list(REPLAY_RUNS))
+def test_rerun_overwrites_outputs_without_truncating_first(tmp_path, monkeypatch, argv):
+    # O_TRUNC frees the old blocks before the write, which is what makes a
+    # re-run slow; every output must be opened without it and cut at the end
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    opened = {}
+    real_open = os.open
+
+    def spy(path, flags, *args, **kwargs):
+        if Path(path).resolve().parent == tmp_path.resolve():  # not git's /dev/null
+            opened[os.fspath(path)] = flags
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    assert main(argv) == 0
+    (manifest,) = tmp_path.glob("*.manifest.json")
+    expected = json.loads(manifest.read_text())["outputs"] + [manifest.name]
+    assert sorted(opened) == sorted(expected)
+    assert all(flags & os.O_TRUNC == 0 for flags in opened.values()), opened
+
+
+@pytest.mark.parametrize("stale_size", [300, 5000], ids=["same-block", "across-blocks"])
+def test_shorter_output_leaves_no_stale_tail(tmp_path, stale_size):
+    argv = ["variance-limit", "--f", "im:1/(x-i)", "--method", "residue", "-o"]
+    fresh, over = tmp_path / "fresh.json", tmp_path / "over.json"
+    assert main(argv + [str(fresh)]) == 0
+    assert len(fresh.read_bytes()) < stale_size
+    over.write_bytes(b"x" * stale_size)
+    assert main(argv + [str(over)]) == 0
+    assert over.read_bytes() == fresh.read_bytes()
+
+
+def test_smaller_batch_over_larger_matches_fresh_file(tmp_path):
+    batch_path, fresh_path = tmp_path / "batch.bin", tmp_path / "fresh.bin"
+    assert main(_sample_argv(batch_path, "hermite", None, 40)) == 0
+    assert main(_sample_argv(batch_path, "hermite", None, 10)) == 0
+    assert main(_sample_argv(fresh_path, "hermite", None, 10)) == 0
+    assert batch_path.read_bytes() == fresh_path.read_bytes()
+
+
+def test_output_to_character_device(tmp_path):
+    # a device cannot be truncated; the link keeps the manifest in tmp_path
+    sink = tmp_path / "sink"
+    sink.symlink_to(os.devnull)
+    argv = ["variance-limit", "--f", "im:1/(x-i)", "--method", "residue", "-o", str(sink)]
+    assert main(argv) == 0
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "sink.manifest.json").read_text())["outputs"] == [str(sink)]
+
+
+def test_manifest_records_package_checkout_and_versions(tmp_path, monkeypatch):
+    # the describe comes from the package's own directory, not from the cwd
+    package_dir = Path(opemeso.__file__).resolve().parent
+    describe = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=package_dir,
+        capture_output=True, text=True, check=False,
+    ).stdout.strip() or "nogit"
+    monkeypatch.chdir(tmp_path)
+    subprocess.run(["git", "init", "-q"], check=True)
+    assert main(REPLAY_RUNS["variance-limit"]) == 0
+    manifest = json.loads(Path("var.json.manifest.json").read_text())
+    assert manifest["git_describe"] == describe
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["versions"] == {
+        "opemeso": opemeso.__version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
+    }
 
 
 def test_cumulants_json_format(tmp_path):

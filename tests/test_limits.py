@@ -52,6 +52,39 @@ class TestResidue:
                 q = om.sigma2_quadrature(f, side)
                 assert abs(r.value - q.value) < 1e-6
 
+    @staticmethod
+    def exact_residue_sum(f, side):
+        """The same residue sum in 40-digit arithmetic, from the same expanded poles."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            c, eta = f.expanded()
+            sign = -1 if side is om.Side.LEFT else 1
+            rho = [mpmath.sqrt(sign * mpmath.mpc(e)) for e in eta]
+            cs = [mpmath.mpc(x) for x in c]
+            total = mpmath.fsum(
+                a * b / (4 * p * q * (p + q) ** 2) for a, p in zip(cs, rho) for b, q in zip(cs, rho)
+            )
+            return mpmath.mpf(total.real)
+
+    # the second draw of default_rng(0) as in test_matches_quadrature_random_poles,
+    # whose terms cancel, and two nearly coincident poles just above the real axis
+    CANCELLING = om.ResolventTestFunction(
+        (0.9475606623645962 + 0.40438160027223696j, 1.0722128297627078 + 0.453736920488743j),
+        (0.45931089285988813, -0.648688758794882),
+    )
+    NEAR_COINCIDENT = om.ResolventTestFunction(
+        (1.599543334129152 + 0.00014150860643657816j, 1.5996473947435075 + 0.00022705169425912106j),
+        (0.31481829744770673, 0.2332953088123968),
+    )
+
+    @pytest.mark.parametrize("side", [om.Side.LEFT, om.Side.RIGHT])
+    @pytest.mark.parametrize(
+        "f", [IM_G, RE_G, CANCELLING, NEAR_COINCIDENT], ids=["im", "re", "cancelling", "near"]
+    )
+    def test_budget_covers_rounding(self, f, side):
+        r = om.sigma2_residue(f, side)
+        assert abs(r.value - self.exact_residue_sum(f, side)) <= r.est_error
+
     def test_nonnegative(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
@@ -84,8 +117,9 @@ class TestQuadrature:
                 assert val <= norm ** 2 / 8 + 1e-9
 
     def test_no_convergence_raises(self):
-        # impossible tolerance on a kinked integrand stalls the refinement
-        with pytest.raises(NoConvergence):
+        # impossible tolerance on a kinked integrand stalls the refinement;
+        # the message speaks in the variance's units, not the raw integral's
+        with pytest.raises(NoConvergence, match=r"> tol/2 = 5e-14$"):
             om.sigma2_quadrature(triangle_hat, om.Side.LEFT, tol=1e-13)
 
 
@@ -96,8 +130,8 @@ class TestPiSquared:
     def test_truncation_guard(self):
         # a deliberately small domain, then halved: the change must exceed
         # the tolerance, proving the check is sensitive to silent truncation
-        v_small, _ = limits._double_integral_tan(limits._dominating_integrand, 50.0, 1e-7)
-        v_half, _ = limits._double_integral_tan(limits._dominating_integrand, 25.0, 1e-7)
+        v_small, _ = limits._double_integral_tan(limits._dominating_integrand, 50.0, 1.0, 1e-7)
+        v_half, _ = limits._double_integral_tan(limits._dominating_integrand, 25.0, 1.0, 1e-7)
         assert abs(v_small - v_half) > 1e-6
 
     def test_integrand_zero_at_origin(self):

@@ -120,7 +120,9 @@ class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         batch = om.sample_spectra(om.laguerre(0.0), 40, 25, seed=909)
         path = tmp_path / "batch.bin"
+        path.write_bytes(b"x" * 3 * 4096)  # a longer file must lose its stale tail
         om.save_batch(batch, path)
+        assert path.stat().st_size == 36 + 8 * 40 * 25
         loaded = om.load_batch(path, om.laguerre(0.0))
         assert loaded.n == batch.n
         assert loaded.seed == batch.seed
