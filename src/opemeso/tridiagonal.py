@@ -1,11 +1,13 @@
 """Exact finite tri-diagonal linear algebra.
 
-Resolvent entries come from the two linearized continued-fraction recursions
-(one running backward from the last row, one forward from the first); entries
-are assembled in log-space so products of thousands of factors neither
-overflow nor underflow.  On top of that sit the transfer-matrix spectral
-data, the almost-Toeplitz split of the inverse, the closed-form resolvent of
-the free (constant-coefficient) matrix, and a least-squares decay fit.
+One resolvent row costs one banded LU solve against a unit vector; decay
+fits and norm estimates use banded solves only.  ``TridiagonalResolvent`` is
+the entry oracle: it runs the two linearized continued-fraction recursions
+(one backward from the last row, one forward from the first) and assembles
+any entry in log-space, so products of thousands of factors neither overflow
+nor underflow.  On top of that sit the transfer-matrix spectral data, the
+almost-Toeplitz split of the inverse, the closed-form resolvent of the free
+(constant-coefficient) matrix, and a least-squares decay fit.
 """
 
 from __future__ import annotations
@@ -136,7 +138,9 @@ class TridiagonalResolvent:
 
         (J^-1)_{j,k} = (-1)^{k-j} a_j...a_{k-1} (d_{k+1}...d_N)/(delta_j...delta_N)
 
-    for j <= k (1-based), extended by symmetry.
+    for j <= k (1-based), extended by symmetry.  This is the O(1)-entry
+    oracle behind ``dense()`` and the almost-Toeplitz split; a single row is
+    cheaper and more accurate from ``_resolvent_row``'s banded solve.
     """
 
     def __init__(self, J: TridiagonalMatrix):
@@ -474,20 +478,40 @@ class DecayFit:
             yield int(dist), float(val)
 
 
+def _resolvent_row(J: TridiagonalMatrix, ref_row: int) -> np.ndarray:
+    """Row ``ref_row`` (1-based) of J^-1 from one banded LU solve against e_ref.
+
+    J is complex symmetric, so its row equals its column J^-1 e_ref.  Im z != 0
+    keeps J - z nonsingular for real symmetric data.
+    """
+    N = J.N
+    if J.shift.imag == 0:
+        raise InvalidParams("resolvent row needs Im z != 0")
+    if not 1 <= ref_row <= N:
+        raise InvalidParams(f"row index must lie in [1, {N}]")
+    e_ref = np.zeros(N, dtype=complex)
+    e_ref[ref_row - 1] = 1.0
+    return solve_banded((1, 1), J.banded(), e_ref)
+
+
 def decay_profile(J: TridiagonalMatrix, ref_row: int) -> DecayFit:
     """Fit log|(J^-1)_{ref_row, k}| ~ intercept - rate * |k - ref_row|.
 
     Entries below 1e-13 times the row maximum are excluded so the noise
-    floor does not bias the slope.
+    floor does not bias the slope; a fit needs entries at two distinct
+    distances above it.
     """
-    if J.shift.imag == 0:
-        raise InvalidParams("decay profile needs Im z != 0")
-    res = TridiagonalResolvent(J)
-    row = res.row(ref_row)
+    row = _resolvent_row(J, ref_row)
     ks = np.arange(1, J.N + 1)
     dist = np.abs(ks - ref_row)
     mags = np.abs(row)
     mask = (dist > 0) & (mags > _DECAY_FLOOR * mags.max())
+    distinct = np.unique(dist[mask]).size
+    if distinct < 2:
+        raise InvalidParams(
+            f"decay fit needs entries at two distinct distances above the "
+            f"{_DECAY_FLOOR:g} floor, found {distinct}"
+        )
     x = dist[mask].astype(float)
     y = np.log(mags[mask])
     slope, intercept = np.polyfit(x, y, 1)

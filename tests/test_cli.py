@@ -320,7 +320,9 @@ def test_empty_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, argv
 def test_numerical_error_exit_code(tmp_path, capsys):
     # invalid family parameters surface as a numerical/domain failure, and so
     # do params that are not an object of real numbers, non-positive or
-    # non-finite tolerances and zoom scales, and tolerances below the rounding floor
+    # non-finite tolerances and zoom scales, tolerances below the rounding
+    # floor, decay sizes below 3 rows, and a zoom so coarse that only the two
+    # neighbours of the row clear the decay floor (one distance fixes no slope)
     hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
     for argv in (
         hyp + ["--params", '{"gamma": -2}'],
@@ -329,6 +331,9 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         *(["variance-limit", "--f", "im:1/(x-i)", "--tol", tol]
           for tol in ("0", "-1", "nan", "1e-120", "1e-300")),
         ["decay", "--n-alpha", "0", "-o", str(tmp_path / "decay.csv")],
+        *(["decay", "--n-alpha", "100", "--size", size, "-o", str(tmp_path / "decay.csv")]
+          for size in ("0", "-5", "1", "2")),
+        ["decay", "--n-alpha", "1e-8", "--size", "400", "-o", str(tmp_path / "decay.csv")],
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv

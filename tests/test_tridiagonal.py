@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import opemeso as om
 from opemeso.errors import InvalidParams, Singular
+from opemeso.tridiagonal import _resolvent_row
 
 
 def _random_matrix(rng, n_max=64, im_lo=0.1, im_hi=2.0):
@@ -369,6 +370,67 @@ class TestDecayProfile:
         rows = list(fit.csv_rows())
         assert len(rows) == fit.n_points
         assert all(isinstance(r[0], int) for r in rows)
+
+    @pytest.mark.parametrize(
+        "N, z, tol",
+        # the pivot route reads 1.3e-13 on the first case and 6.0e-13 on the second
+        [(400, 2 + 0.01j, 1e-13), (2000, 2 + 1e-4j, 1e-12)],
+    )
+    def test_row_matches_mpmath_thomas_solve(self, N, z, tol):
+        mpmath = pytest.importorskip("mpmath")
+        ref = N // 2
+        with mpmath.workdps(40):
+            # Thomas elimination of (J - z) x = e_ref for diag 0, off-diagonals 1
+            b = -mpmath.mpc(z.real, z.imag)
+            c, d = [mpmath.mpc(0)] * N, [mpmath.mpc(0)] * N
+            c[0], d[0] = 1 / b, mpmath.mpc(ref == 1) / b
+            for i in range(1, N):
+                m = b - c[i - 1]
+                c[i] = 1 / m
+                d[i] = (int(i == ref - 1) - d[i - 1]) / m
+            x = [d[-1]]
+            for i in range(N - 2, -1, -1):
+                x.append(d[i] - c[i] * x[-1])
+            exact = np.array([complex(v) for v in reversed(x)])
+        J = om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), z)
+        row = _resolvent_row(J, ref)
+        keep = np.abs(exact) > 1e-13 * np.max(np.abs(exact))
+        assert np.max(np.abs(row[keep] / exact[keep] - 1)) <= tol
+
+    def test_row_matches_pivot_oracle(self):
+        N = 2000
+        J = om.TridiagonalMatrix(
+            0.1 * np.sin(np.arange(N)), 1.0 + 0.05 * np.arange(N - 1) / N, 2.0 + 1j / 300
+        )
+        oracle = om.TridiagonalResolvent(J).row(700)
+        keep = np.abs(oracle) > 1e-13 * np.max(np.abs(oracle))
+        rel = np.abs(_resolvent_row(J, 700)[keep] / oracle[keep] - 1)
+        assert np.max(rel) <= 1e-10
+
+    def test_fit_builds_no_entry_oracle(self, monkeypatch):
+        def refuse(self, J):
+            raise AssertionError("decay_profile built a TridiagonalResolvent")
+
+        monkeypatch.setattr(om.TridiagonalResolvent, "__init__", refuse)
+        N = 400
+        fit = om.decay_profile(om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2 + 0.01j), 200)
+        assert fit.n_points == N - 1
+
+    def test_rejects_degenerate_fits(self):
+        N = 400
+        # at n^alpha = 1e-8 only the two neighbours of the row clear the floor:
+        # one distance, so a slope would be meaningless
+        tiny = om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2.0 + 1e8j)
+        with pytest.raises(InvalidParams, match="two distinct distances"):
+            om.decay_profile(tiny, ref_row=N // 2)
+        with pytest.raises(InvalidParams, match="two distinct distances"):
+            om.decay_profile(om.TridiagonalMatrix([0.0, 0.0], [1.0], 0.5j), ref_row=1)
+        J = om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2.0 + 0.1j)
+        for ref in (0, N + 1):
+            with pytest.raises(InvalidParams, match="row index"):
+                om.decay_profile(J, ref_row=ref)
+        with pytest.raises(InvalidParams, match="Im z"):
+            om.decay_profile(om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2.5), N // 2)
 
 
 class TestResolventNorm:
