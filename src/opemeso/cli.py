@@ -44,8 +44,8 @@ from .testfun import _parse_complex
 
 _FMT = "%.17g"  # full round-trip precision for golden-file stability
 _RESUME_RTOL = 1e-12  # sample 0 of a resumed batch must match a fresh draw this closely
-# largest decay --size: O(N) vectors and one banded solve, 181 MB process peak
-# and 0.06 s at the cap (2-core AMD EPYC)
+# largest decay --size: O(N) vectors and one in-place banded solve, 137 MB
+# process peak and 0.06 s at the cap (2-core AMD EPYC)
 _DECAY_MAX_ROWS = 10 ** 6
 
 

@@ -491,7 +491,8 @@ def _resolvent_row(J: TridiagonalMatrix, ref_row: int) -> np.ndarray:
         raise InvalidParams(f"row index must lie in [1, {N}]")
     e_ref = np.zeros(N, dtype=complex)
     e_ref[ref_row - 1] = 1.0
-    return solve_banded((1, 1), J.banded(), e_ref)
+    # both arrays are temporaries, so LAPACK may factor and solve in them
+    return solve_banded((1, 1), J.banded(), e_ref, overwrite_ab=True, overwrite_b=True)
 
 
 def decay_profile(J: TridiagonalMatrix, ref_row: int) -> DecayFit:
