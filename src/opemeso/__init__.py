@@ -75,6 +75,7 @@ from .sampling import (
     empirical_statistic,
     load_batch,
     sample_spectra,
+    sample_statistic,
     save_batch,
 )
 

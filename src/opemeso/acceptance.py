@@ -36,7 +36,7 @@ from . import (
     parse_test_function,
     pi_squared_check,
     resolvent_norm_estimate,
-    sample_spectra,
+    sample_statistic,
     second_cumulant_three_ways,
     sigma2_quadrature,
     sigma2_residue,
@@ -229,12 +229,12 @@ def criterion_10_resolvent_norm() -> tuple[bool, str]:
 def criterion_11_monte_carlo() -> tuple[bool, str]:
     """GUE n=200, 1e4 samples, alpha=0.4: empirical variance within 3 SE; |skew| <= 0.15."""
     edge = EdgeSpec(side=Side.RIGHT, alpha=0.4, epsilon=0.1)
-    batch = sample_spectra(hermite(), 200, 10000, seed=20240817)
-    _, var, se = empirical_statistic(batch, IM_G, edge)
+    X = sample_statistic(hermite(), 200, 10000, 20240817, IM_G, edge)
+    _, var, se = empirical_statistic(X)
     F = build_F(hermite(), 200, edge, IM_G)
     exact = cumulant(F, 200, 2) / 200 ** (2 * 0.4)
     zscore = abs(var - exact) / se
-    skew = abs(standardized_skewness(batch, IM_G, edge))
+    skew = abs(standardized_skewness(X))
     ok = zscore <= 3.0 and skew <= 0.15
     return ok, f"|var - exact|/SE = {zscore:.2f} (<= 3); |skew| = {skew:.3f} (<= 0.15)"
 

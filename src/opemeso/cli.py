@@ -34,6 +34,7 @@ from . import (
     from_json,
     parse_test_function,
     sample_spectra,
+    sample_statistic,
     sigma2_quadrature,
     sigma2_residue,
 )
@@ -295,47 +296,52 @@ def _check_batch_ensemble(batch: SampleBatch) -> None:
         )
 
 
-def cmd_sample(args) -> list[Path]:
-    spec = _ensemble_from_args(args)
-    edge = _edge_from_args(args)
-    f = parse_test_function(args.f)
-    outputs = []
-    appended = True
-    if args.resume and args.out_batch and Path(args.out_batch).exists():
+def _write_batch(spec, args) -> None:
+    """Write, or with ``--resume`` extend, the ``--out-batch`` spectra file.
+
+    A resumed file must hold the requested seed, n and ensemble; it is
+    rewritten only when ``--count`` asks for more samples than it stores.
+    """
+    if args.resume and Path(args.out_batch).exists():
         existing = load_batch(args.out_batch, spec)
         if existing.seed != args.seed or existing.n != args.n:
             raise OpemesoError("existing batch does not match the requested seed/n")
         _check_batch_ensemble(existing)
         missing = args.count - existing.count
-        appended = missing > 0
-        if appended:
-            extra = sample_spectra(
-                spec, args.n, missing, args.seed, start_index=existing.count
-            )
-            spectra = np.vstack([existing.spectra, extra.spectra])
-            batch = SampleBatch(spec, args.n, args.seed, spectra)
-        else:
-            batch = existing
+        if missing <= 0:
+            return
+        extra = sample_spectra(spec, args.n, missing, args.seed, start_index=existing.count)
+        batch = SampleBatch(spec, args.n, args.seed, np.vstack([existing.spectra, extra.spectra]))
     else:
         batch = sample_spectra(spec, args.n, args.count, args.seed)
+    save_batch(batch, args.out_batch)
+
+
+def cmd_sample(args) -> list[Path]:
+    """Report the statistic's moments; eigenvalues only for ``--out-batch``.
+
+    The report comes from ``sample_statistic`` whatever the batch file holds,
+    so it depends on (ensemble, n, count, seed, f, edge) alone.
+    """
+    spec = _ensemble_from_args(args)
+    edge = _edge_from_args(args)
+    f = parse_test_function(args.f)
+    X = sample_statistic(spec, args.n, args.count, args.seed, f, edge)
+    outputs = []
     if args.out_batch:
-        if appended:
-            save_batch(batch, args.out_batch)
+        _write_batch(spec, args)
         outputs.append(Path(args.out_batch))
-    if batch.count > args.count:
-        # resumed to fewer samples than stored: report the first --count only
-        batch = SampleBatch(spec, batch.n, batch.seed, batch.spectra[: args.count])
-    mean, var, se = empirical_statistic(batch, f, edge)
+    mean, var, se = empirical_statistic(X)
     payload = {
         "schema": 1,
-        "n": batch.n,
-        "count": batch.count,
-        "seed": batch.seed,
-        "x0": edge.center(spec, batch.n),
+        "n": args.n,
+        "count": args.count,
+        "seed": args.seed,
+        "x0": edge.center(spec, args.n),
         "mean": mean,
         "variance": var,
         "variance_std_error": se,
-        "skewness": standardized_skewness(batch, f, edge),
+        "skewness": standardized_skewness(X),
     }
     return outputs + _emit(_json(payload), args.output)
 

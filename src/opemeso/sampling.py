@@ -1,10 +1,23 @@
 """Monte-Carlo cross-validation via tridiagonal matrix models.
 
-Gaussian (Hermite weight) and Wishart-type (Laguerre weight) spectra are
-sampled exactly in law from their beta = 2 tridiagonal models, one symmetric
-eigensolve per sample.  Every sample owns a counter-based RNG stream keyed by
-(seed, sample index), so batches are bit-identical across runs and can be
-resumed from any index.
+Gaussian (Hermite weight) and Wishart-type (Laguerre weight) ensembles are
+sampled exactly in law from their beta = 2 tridiagonal models
+(Dumitriu-Edelman, J. Math. Phys. 43, 2002).  Every sample owns a
+counter-based RNG stream keyed by (seed, sample index), so batches are
+bit-identical across runs and can be resumed from any index.
+
+Two routes share those models:
+
+* ``sample_spectra`` runs one symmetric eigensolve per sample and returns the
+  spectra, which ``save_batch``/``load_batch`` persist;
+* ``sample_statistic`` returns the linear statistic X = sum_i f(n^alpha
+  (lambda_i - x0)) of each sample for a rational f = sum_r Im(d_r/(x -
+  lambda_r)) without eigenvalues: X = sum_r Im(d_r n^-alpha Tr(J - w_r)^-1)
+  with w_r = x0 + lambda_r n^-alpha, and one forward pivot sweep over the
+  rows, vectorised over samples and poles, gives every trace.
+
+``empirical_statistic`` and ``standardized_skewness`` take either a batch of
+spectra (with f and the edge) or the X array of ``sample_statistic``.
 """
 
 from __future__ import annotations
@@ -18,13 +31,30 @@ from scipy.linalg import eigh_tridiagonal
 from ._files import write_in_place
 from .ensembles import EdgeSpec, EnsembleSpec, Family
 from .errors import InvalidParams, Unsupported
+from .testfun import ResolventTestFunction
 
 _MAGIC = b"OPEBATCH"
 _VERSION = 1
 _HEADER = struct.Struct("<8sIQQQ")  # magic, version, n, count, seed
-_MAX_ENTRIES = 10 ** 7  # largest count * n; `opemeso sample` peaks near 50 B per entry
+_MAX_SPECTRUM = 2000  # largest n of a stored spectrum: sterf is O(n^2) per sample
+# largest count * n.  At n = 400, count = 25,000 `opemeso sample` takes 0.9 s
+# with a 90 MB process peak, or 41 s at 134 MB with --out-batch, whose
+# eigensolves dominate.  Narrow batches pay the sweep's per-row calls: one
+# sample at n = 10^7 takes 46 s at 439 MB (2-core AMD EPYC)
+_MAX_ENTRIES = 10 ** 7
+# count * n per trace sweep: bounds the stacked models at 16 MB for wide
+# batches.  A sweep is never cut below 256 samples, since its per-row numpy
+# calls cost about 5 us whatever the width
+_SWEEP_ENTRIES = 2 ** 20
 
-__all__ = ["SampleBatch", "sample_spectra", "empirical_statistic", "save_batch", "load_batch"]
+__all__ = [
+    "SampleBatch",
+    "sample_spectra",
+    "sample_statistic",
+    "empirical_statistic",
+    "save_batch",
+    "load_batch",
+]
 
 
 @dataclass(frozen=True)
@@ -47,17 +77,16 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _hermite_spectrum(n: int, rng: np.random.Generator) -> np.ndarray:
-    # diagonal ~ Normal(0, 2), off-diagonal k ~ chi with 2(n-k) dof, both
-    # divided by sqrt(2n); spectrum concentrates on [-2, 2]
-    scale = 1.0 / np.sqrt(2.0 * n)
-    diag = rng.normal(0.0, np.sqrt(2.0), size=n) * scale
-    dof = 2.0 * (n - np.arange(1, n))
-    off = np.sqrt(rng.chisquare(dof)) * scale
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
-
-
-def _laguerre_spectrum(n: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
+def _model(family: Family, n: int, gamma: float, rng: np.random.Generator):
+    """Diagonal and off-diagonal of one tridiagonal model, on the ensemble's scale."""
+    if family is Family.HERMITE:
+        # diagonal ~ Normal(0, 2), off-diagonal k ~ chi with 2(n-k) dof, both
+        # divided by sqrt(2n); spectrum concentrates on [-2, 2]
+        scale = 1.0 / np.sqrt(2.0 * n)
+        diag = rng.normal(0.0, np.sqrt(2.0), size=n) * scale
+        dof = 2.0 * (n - np.arange(1, n))
+        off = np.sqrt(rng.chisquare(dof)) * scale
+        return diag, off
     # lower-bidiagonal factor B with chi entries; B B^T is tridiagonal and its
     # eigenvalues, divided by 2n, follow the x^gamma e^{-nx} weight ensemble
     # with spectrum concentrating on [0, 4]
@@ -67,8 +96,25 @@ def _laguerre_spectrum(n: int, gamma: float, rng: np.random.Generator) -> np.nda
     diag = d ** 2
     diag[1:] += s ** 2
     off = d[1:] * s
-    vals = eigh_tridiagonal(diag / (2.0 * n), off / (2.0 * n), eigvals_only=True)
-    return vals
+    return diag / (2.0 * n), off / (2.0 * n)
+
+
+def _checked_gamma(ensemble: EnsembleSpec, n: int, count: int, seed: int) -> float:
+    """Refuse a request no matrix model or size cap allows; the Laguerre gamma."""
+    if ensemble.family not in (Family.HERMITE, Family.LAGUERRE):
+        raise Unsupported(f"no matrix model for family {ensemble.family.value}")
+    if n < 1:
+        raise InvalidParams(f"sampler needs n >= 1, got {n}")
+    if not 1 <= count <= 10 ** 6:
+        raise InvalidParams("sampler supports 1 <= count <= 1e6")
+    if count * n > _MAX_ENTRIES:
+        raise InvalidParams(f"sampler supports count * n <= 1e7, got {count} * {n}")
+    if seed < 0 or seed >= 2 ** 64:
+        raise InvalidParams("seed must fit in 64 unsigned bits")
+    gamma = ensemble.params.get("gamma", 0.0)
+    if ensemble.family is Family.LAGUERRE and gamma < 0:
+        raise Unsupported("laguerre sampler requires gamma >= 0")
+    return gamma
 
 
 def sample_spectra(
@@ -84,64 +130,124 @@ def sample_spectra(
     ``start_index`` shifts the per-sample stream indices, so a resumed run
     produces exactly the samples a longer fresh run would have produced.
     """
-    if ensemble.family not in (Family.HERMITE, Family.LAGUERRE):
-        raise Unsupported(f"no matrix model for family {ensemble.family.value}")
-    if not 1 <= n <= 2000:
-        raise InvalidParams("sampler supports 1 <= n <= 2000")
-    if not 1 <= count <= 10 ** 6:
-        raise InvalidParams("sampler supports 1 <= count <= 1e6")
-    if count * n > _MAX_ENTRIES:
-        raise InvalidParams(f"sampler supports count * n <= 1e7, got {count} * {n}")
-    if seed < 0 or seed >= 2 ** 64:
-        raise InvalidParams("seed must fit in 64 unsigned bits")
-    gamma = ensemble.params.get("gamma", 0.0)
-    if ensemble.family is Family.LAGUERRE and gamma < 0:
-        raise Unsupported("laguerre sampler requires gamma >= 0")
-
+    if n > _MAX_SPECTRUM:
+        raise InvalidParams(f"sampler supports 1 <= n <= {_MAX_SPECTRUM} for spectra")
+    gamma = _checked_gamma(ensemble, n, count, seed)
     spectra = np.empty((count, n))
     for i in range(count):
-        rng = _stream(seed, start_index + i)
-        if ensemble.family is Family.HERMITE:
-            spectra[i] = _hermite_spectrum(n, rng)
-        else:
-            spectra[i] = _laguerre_spectrum(n, gamma, rng)
+        diag, off = _model(ensemble.family, n, gamma, _stream(seed, start_index + i))
+        spectra[i] = eigh_tridiagonal(diag, off, eigvals_only=True)
     spectra.setflags(write=False)
     return SampleBatch(ensemble=ensemble, n=n, seed=seed, spectra=spectra)
 
 
+def _trace_statistic(diag: np.ndarray, off2: np.ndarray, w: np.ndarray, c: np.ndarray):
+    """Per-column X = sum_r Im(c_r Tr(J - w_r)^-1) by one forward pivot sweep.
+
+    Column k of ``diag`` (n, K) and ``off2`` (n-1, K) holds the diagonal and
+    the squared off-diagonal of one real symmetric J.  With
+    delta_j = d_j - w - e_{j-1}^2 / delta_{j-1}, det(J - w) is the product of
+    the pivots, so Tr(J - w)^-1 = -d/dw log det(J - w) = -sum_j t_j with
+    t_j = delta_j' / delta_j and delta_j' = -1 + (e_{j-1}^2 / delta_{j-1}) t_{j-1}.
+    Im w > 0 keeps every Im delta_j <= -Im w, so no pivot vanishes.
+    """
+    w = w[:, None]
+    delta = diag[0] - w                  # (poles, K)
+    t = -1.0 / delta
+    total = t.copy()
+    q = np.empty_like(delta)
+    for j in range(1, diag.shape[0]):
+        np.divide(off2[j - 1], delta, out=q)
+        np.subtract(diag[j], w, out=delta)
+        delta -= q
+        t *= q
+        t -= 1.0
+        t /= delta
+        total += t
+    return -(c @ total).imag
+
+
+def sample_statistic(
+    ensemble: EnsembleSpec,
+    n: int,
+    count: int,
+    seed: int,
+    f: ResolventTestFunction,
+    edge: EdgeSpec,
+    start_index: int = 0,
+) -> np.ndarray:
+    """Per-sample X = sum_i f(n^alpha (lambda_i - x0)) without eigenvalues.
+
+    Draws the same (seed, index) models as ``sample_spectra`` and agrees with
+    the statistic of its spectra to rounding.  f must be rational
+    (``ResolventTestFunction``).  No spectrum is stored, so n is capped only
+    through count * n.
+    """
+    if not isinstance(f, ResolventTestFunction):
+        raise Unsupported("the trace route needs a rational test function")
+    gamma = _checked_gamma(ensemble, n, count, seed)
+    scale = float(n) ** -edge.alpha
+    w = edge.center(ensemble, n) + scale * np.asarray(f.poles)
+    c = scale * np.asarray(f.weights)
+    width = max(256, _SWEEP_ENTRIES // n)
+    X = np.empty(count)
+    for lo in range(0, count, width):
+        k = min(width, count - lo)
+        diag = np.empty((n, k))
+        off2 = np.empty((n - 1, k))
+        for col in range(k):
+            d, e = _model(ensemble.family, n, gamma, _stream(seed, start_index + lo + col))
+            diag[:, col] = d
+            off2[:, col] = e * e
+        X[lo:lo + k] = _trace_statistic(diag, off2, w, c)
+    return X
+
+
 def _statistic(batch: SampleBatch, f, edge: EdgeSpec) -> np.ndarray:
-    """Per-sample X = sum_i f(n^alpha (lambda_i - x0))."""
+    """Per-sample X = sum_i f(n^alpha (lambda_i - x0)) over stored spectra."""
     n_alpha = float(batch.n) ** edge.alpha
     x0 = edge.center(batch.ensemble, batch.n)
     return np.asarray(f(n_alpha * (batch.spectra - x0))).sum(axis=1)
 
 
-def empirical_statistic(
-    batch: SampleBatch, f, edge: EdgeSpec
-) -> tuple[float, float, float]:
-    """Per-sample X = sum_i f(n^alpha (lambda_i - x0)); mean, variance, SE.
+def _centered(samples, f, edge) -> tuple[float, np.ndarray]:
+    """Mean and centered per-sample X of a batch of spectra or of an X array.
 
-    Returns the sample mean, the unbiased sample variance, and the standard
-    error of that variance from the fourth central moment.
+    The one moment path of both routes: an empty input is refused, and an X
+    whose entries are all equal centers to exact zeros.
     """
-    if batch.count == 0:
+    X = _statistic(samples, f, edge) if isinstance(samples, SampleBatch) else np.asarray(samples)
+    if X.size == 0:
         raise InvalidParams("empty batch")
-    X = _statistic(batch, f, edge)
-    count = len(X)
-    mean = float(X.mean())
+    mean = float(X[0]) if np.all(X == X[0]) else float(X.mean())
+    return mean, X - mean
+
+
+def empirical_statistic(
+    samples: SampleBatch | np.ndarray, f=None, edge: EdgeSpec | None = None
+) -> tuple[float, float, float]:
+    """Mean, variance and SE of the per-sample X = sum_i f(n^alpha (lambda_i - x0)).
+
+    ``samples`` is a batch of spectra, evaluated with f at the edge, or the
+    X array ``sample_statistic`` returns.  Returns the sample mean, the
+    unbiased sample variance, and the standard error of that variance from
+    the fourth central moment.
+    """
+    mean, centered = _centered(samples, f, edge)
+    count = len(centered)
     if count < 2:
         return mean, 0.0, 0.0
-    centered = X - mean
     var = float(np.sum(centered ** 2) / (count - 1))
     m4 = float(np.mean(centered ** 4))
     var_of_var = (m4 - var ** 2 * (count - 3) / (count - 1)) / count
     return mean, var, float(np.sqrt(max(var_of_var, 0.0)))
 
 
-def standardized_skewness(batch: SampleBatch, f, edge: EdgeSpec) -> float:
-    """Skewness of the standardized linear statistic over the batch."""
-    X = _statistic(batch, f, edge)
-    centered = X - X.mean()
+def standardized_skewness(
+    samples: SampleBatch | np.ndarray, f=None, edge: EdgeSpec | None = None
+) -> float:
+    """Skewness of the standardized linear statistic; inputs as ``empirical_statistic``."""
+    _, centered = _centered(samples, f, edge)
     sd = centered.std()
     if sd == 0:
         return 0.0

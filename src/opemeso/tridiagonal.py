@@ -162,8 +162,11 @@ class TridiagonalResolvent:
         # Suffix sums of complex logs: _Ld[k] = sum_{l=k+1}^N log d_l (0-based
         # slot k = 0..N), same for delta; _La[i] = sum_{l<=i} log|a_l| with a
         # separate sign prefix since the a_l are real but may be negative.
-        # Compensated cumulative sums keep the exponent error at O(eps) even
-        # for N in the thousands.
+        # The compensated sums are accurate relative to the partial sums, which
+        # grow with N, so an entry's exponent (a difference of two of them)
+        # carries an error of order eps * N: against a 40-digit solve the
+        # relative error is 1.3e-13 at N = 400 and 2.6e-11 at N = 1e5.
+        # Long-row comparisons take `_resolvent_row` as their reference.
         self._Ld = np.concatenate([_kahan_cumsum(np.log(d)[::-1])[::-1], [0.0]])
         self._Ldelta = np.concatenate([_kahan_cumsum(np.log(delta)[::-1])[::-1], [0.0]])
         self._La = np.concatenate([[0.0], _kahan_cumsum(np.log(np.abs(a)))])

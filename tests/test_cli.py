@@ -225,6 +225,44 @@ def test_sample_and_resume(tmp_path):
     assert (shrunk["count"], shrunk["variance"]) == (10, expected["variance"])
 
 
+def test_sample_report_ignores_the_batch_file(tmp_path):
+    # the report is a function of (ensemble, n, count, seed, f, edge) alone:
+    # the same bytes without a batch file, with one, and after a resume
+    report = [
+        "sample", "--ensemble", "laguerre", "--params", '{"gamma": 0.5}', "--alpha", "0.4",
+        "--side", "left", "--n", "50", "--seed", "11", "--f", "im:1/(x-i)+re:0.5/(x-2+1i)",
+    ]
+    batch = ["--out-batch", str(tmp_path / "batch.bin")]
+    runs = {
+        "plain": report + ["--count", "30"],
+        "batch": report + batch + ["--count", "30"],
+        "short": report + batch + ["--count", "12"],
+        "resumed": report + batch + ["--count", "30", "--resume"],
+    }
+    texts = {}
+    for name, argv in runs.items():
+        assert main(argv + ["-o", str(tmp_path / f"{name}.json")]) == 0
+        texts[name] = (tmp_path / f"{name}.json").read_bytes()
+    assert texts["plain"] == texts["batch"] == texts["resumed"]
+    assert json.loads(texts["short"])["count"] == 12
+
+
+def test_sample_n_above_spectrum_cap(tmp_path, capsys):
+    # without --out-batch no spectrum is stored, so only count * n is capped
+    big = ["sample", "--ensemble", "hermite", "--alpha", "0.4", "--f", "im:1/(x-i)"]
+    out = tmp_path / "stats.json"
+    assert main(big + ["--n", "5000", "--count", "3", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == 5000
+    for argv in (
+        big + ["--n", "5000", "--count", "3", "--out-batch", str(tmp_path / "batch.bin")],
+        big + ["--n", "5000", "--count", "2001"],
+    ):
+        capsys.readouterr()
+        assert main(argv + ["-o", str(tmp_path / "refused.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.json", "stats.json.manifest.json"]
+
+
 def _sample_argv(batch_path, ensemble, params, count):
     argv = [
         "sample", "--ensemble", ensemble, "--alpha", "0.4", "--n", "30",

@@ -1,5 +1,6 @@
 """Monte-Carlo sampler: determinism, distributional checks, persistence."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,9 +8,12 @@ import pytest
 
 import opemeso as om
 from opemeso.errors import InvalidParams, Unsupported
-from opemeso.sampling import SampleBatch, standardized_skewness
+from opemeso.sampling import SampleBatch, _model, _statistic, _stream, standardized_skewness
 
 IM_G = om.parse_test_function("im:1/(x-i)")
+RE_G = om.parse_test_function("re:1/(x-i)")
+TWO_POLE = om.parse_test_function("im:1/(x-i)+re:0.5/(x-2+1i)")
+MODELS = [om.hermite(), om.laguerre(0.0), om.laguerre(0.5)]
 
 
 def semicircle_cdf(x):
@@ -58,8 +62,8 @@ class TestDistribution:
 
     def test_skewness_small_at_soft_edge(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
-        batch = om.sample_spectra(om.hermite(), 400, 10000, seed=314)
-        assert abs(standardized_skewness(batch, IM_G, edge)) <= 0.15
+        X = om.sample_statistic(om.hermite(), 400, 10000, 314, IM_G, edge)
+        assert abs(standardized_skewness(X)) <= 0.15
 
 
 class TestEmpiricalStatistic:
@@ -76,8 +80,8 @@ class TestEmpiricalStatistic:
     def test_matches_exact_variance(self):
         n, count = 200, 4000
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
-        batch = om.sample_spectra(om.hermite(), n, count, seed=2718)
-        _, var, se = om.empirical_statistic(batch, IM_G, edge)
+        X = om.sample_statistic(om.hermite(), n, count, 2718, IM_G, edge)
+        _, var, se = om.empirical_statistic(X)
         F = om.build_F(om.hermite(), n, edge, IM_G)
         exact = om.cumulant(F, n, 2) / n ** 0.8
         assert abs(var - exact) <= 3 * se
@@ -95,6 +99,75 @@ class TestEmpiricalStatistic:
         _, v1, se1 = om.empirical_statistic(batch, IM_G, base)
         _, v2, _ = om.empirical_statistic(batch, IM_G, moved)
         assert abs(v1 - v2) < se1
+
+
+class TestTraceRoute:
+    """sample_statistic: the pivot-sweep trace against eigenvalue statistics."""
+
+    @pytest.mark.parametrize("side", [om.Side.RIGHT, om.Side.LEFT])
+    @pytest.mark.parametrize("spec", MODELS, ids=["hermite", "laguerre0", "laguerre0.5"])
+    def test_matches_spectra_statistic(self, spec, side):
+        for n in (1, 2, 3, 400):
+            # edge_location needs n >= 2, so n = 1 takes an explicit centre
+            edge = om.EdgeSpec(side=side, alpha=0.4, x0=0.3 if n == 1 else None, epsilon=0.1)
+            batch = om.sample_spectra(spec, n, 12, seed=5, start_index=3)
+            for f in (IM_G, RE_G, TWO_POLE):
+                eig = _statistic(batch, f, edge)
+                trace = om.sample_statistic(spec, n, 12, 5, f, edge, start_index=3)
+                assert np.max(np.abs(trace - eig)) <= 1e-12 * np.max(np.abs(eig)), (n, f)
+
+    @pytest.mark.parametrize("spec", [om.hermite(), om.laguerre(0.5)], ids=["hermite", "laguerre"])
+    def test_matches_mpmath_eigenvalues(self, spec):
+        mpmath = pytest.importorskip("mpmath")
+        n, count, seed, alpha = 24, 3, 11, 0.4
+        with mpmath.workdps(40):
+            spectra = []
+            for i in range(count):
+                diag, off = _model(spec.family, n, spec.params.get("gamma", 0.0), _stream(seed, i))
+                J = mpmath.matrix(n, n)
+                for j in range(n):
+                    J[j, j] = diag[j]
+                for j in range(n - 1):
+                    J[j, j + 1] = J[j + 1, j] = off[j]
+                spectra.append(mpmath.eigsy(J, eigvals_only=True))
+            for side in (om.Side.RIGHT, om.Side.LEFT):
+                edge = om.EdgeSpec(side=side, alpha=alpha, epsilon=0.1)
+                x0 = mpmath.mpf(edge.center(spec, n))
+                scale = mpmath.mpf(n) ** alpha
+                for f in (IM_G, RE_G, TWO_POLE):
+                    exact = [
+                        float(sum(mpmath.im(d / (scale * (lam - x0) - p))
+                                  for lam in vals for p, d in zip(f.poles, f.weights)))
+                        for vals in spectra
+                    ]
+                    trace = om.sample_statistic(spec, n, count, seed, f, edge)
+                    err = np.max(np.abs(trace - exact)) / np.max(np.abs(exact))
+                    assert err <= 1e-13, (side, f, err)
+
+    def test_single_sample_has_zero_spread_on_both_routes(self):
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
+        X = om.sample_statistic(om.hermite(), 30, 1, 4, IM_G, edge)
+        batch = om.sample_spectra(om.hermite(), 30, 1, seed=4)
+        for args in ((X,), (batch, IM_G, edge)):
+            mean, var, se = om.empirical_statistic(*args)
+            assert (var, se, standardized_skewness(*args)) == (0.0, 0.0, 0.0)
+            assert mean == pytest.approx(X[0], rel=1e-12)
+
+    def test_constant_statistic_has_zero_moments(self):
+        X = np.full(7, 0.1 + 0.2)  # X.mean() rounds one ulp above every entry
+        assert om.empirical_statistic(X) == (X[0], 0.0, 0.0)
+        assert standardized_skewness(X) == 0.0
+
+    def test_no_spectrum_cap(self):
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
+        X = om.sample_statistic(om.hermite(), 5000, 2, 1, IM_G, edge)
+        assert X.shape == (2,) and np.all(np.isfinite(X))
+        with pytest.raises(InvalidParams):
+            om.sample_statistic(om.hermite(), 5000, 2001, 1, IM_G, edge)
+        with pytest.raises(Unsupported):
+            om.sample_statistic(om.hermite(), 50, 2, 1, lambda x: x, edge)
+        with pytest.raises(Unsupported):
+            om.sample_statistic(om.chebyshev2(), 50, 2, 1, IM_G, edge)
 
 
 class TestValidation:
@@ -127,6 +200,14 @@ class TestPersistence:
         assert loaded.n == batch.n
         assert loaded.seed == batch.seed
         assert np.array_equal(loaded.spectra, batch.spectra)
+
+    def test_file_bytes_unchanged(self, tmp_path):
+        # the (seed, index) streams and the file format, pinned by a sha256
+        path = tmp_path / "batch.bin"
+        om.save_batch(om.sample_spectra(om.hermite(), 20, 5, seed=1), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4d894e0b9c48d0ac7a7757deaef481253b65bce9efb9e52698666c17e1f534be"
+        )
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
