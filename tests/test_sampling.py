@@ -144,6 +144,13 @@ class TestTraceRoute:
                     err = np.max(np.abs(trace - exact)) / np.max(np.abs(exact))
                     assert err <= 1e-13, (side, f, err)
 
+    def test_sweeps_follow_the_stream_index(self):
+        # n = 5000 sweeps at most 256 samples at a time, so 300 take two sweeps
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
+        full = om.sample_statistic(om.laguerre(0.5), 5000, 300, 8, IM_G, edge)
+        tail = om.sample_statistic(om.laguerre(0.5), 5000, 50, 8, IM_G, edge, start_index=250)
+        assert np.max(np.abs(full[250:] - tail)) <= 1e-13 * np.max(np.abs(tail))
+
     def test_single_sample_has_zero_spread_on_both_routes(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
         X = om.sample_statistic(om.hermite(), 30, 1, 4, IM_G, edge)
