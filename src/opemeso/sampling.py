@@ -42,10 +42,13 @@ _MAX_SPECTRUM = 2000  # largest n of a stored spectrum: sterf is O(n^2) per samp
 # eigensolves dominate.  Narrow batches pay the sweep's per-row calls: one
 # sample at n = 10^7 takes 46 s at 439 MB (2-core AMD EPYC)
 _MAX_ENTRIES = 10 ** 7
-# count * n per trace sweep: bounds the stacked models at 16 MB for wide
-# batches.  A sweep is never cut below 256 samples, since its per-row numpy
-# calls cost about 5 us whatever the width
+# count * n * poles per trace sweep: bounds the stacked models at 16 MB and
+# the pivot state (four complex (poles, width) arrays) at 64 MB / n, whatever
+# the number of poles in f.  A sweep is never cut below _MIN_SWEEP samples
+# (16 KB of state per pole), since its per-row numpy calls cost about 5 us
+# whatever the width
 _SWEEP_ENTRIES = 2 ** 20
+_MIN_SWEEP = 256
 
 __all__ = [
     "SampleBatch",
@@ -174,7 +177,6 @@ def sample_statistic(
     seed: int,
     f: ResolventTestFunction,
     edge: EdgeSpec,
-    start_index: int = 0,
 ) -> np.ndarray:
     """Per-sample X = sum_i f(n^alpha (lambda_i - x0)) without eigenvalues.
 
@@ -189,14 +191,14 @@ def sample_statistic(
     scale = float(n) ** -edge.alpha
     w = edge.center(ensemble, n) + scale * np.asarray(f.poles)
     c = scale * np.asarray(f.weights)
-    width = max(256, _SWEEP_ENTRIES // n)
+    width = max(_MIN_SWEEP, _SWEEP_ENTRIES // (n * len(w)))
     X = np.empty(count)
     for lo in range(0, count, width):
         k = min(width, count - lo)
         diag = np.empty((n, k))
         off2 = np.empty((n - 1, k))
         for col in range(k):
-            d, e = _model(ensemble.family, n, gamma, _stream(seed, start_index + lo + col))
+            d, e = _model(ensemble.family, n, gamma, _stream(seed, lo + col))
             diag[:, col] = d
             off2[:, col] = e * e
         X[lo:lo + k] = _trace_statistic(diag, off2, w, c)
@@ -213,10 +215,20 @@ def _statistic(batch: SampleBatch, f, edge: EdgeSpec) -> np.ndarray:
 def _centered(samples, f, edge) -> tuple[float, np.ndarray]:
     """Mean and centered per-sample X of a batch of spectra or of an X array.
 
-    The one moment path of both routes: an empty input is refused, and an X
-    whose entries are all equal centers to exact zeros.
+    The one moment path of both routes: an empty input, a batch without f
+    and the edge, and an X array given them or not one-dimensional are
+    refused; an X whose entries are all equal centers to exact zeros.
     """
-    X = _statistic(samples, f, edge) if isinstance(samples, SampleBatch) else np.asarray(samples)
+    if isinstance(samples, SampleBatch):
+        if f is None or edge is None:
+            raise InvalidParams("a batch of spectra needs a test function and an edge")
+        X = _statistic(samples, f, edge)
+    else:
+        if f is not None or edge is not None:
+            raise InvalidParams("an X array takes no test function or edge")
+        X = np.asarray(samples)
+        if X.ndim != 1:
+            raise InvalidParams(f"X holds one value per sample, got shape {X.shape}")
     if X.size == 0:
         raise InvalidParams("empty batch")
     mean = float(X[0]) if np.all(X == X[0]) else float(X.mean())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import opemeso as om
+from opemeso import sampling
 from opemeso.errors import InvalidParams, Unsupported
 from opemeso.sampling import SampleBatch, _model, _statistic, _stream, standardized_skewness
 
@@ -110,10 +111,10 @@ class TestTraceRoute:
         for n in (1, 2, 3, 400):
             # edge_location needs n >= 2, so n = 1 takes an explicit centre
             edge = om.EdgeSpec(side=side, alpha=0.4, x0=0.3 if n == 1 else None, epsilon=0.1)
-            batch = om.sample_spectra(spec, n, 12, seed=5, start_index=3)
+            batch = om.sample_spectra(spec, n, 12, seed=5)
             for f in (IM_G, RE_G, TWO_POLE):
                 eig = _statistic(batch, f, edge)
-                trace = om.sample_statistic(spec, n, 12, 5, f, edge, start_index=3)
+                trace = om.sample_statistic(spec, n, 12, 5, f, edge)
                 assert np.max(np.abs(trace - eig)) <= 1e-12 * np.max(np.abs(eig)), (n, f)
 
     @pytest.mark.parametrize("spec", [om.hermite(), om.laguerre(0.5)], ids=["hermite", "laguerre"])
@@ -144,12 +145,17 @@ class TestTraceRoute:
                     err = np.max(np.abs(trace - exact)) / np.max(np.abs(exact))
                     assert err <= 1e-13, (side, f, err)
 
-    def test_sweeps_follow_the_stream_index(self):
-        # n = 5000 sweeps at most 256 samples at a time, so 300 take two sweeps
+    @pytest.mark.parametrize("f", [IM_G, TWO_POLE], ids=["one_pole", "two_poles"])
+    def test_sweeps_follow_the_stream_index(self, monkeypatch, f):
+        # at most 3 samples a sweep, so 10 samples take four sweeps, and each
+        # must draw the models of its own stream indices
+        n, count = 30, 10
+        monkeypatch.setattr(sampling, "_MIN_SWEEP", 1)
+        monkeypatch.setattr(sampling, "_SWEEP_ENTRIES", 3 * n * f.n_poles)
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
-        full = om.sample_statistic(om.laguerre(0.5), 5000, 300, 8, IM_G, edge)
-        tail = om.sample_statistic(om.laguerre(0.5), 5000, 50, 8, IM_G, edge, start_index=250)
-        assert np.max(np.abs(full[250:] - tail)) <= 1e-13 * np.max(np.abs(tail))
+        eig = _statistic(om.sample_spectra(om.laguerre(0.5), n, count, seed=8), f, edge)
+        trace = om.sample_statistic(om.laguerre(0.5), n, count, 8, f, edge)
+        assert np.max(np.abs(trace - eig)) <= 1e-12 * np.max(np.abs(eig))
 
     def test_single_sample_has_zero_spread_on_both_routes(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
@@ -187,6 +193,16 @@ class TestValidation:
             om.sample_spectra(om.hermite(), 2001, 1, seed=0)
         with pytest.raises(InvalidParams):
             om.sample_spectra(om.hermite(), 10, 0, seed=0)
+
+    def test_moment_inputs_checked(self):
+        batch = om.sample_spectra(om.hermite(), 10, 4, seed=0)
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
+        X = _statistic(batch, IM_G, edge)
+        for moment in (om.empirical_statistic, standardized_skewness):
+            for args in ((batch.spectra,), (batch.spectra, IM_G, edge), (X, IM_G, edge),
+                         (X[:, None],), (batch,), (batch, IM_G)):
+                with pytest.raises(InvalidParams):
+                    moment(*args)
 
     def test_empty_batch_rejected(self):
         batch = om.sample_spectra(om.hermite(), 10, 1, seed=0)
