@@ -77,6 +77,7 @@ from .sampling import (
     sample_spectra,
     sample_statistic,
     save_batch,
+    spectra_statistic,
 )
 
 __version__ = "0.1.0"

@@ -8,12 +8,12 @@ n^{-m alpha} C_m(F) with
     C_m(F) = m! sum_{j=2}^m ((-1)^{j+1}/j) sum_{l_1+..+l_j=m}
              [Tr(F^{l_1} P_n ... F^{l_j} P_n) - Tr(F^m P_n)] / (l_1! ... l_j!).
 
-The default evaluation path rewrites each bracket as a sum of traces with an
+The evaluation path rewrites each bracket as a sum of traces with an
 off-diagonal projector sandwiched inside (the same commutator expansion that
 powers the dominated-convergence bound); those traces are built from the
 small off-diagonal blocks of powers of F, so no large-trace cancellation ever
-happens.  The literal composition sum is kept as ``method="raw"`` for
-cross-checks.
+happens.  The literal composition sum is kept as the oracle
+``_cumulant_raw`` for cross-checks.
 """
 
 from __future__ import annotations
@@ -66,9 +66,11 @@ def build_F(
     ``two_sided=True`` defaults the lower end to n - margin instead.
 
     The result has real symmetric entries (conjugate closure of the poles).
-    Raises InvalidParams, before allocating anything, when ``hi`` exceeds
-    the 5000-row cap of the dense oracle.
+    Raises InvalidParams, before allocating anything, when n < 1 or ``hi``
+    exceeds the 5000-row cap of the dense oracle.
     """
+    if n < 1:
+        raise InvalidParams(f"cumulants need n >= 1, got {n}")
     if window is None:
         margin = default_margin(n, edge)
         window = (max(1, n - margin) if two_sided else 1, n + margin)
@@ -166,7 +168,9 @@ def _trace_dot(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def _check_window(F: np.ndarray, n: int) -> None:
-    """F must be a square window operator with at least n rows."""
+    """F must be a square window operator with at least n rows, and n >= 1."""
+    if n < 1:
+        raise InvalidParams(f"cumulants need n >= 1, got {n}")
     if F.shape[0] != F.shape[1]:
         raise InvalidParams("F must be square")
     if F.shape[0] < n:
@@ -212,28 +216,27 @@ class _PowerBlocks:
         return _composition_sum(m, self.connected)
 
 
-def cumulant(F: np.ndarray, n: int, m: int, method: str = "connected") -> float:
+def cumulant(F: np.ndarray, n: int, m: int) -> float:
     """m-th cumulant functional C_m^{(n)}(F) from the window operator.
 
-    ``method="connected"`` (default) evaluates each composition bracket from
-    off-diagonal blocks (no large-trace cancellation); ``method="raw"``
-    evaluates the literal composition sum of whole-trace differences.  m = 1
-    returns Tr(F P_n).  m is capped at 6.
+    Each composition bracket is evaluated from off-diagonal blocks, so no
+    large-trace cancellation happens.  m = 1 returns Tr(F P_n).  m is capped
+    at 6.
     """
     if not 1 <= m <= 6:
         raise InvalidParams("cumulant order limited to 1..6")
     _check_window(F, n)
     if m == 1:
         return math.fsum(np.diagonal(F)[:n])
-    if method == "connected":
-        return _PowerBlocks(F, n, max_power=m - 1).cumulant(m)
-    if method == "raw":
-        return _cumulant_raw(F, n, m)
-    raise InvalidParams(f"unknown method {method!r}")
+    return _PowerBlocks(F, n, max_power=m - 1).cumulant(m)
 
 
 def _cumulant_raw(F: np.ndarray, n: int, m: int) -> float:
-    """Literal composition sum; kept as an independent cross-check path."""
+    """C_m for m >= 2 by the literal composition sum of whole-trace differences.
+
+    An independent oracle for ``cumulant``; large traces cancel in each bracket.
+    """
+    _check_window(F, n)
     K = {1: F[:n, :n].copy()}
     slab = F[:, :n].copy()
     for power in range(2, m + 1):
@@ -261,7 +264,7 @@ def second_cumulant_three_ways(F: np.ndarray, n: int) -> tuple[float, float, flo
     All three are algebraically equal (and nonnegative for real symmetric F);
     returning them separately lets tests pin the identity numerically.
     """
-    comp = cumulant(F, n, 2, method="raw")
+    comp = _cumulant_raw(F, n, 2)
     qform = _trace_dot(F[:n, n:], F[n:, :n].T)
     comm = 0.5 * (
         math.fsum(np.sum(F[:n, n:] ** 2, axis=1))
@@ -358,6 +361,8 @@ def convergence_sweep(
     """
     if list(n_list) != sorted(n_list) or len(n_list) == 0:
         raise InvalidParams("n_list must be nonempty and ascending")
+    if n_list[0] < 1:
+        raise InvalidParams(f"cumulants need n >= 1, got {n_list[0]}")
     if not 2 <= m_max <= 6:
         raise InvalidParams("m_max must lie in [2, 6]")
     reports = []

@@ -554,6 +554,8 @@ def check_hypotheses(
     ``thresholds`` explicitly to check such a call.
     Raises OutOfDomain when the window leaves the family's support.
     """
+    if n < 1:
+        raise InvalidParams(f"hypotheses need n >= 1, got {n}")
     x0 = edge.center(spec, n)
     q = _hypothesis_quantities(spec, n, edge.alpha, edge.epsilon, x0)
 

@@ -123,23 +123,18 @@ def _derivative(f, x):
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
 
 
-def weighted_lipschitz_norm(
-    f: Callable[[np.ndarray], np.ndarray],
-    grid: int | np.ndarray = 2001,
-) -> float:
+def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2001) -> float:
     """sup over pairs of sqrt(1+x^2) sqrt(1+y^2) |f(x)-f(y)| / |x-y| on a grid.
 
     The diagonal is filled with (1+x^2)|f'(x)|, the derivative taken
     analytically for pole/weight test functions and by 5-point central
-    differences (relative step 1e-4) otherwise.  An integer ``grid`` selects
-    that many tangent-spaced points covering the real line out to ~1e6, which
-    also captures the pairs-at-infinity limit sup sqrt(1+y^2)|f(y)|.
+    differences (relative step 1e-4) otherwise.  ``grid`` >= 2 tangent-spaced
+    points cover the real line out to ~1e6, which also captures the
+    pairs-at-infinity limit sup sqrt(1+y^2)|f(y)|.
     """
-    if isinstance(grid, (int, np.integer)):
-        theta = np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, int(grid))
-        xs = np.tan(theta)
-    else:
-        xs = np.asarray(grid, dtype=float)
+    if grid < 2:
+        raise InvalidParams(f"the Lipschitz grid needs at least 2 points, got {grid}")
+    xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, grid))
     fx = np.asarray(f(xs), dtype=float)
     w = np.sqrt(1 + xs ** 2)
     diff = np.abs(fx[:, None] - fx[None, :])

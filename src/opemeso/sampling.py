@@ -16,8 +16,9 @@ Two routes share those models:
   with w_r = x0 + lambda_r n^-alpha, and one forward pivot sweep over the
   rows, vectorised over samples and poles, gives every trace.
 
-``empirical_statistic`` and ``standardized_skewness`` take either a batch of
-spectra (with f and the edge) or the X array of ``sample_statistic``.
+``spectra_statistic`` evaluates X on stored spectra, for any f.
+``empirical_statistic`` and ``standardized_skewness`` take the X array of
+either route.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ __all__ = [
     "SampleBatch",
     "sample_spectra",
     "sample_statistic",
+    "spectra_statistic",
     "empirical_statistic",
     "save_batch",
     "load_batch",
@@ -205,47 +207,40 @@ def sample_statistic(
     return X
 
 
-def _statistic(batch: SampleBatch, f, edge: EdgeSpec) -> np.ndarray:
-    """Per-sample X = sum_i f(n^alpha (lambda_i - x0)) over stored spectra."""
+def spectra_statistic(batch: SampleBatch, f, edge: EdgeSpec) -> np.ndarray:
+    """Per-sample X = sum_i f(n^alpha (lambda_i - x0)) over stored spectra.
+
+    The eigenvalue route: any f, including the non-rational ones
+    ``sample_statistic`` refuses.
+    """
     n_alpha = float(batch.n) ** edge.alpha
     x0 = edge.center(batch.ensemble, batch.n)
     return np.asarray(f(n_alpha * (batch.spectra - x0))).sum(axis=1)
 
 
-def _centered(samples, f, edge) -> tuple[float, np.ndarray]:
-    """Mean and centered per-sample X of a batch of spectra or of an X array.
+def _centered(X) -> tuple[float, np.ndarray]:
+    """Mean and centered entries of a 1-D X array, one value per sample.
 
-    The one moment path of both routes: an empty input, a batch without f
-    and the edge, and an X array given them or not one-dimensional are
-    refused; an X whose entries are all equal centers to exact zeros.
+    An empty or not one-dimensional X is refused; an X whose entries are all
+    equal centers to exact zeros.
     """
-    if isinstance(samples, SampleBatch):
-        if f is None or edge is None:
-            raise InvalidParams("a batch of spectra needs a test function and an edge")
-        X = _statistic(samples, f, edge)
-    else:
-        if f is not None or edge is not None:
-            raise InvalidParams("an X array takes no test function or edge")
-        X = np.asarray(samples)
-        if X.ndim != 1:
-            raise InvalidParams(f"X holds one value per sample, got shape {X.shape}")
+    X = np.asarray(X)
+    if X.ndim != 1:
+        raise InvalidParams(f"X holds one value per sample, got shape {X.shape}")
     if X.size == 0:
         raise InvalidParams("empty batch")
     mean = float(X[0]) if np.all(X == X[0]) else float(X.mean())
     return mean, X - mean
 
 
-def empirical_statistic(
-    samples: SampleBatch | np.ndarray, f=None, edge: EdgeSpec | None = None
-) -> tuple[float, float, float]:
-    """Mean, variance and SE of the per-sample X = sum_i f(n^alpha (lambda_i - x0)).
+def empirical_statistic(X: np.ndarray) -> tuple[float, float, float]:
+    """Mean, variance and SE of the per-sample statistic X.
 
-    ``samples`` is a batch of spectra, evaluated with f at the edge, or the
-    X array ``sample_statistic`` returns.  Returns the sample mean, the
-    unbiased sample variance, and the standard error of that variance from
-    the fourth central moment.
+    X comes from ``sample_statistic`` or ``spectra_statistic``.  Returns the
+    sample mean, the unbiased sample variance, and the standard error of that
+    variance from the fourth central moment.
     """
-    mean, centered = _centered(samples, f, edge)
+    mean, centered = _centered(X)
     count = len(centered)
     if count < 2:
         return mean, 0.0, 0.0
@@ -255,11 +250,9 @@ def empirical_statistic(
     return mean, var, float(np.sqrt(max(var_of_var, 0.0)))
 
 
-def standardized_skewness(
-    samples: SampleBatch | np.ndarray, f=None, edge: EdgeSpec | None = None
-) -> float:
-    """Skewness of the standardized linear statistic; inputs as ``empirical_statistic``."""
-    _, centered = _centered(samples, f, edge)
+def standardized_skewness(X: np.ndarray) -> float:
+    """Skewness of the standardized per-sample statistic X."""
+    _, centered = _centered(X)
     sd = centered.std()
     if sd == 0:
         return 0.0

@@ -359,9 +359,11 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     # invalid family parameters surface as a numerical/domain failure, and so
     # do params that are not an object of real numbers, non-positive or
     # non-finite tolerances and zoom scales, tolerances below the rounding
-    # floor, decay sizes below 3 rows, and a zoom so coarse that only the two
-    # neighbours of the row clear the decay floor (one distance fixes no slope)
+    # floor, decay sizes below 3 rows, a zoom so coarse that only the two
+    # neighbours of the row clear the decay floor (one distance fixes no slope),
+    # and n below 1 for cumulants and hypotheses
     hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
+    hyp_x0 = ["hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--x0", "2"]
     for argv in (
         hyp + ["--params", '{"gamma": -2}'],
         hyp + ["--params", "[1]"],
@@ -372,10 +374,16 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         *(["decay", "--n-alpha", "100", "--size", size, "-o", str(tmp_path / "decay.csv")]
           for size in ("0", "-5", "1", "2")),
         ["decay", "--n-alpha", "1e-8", "--size", "400", "-o", str(tmp_path / "decay.csv")],
+        *(["cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5", "--n", n,
+           "--f", "im:1/(x-i)", "-o", str(tmp_path / "cum.csv")] for n in ("-5", "0")),
+        *(hyp_x0 + ["--n", n] for n in ("-3", "0")),
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
     assert list(tmp_path.iterdir()) == []
+    # n = 1 with an explicit centre still runs
+    assert main(hyp_x0 + ["--n", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 1
     # so does a window too large for the dense engine, before it allocates
     code = main([
         "cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5", "--n", "100000",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import opemeso as om
-from opemeso.cumulants import _compositions, _first_coupled_row, _PowerBlocks
+from opemeso.cumulants import _compositions, _cumulant_raw, _first_coupled_row, _PowerBlocks
 from opemeso.errors import InvalidParams, WindowTooSmall
 
 IM_G = om.parse_test_function("im:1/(x-i)")
@@ -105,8 +105,8 @@ class TestCumulantIdentities:
     def test_connected_equals_raw(self):
         F = om.build_F(om.hermite(), 150, EDGE_R, IM_G)
         for m in (2, 3, 4):
-            a = om.cumulant(F, 150, m, method="connected")
-            b = om.cumulant(F, 150, m, method="raw")
+            a = om.cumulant(F, 150, m)
+            b = _cumulant_raw(F, 150, m)
             assert a == pytest.approx(b, rel=1e-8, abs=1e-10)
 
     def test_nonnegative_variance_any_symmetric(self):
@@ -129,13 +129,24 @@ class TestCumulantIdentities:
         F = np.zeros((10, 10))
         with pytest.raises(InvalidParams):
             om.cumulant(F, 5, 7)
-        with pytest.raises(InvalidParams):
-            om.cumulant(F, 5, 2, method="nope")
-        # an F with fewer than n rows is refused at every order and method,
-        # not summed as a partial trace
-        for m, method in ((1, "connected"), (1, "raw"), (2, "raw"), (3, "connected")):
+        # an F with fewer than n rows is refused at every order and by the
+        # oracle, not summed as a partial trace
+        for fn, m in ((om.cumulant, 1), (om.cumulant, 3), (_cumulant_raw, 2)):
             with pytest.raises(InvalidParams, match="smaller than n"):
-                om.cumulant(np.eye(10), 20, m, method=method)
+                fn(np.eye(10), 20, m)
+        # n < 1 is refused, not read through Python's negative slicing (at
+        # n = -3 this F of 124 rows gave C_2 of n = 121)
+        F = om.build_F(om.chebyshev2(), 100, EDGE_R, IM_G)
+        for n in (-3, 0):
+            for check in (lambda: om.cumulant(F, n, 2), lambda: om.cumulant(F, n, 1),
+                          lambda: _cumulant_raw(F, n, 2),
+                          lambda: om.second_cumulant_three_ways(F, n),
+                          lambda: om.cumulant_bound_check(F, n, 3),
+                          lambda: om.build_F(om.chebyshev2(), n, EDGE_R, IM_G),
+                          lambda: om.build_F(om.chebyshev2(), n, EDGE_R, IM_G, window=(1, 50)),
+                          lambda: om.convergence_sweep(om.chebyshev2(), EDGE_R, IM_G, [n, 100])):
+                with pytest.raises(InvalidParams, match="n >= 1"):
+                    check()
 
 
 class TestBoundCheck:

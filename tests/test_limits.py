@@ -174,6 +174,11 @@ class TestWeightedLipschitzNorm:
         assert fine >= coarse - 1e-12  # nondecreasing under refinement
         assert fine == pytest.approx(1.000, abs=1e-3)
 
+    def test_grid_below_two_points_refused(self):
+        for grid in (0, 1):
+            with pytest.raises(InvalidParams, match="at least 2 points"):
+                om.weighted_lipschitz_norm(IM_G, grid)
+
     def test_not_scale_invariant(self):
         base = om.weighted_lipschitz_norm(IM_G)
         scaled = om.weighted_lipschitz_norm(IM_G.scaled_argument(4.0))

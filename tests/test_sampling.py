@@ -9,7 +9,7 @@ import pytest
 import opemeso as om
 from opemeso import sampling
 from opemeso.errors import InvalidParams, Unsupported
-from opemeso.sampling import SampleBatch, _model, _statistic, _stream, standardized_skewness
+from opemeso.sampling import SampleBatch, _model, _stream, standardized_skewness
 
 IM_G = om.parse_test_function("im:1/(x-i)")
 RE_G = om.parse_test_function("re:1/(x-i)")
@@ -73,7 +73,7 @@ class TestEmpiricalStatistic:
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
         c = 0.7
         mean, var, se = om.empirical_statistic(
-            batch, lambda x: np.full_like(np.asarray(x, float), c), edge
+            om.spectra_statistic(batch, lambda x: np.full_like(np.asarray(x, float), c), edge)
         )
         assert mean == pytest.approx(c * 30, rel=1e-12)
         assert var == pytest.approx(0.0, abs=1e-20)
@@ -97,8 +97,8 @@ class TestEmpiricalStatistic:
         moved = om.EdgeSpec(
             side=om.Side.RIGHT, alpha=0.4, x0=x0 + n ** (-0.4 - 0.5), epsilon=0.1
         )
-        _, v1, se1 = om.empirical_statistic(batch, IM_G, base)
-        _, v2, _ = om.empirical_statistic(batch, IM_G, moved)
+        _, v1, se1 = om.empirical_statistic(om.spectra_statistic(batch, IM_G, base))
+        _, v2, _ = om.empirical_statistic(om.spectra_statistic(batch, IM_G, moved))
         assert abs(v1 - v2) < se1
 
 
@@ -113,7 +113,7 @@ class TestTraceRoute:
             edge = om.EdgeSpec(side=side, alpha=0.4, x0=0.3 if n == 1 else None, epsilon=0.1)
             batch = om.sample_spectra(spec, n, 12, seed=5)
             for f in (IM_G, RE_G, TWO_POLE):
-                eig = _statistic(batch, f, edge)
+                eig = om.spectra_statistic(batch, f, edge)
                 trace = om.sample_statistic(spec, n, 12, 5, f, edge)
                 assert np.max(np.abs(trace - eig)) <= 1e-12 * np.max(np.abs(eig)), (n, f)
 
@@ -153,7 +153,7 @@ class TestTraceRoute:
         monkeypatch.setattr(sampling, "_MIN_SWEEP", 1)
         monkeypatch.setattr(sampling, "_SWEEP_ENTRIES", 3 * n * f.n_poles)
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
-        eig = _statistic(om.sample_spectra(om.laguerre(0.5), n, count, seed=8), f, edge)
+        eig = om.spectra_statistic(om.sample_spectra(om.laguerre(0.5), n, count, seed=8), f, edge)
         trace = om.sample_statistic(om.laguerre(0.5), n, count, 8, f, edge)
         assert np.max(np.abs(trace - eig)) <= 1e-12 * np.max(np.abs(eig))
 
@@ -161,9 +161,9 @@ class TestTraceRoute:
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
         X = om.sample_statistic(om.hermite(), 30, 1, 4, IM_G, edge)
         batch = om.sample_spectra(om.hermite(), 30, 1, seed=4)
-        for args in ((X,), (batch, IM_G, edge)):
-            mean, var, se = om.empirical_statistic(*args)
-            assert (var, se, standardized_skewness(*args)) == (0.0, 0.0, 0.0)
+        for x in (X, om.spectra_statistic(batch, IM_G, edge)):
+            mean, var, se = om.empirical_statistic(x)
+            assert (var, se, standardized_skewness(x)) == (0.0, 0.0, 0.0)
             assert mean == pytest.approx(X[0], rel=1e-12)
 
     def test_constant_statistic_has_zero_moments(self):
@@ -197,19 +197,19 @@ class TestValidation:
     def test_moment_inputs_checked(self):
         batch = om.sample_spectra(om.hermite(), 10, 4, seed=0)
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
-        X = _statistic(batch, IM_G, edge)
+        X = om.spectra_statistic(batch, IM_G, edge)
         for moment in (om.empirical_statistic, standardized_skewness):
-            for args in ((batch.spectra,), (batch.spectra, IM_G, edge), (X, IM_G, edge),
-                         (X[:, None],), (batch,), (batch, IM_G)):
+            # a spectra array, a column of X and a whole batch are refused
+            for bad in (batch.spectra, X[:, None], batch):
                 with pytest.raises(InvalidParams):
-                    moment(*args)
+                    moment(bad)
 
     def test_empty_batch_rejected(self):
         batch = om.sample_spectra(om.hermite(), 10, 1, seed=0)
         empty = SampleBatch(om.hermite(), 10, 0, batch.spectra[:0])
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
         with pytest.raises(InvalidParams):
-            om.empirical_statistic(empty, IM_G, edge)
+            om.empirical_statistic(om.spectra_statistic(empty, IM_G, edge))
 
 
 class TestPersistence:
