@@ -45,6 +45,8 @@ __all__ = [
 
 def default_margin(n: int, edge: EdgeSpec) -> int:
     """Default truncation margin 4 * ceil(n^(alpha/2 + eps))."""
+    if n < 1:
+        raise InvalidParams(f"margin needs n >= 1, got {n}")
     return 4 * math.ceil(n ** (edge.alpha / 2 + edge.epsilon))
 
 

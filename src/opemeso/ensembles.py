@@ -404,6 +404,8 @@ class EdgeSpec:
     def __post_init__(self):
         if not 0 < self.alpha < 2:
             raise InvalidParams(f"alpha must lie in (0, 2), got {self.alpha}")
+        if self.x0 is not None and not math.isfinite(self.x0):
+            raise InvalidParams(f"x0 must be finite, got {self.x0}")
         eps = self.epsilon
         if eps is None:
             eps = min(0.1, 0.5 * (1 - self.alpha / 2))
@@ -419,6 +421,8 @@ class EdgeSpec:
 
 def hypothesis_window(n: int, alpha: float, epsilon: float) -> tuple[int, int]:
     """Index window [n - n^(alpha/2+eps), n + n^(alpha/2+eps)], clipped at 1."""
+    if n < 1:
+        raise InvalidParams(f"hypothesis window needs n >= 1, got {n}")
     half = n ** (alpha / 2 + epsilon)
     return max(1, math.ceil(n - half)), math.floor(n + half)
 

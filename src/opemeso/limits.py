@@ -277,8 +277,8 @@ def fit_resolvent_approximation(
         raise InvalidParams("need at least one pole")
     if M > _MAX_POLES:
         raise InvalidParams(f"fit supports at most {_MAX_POLES} poles, got {M}")
-    if pole_height <= 0:
-        raise InvalidParams("pole height must be positive")
+    if not 0 < pole_height < math.inf:
+        raise InvalidParams(f"pole height must be finite and positive, got {pole_height}")
     if support is None:
         scan = np.linspace(-100, 100, 20001)
         vals = np.abs(np.asarray(f(scan), dtype=float))

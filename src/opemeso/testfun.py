@@ -9,6 +9,7 @@ Im(i/(x-i)), for instance).  Either way f is real on the real line.
 
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 
@@ -29,6 +30,8 @@ class ResolventTestFunction:
             raise InvalidParams("poles and weights must have equal length")
         if len(self.poles) == 0:
             raise InvalidParams("need at least one pole")
+        if not all(cmath.isfinite(v) for v in (*self.poles, *self.weights)):
+            raise InvalidParams("poles and weights must be finite")
         if any(p.imag <= 0 for p in self.poles):
             raise InvalidParams("all poles must lie in the upper half plane")
         object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))

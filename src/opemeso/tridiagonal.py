@@ -1,13 +1,12 @@
-"""Exact finite tri-diagonal linear algebra.
+"""Exact finite tri-diagonal linear algebra; resolvents need Im z != 0.
 
 One resolvent row costs one banded LU solve against a unit vector; decay
 fits and norm estimates use banded solves only.  ``TridiagonalResolvent`` is
-the entry oracle: it runs the two linearized continued-fraction recursions
-(one backward from the last row, one forward from the first) and assembles
-any entry in log-space, so products of thousands of factors neither overflow
-nor underflow.  On top of that sit the transfer-matrix spectral data, the
-almost-Toeplitz split of the inverse, the closed-form resolvent of the free
-(constant-coefficient) matrix, and a least-squares decay fit.
+the entry oracle: from the backward and forward continued-fraction pivots it
+builds each entry as a product of local ratios, summed in log space.  On top
+of that sit the transfer-matrix spectral data, the almost-Toeplitz split of
+the inverse, the closed-form resolvent of the free (constant-coefficient)
+matrix, and a least-squares decay fit.
 """
 
 from __future__ import annotations
@@ -25,19 +24,19 @@ from .errors import InvalidParams, Singular
 _EPS = np.finfo(float).eps
 _COND_LIMIT = 1.0 / _EPS
 _DENSE_MAX_ROWS = 5000      # largest matrix any dense (N x N) routine will build
-_DENOM_TOL = 1e-300        # continued-fraction pivots below this count as zero
 _DECAY_FLOOR = 1e-13       # decay fits ignore entries this far below the row maximum
 _POWER_ITERS = 50
 _POWER_SEED = 0
+_TURN = np.array([1, 1j, -1, -1j])   # _TURN[k] = i^k, exact in every component
 
 
 @dataclass(frozen=True)
 class TridiagonalMatrix:
     """Symmetric tri-diagonal matrix minus a complex shift.
 
-    Represents tridiag(b_0..b_{N-1}; a_1..a_{N-1}) - z*Id.  Im z = 0 is
-    allowed for plain storage; resolvent operations then insist on a dense
-    nonsingularity check before trusting the recursions.
+    Represents tridiag(b_0..b_{N-1}; a_1..a_{N-1}) - z*Id with finite entries.
+    Im z = 0 is allowed for plain storage and the dense oracle; every
+    resolvent operation here refuses it.
     """
 
     diag: np.ndarray
@@ -49,6 +48,8 @@ class TridiagonalMatrix:
         e = np.array(self.offdiag, dtype=float)
         if d.ndim != 1 or e.ndim != 1 or len(e) != len(d) - 1:
             raise InvalidParams("need len(offdiag) == len(diag) - 1 >= 0")
+        if not (np.isfinite(d).all() and np.isfinite(e).all() and cmath.isfinite(self.shift)):
+            raise InvalidParams("diagonal, off-diagonal and shift must be finite")
         d.setflags(write=False)
         e.setflags(write=False)
         object.__setattr__(self, "diag", d)
@@ -76,14 +77,29 @@ class TridiagonalMatrix:
         return ab
 
 
+def _check_shift(J: TridiagonalMatrix) -> None:
+    """Refuse Im z = 0, where J - z of real symmetric data can be singular."""
+    if J.shift.imag == 0.0:
+        raise InvalidParams("resolvent operations need Im z != 0")
+
+
+def _semiseparable(u, v, U, V, j, k) -> np.ndarray:
+    """Symmetric semiseparable entries u[lo] v[hi] exp(U[lo] + V[hi]).
+
+    lo = min(j, k), hi = max(j, k), 0-based and broadcast; the log scales U, V
+    are summed before exp, so long products neither overflow nor underflow."""
+    lo = np.minimum(j, k)
+    hi = np.maximum(j, k)
+    return u[lo] * v[hi] * np.exp(U[lo] + V[hi])
+
+
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    """Compensated cumulative sum; error stays O(eps * |partial|) at any length."""
-    if np.iscomplexobj(values):
-        return _kahan_cumsum(values.real) + 1j * _kahan_cumsum(values.imag)
+    """Compensated cumulative sum; error stays O(eps * |partial|) at any length.
+
+    Complex addition acts on each part alone, so complex input needs no split."""
     out = np.empty_like(values)
-    total = 0.0
-    comp = 0.0
-    for i, v in enumerate(values):
+    total = comp = 0.0
+    for i, v in enumerate(values.tolist()):
         y = v - comp
         t = total + y
         comp = (t - total) - y
@@ -95,8 +111,8 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
 def invert_dense_oracle(J: TridiagonalMatrix) -> np.ndarray:
     """Full inverse by generic dense LU; the independent oracle for tests.
 
-    Raises Singular when the factorization fails or the 1-norm condition
-    estimate exceeds 1/machine-eps.
+    Accepts real shifts too.  Raises Singular when the factorization fails or
+    the 1-norm condition estimate exceeds 1/machine-eps.
     """
     if J.N > _DENSE_MAX_ROWS:
         raise InvalidParams(f"dense oracle capped at N = {_DENSE_MAX_ROWS}")
@@ -123,64 +139,49 @@ def _pivot_sweep(b: np.ndarray, a: np.ndarray, backward: bool) -> np.ndarray:
     p = np.empty(N, dtype=complex)
     p[0] = b[0]
     for i in range(1, N):
-        if abs(p[i - 1]) < _DENOM_TOL:
-            row, name = (N - i + 1, "backward") if backward else (i, "forward")
-            raise Singular(f"{name} recursion denominator vanished at index {row}")
         p[i] = b[i] - a[i - 1] ** 2 / p[i - 1]
     return p[::-1] if backward else p
 
 
 class TridiagonalResolvent:
-    """Entrywise inverse of a shifted symmetric tri-diagonal matrix.
+    """Entrywise inverse R = (J - z)^-1 of a shifted symmetric tri-diagonal matrix.
 
-    Precomputes the backward (d_j) and forward (delta_j) continued-fraction
-    sequences plus log-space prefix sums, after which any entry costs O(1):
+    From the backward (d_j) and forward (delta_j) continued-fraction pivots,
+    any entry costs O(1).  With 1-based indices 1/R_jj = delta_j - a_j^2/d_{j+1}
+    (1/R_NN = delta_N), and each step right along a row multiplies by the
+    local ratio t_l = -a_{l-1}/d_l:
 
-        (J^-1)_{j,k} = (-1)^{k-j} a_j...a_{k-1} (d_{k+1}...d_N)/(delta_j...delta_N)
+        R_jk = R_jj t_{j+1} ... t_k        for j <= k, extended by symmetry.
 
-    for j <= k (1-based), extended by symmetry.  This is the O(1)-entry
-    oracle behind ``dense()`` and the almost-Toeplitz split; a single row is
-    cheaper and more accurate from ``_resolvent_row``'s banded solve.
+    Exact quarter turns i^-m_l put each t_l within pi/4 of the positive reals;
+    V_k is one compensated cumulative sum of log(i^-m_l t_l), U_j = log R_jj -
+    V_j, and an entry is conj(S_j) S_k exp(U_j + V_k), S_k = i^(m_2 + ... + m_k).
+    Entries stay finite at any N, with exponent errors of order eps * |V|.
+
+    Needs Im z != 0: for real symmetric data and Im z > 0, Im delta_j, Im d_j
+    and Im 1/R_jj are all <= -Im z (mirrored for Im z < 0), so no pivot can
+    vanish.  A single row is cheaper from ``_resolvent_row``'s banded solve.
     """
 
     def __init__(self, J: TridiagonalMatrix):
+        _check_shift(J)
         self.J = J
-        N = J.N
-        if J.shift.imag == 0.0:
-            # only permitted when a dense factorization vouches for J
-            invert_dense_oracle(J)
-        b = J.diag.astype(complex) - J.shift
-        a = J.offdiag.astype(float)
+        b = J.diag - J.shift
+        a = J.offdiag
         if np.any(a == 0.0):
             raise InvalidParams("resolvent recursions require nonzero off-diagonals")
-
         d = _pivot_sweep(b, a, backward=True)        # d[j-1] = d_j
-        delta = _pivot_sweep(b, a, backward=False)   # delta[j-1] = delta_j
-        if abs(d[0]) < _DENOM_TOL or abs(delta[N - 1]) < _DENOM_TOL:
-            raise Singular("matrix numerically singular")
-
-        # Suffix sums of complex logs: _Ld[k] = sum_{l=k+1}^N log d_l (0-based
-        # slot k = 0..N), same for delta; _La[i] = sum_{l<=i} log|a_l| with a
-        # separate sign prefix since the a_l are real but may be negative.
-        # The compensated sums are accurate relative to the partial sums, which
-        # grow with N, so an entry's exponent (a difference of two of them)
-        # carries an error of order eps * N: against a 40-digit solve the
-        # relative error is 1.3e-13 at N = 400 and 2.6e-11 at N = 1e5.
-        # Long-row comparisons take `_resolvent_row` as their reference.
-        self._Ld = np.concatenate([_kahan_cumsum(np.log(d)[::-1])[::-1], [0.0]])
-        self._Ldelta = np.concatenate([_kahan_cumsum(np.log(delta)[::-1])[::-1], [0.0]])
-        self._La = np.concatenate([[0.0], _kahan_cumsum(np.log(np.abs(a)))])
-        self._sgn_a = np.concatenate([[1.0], np.cumprod(np.sign(a))])
-        self.d = d
-        self.delta = delta
+        inv_diag = _pivot_sweep(b, a, backward=False)  # delta_j, then 1/R_jj
+        inv_diag[:-1] -= a ** 2 / d[1:]
+        t = -a / d[1:]                                # t[l-2] = t_l, l = 2..N
+        m = np.rint(np.angle(t) / (np.pi / 2)).astype(int) % 4
+        self._V = np.concatenate([[0j], _kahan_cumsum(np.log(t * _TURN[-m]))])
+        self._U = -np.log(inv_diag) - self._V
+        self._S = _TURN[np.concatenate([[0], np.cumsum(m)]) % 4]
 
     def _assemble(self, j, k):
-        """Entries (j, k), 1-based and broadcast, as sign * exp(log-modulus sum)."""
-        lo = np.minimum(j, k)
-        hi = np.maximum(j, k)
-        logval = self._La[hi - 1] - self._La[lo - 1] + self._Ld[hi] - self._Ldelta[lo - 1]
-        sign = (-1.0) ** (hi - lo) * self._sgn_a[hi - 1] * self._sgn_a[lo - 1]
-        return sign * np.exp(logval)
+        """Entries (j, k), 1-based and broadcast."""
+        return _semiseparable(self._S.conj(), self._S, self._U, self._V, j - 1, k - 1)
 
     def entry(self, j: int, k: int) -> complex:
         """(J^-1)_{j,k} with 1-based indices; symmetric by construction."""
@@ -197,7 +198,7 @@ class TridiagonalResolvent:
         return self._assemble(j, np.arange(1, N + 1))
 
     def dense(self) -> np.ndarray:
-        """All N^2 entries, assembled from the prefix sums."""
+        """All N^2 entries, assembled from the log scales."""
         idx = np.arange(1, self.J.N + 1)
         return self._assemble(idx[:, None], idx)
 
@@ -352,6 +353,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     so the corrections C, D and the normalization of T reduce to first
     components of scaled transfer products applied to one vector each.
     """
+    _check_shift(J)
     N = J.N
     if N < 4:
         raise InvalidParams("almost-Toeplitz split needs N >= 4")
@@ -411,8 +413,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     #   T = (-1)^{hi-lo} pref (1+D(lo)) (1+C(hi)) / a_{hi-1} * exp(LW(hi-1) - LW(lo))
     # with LW(i) = sum_{l=1}^{i} log omega_l^-; the unified exponent covers
     # the diagonal (hi = lo gives the 1/omega_lo^- of the exact formula, also at
-    # lo = 1).  The exponents are differenced before exp, so long windows do not
-    # overflow, and the sign splits as (-1)^hi (-1)^lo into the per-index factors.
+    # lo = 1), and the sign splits as (-1)^hi (-1)^lo into the per-index factors.
     LW = np.zeros(N + 1, dtype=complex)           # LW[i], i = 0..N
     LW[1:] = np.cumsum(np.log(omm))
     alt = (-1.0) ** np.arange(1, N + 1)
@@ -420,9 +421,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     rowfac = pref * alt * (1.0 + D[1:])
     colfac = alt * (1.0 + C[1:]) / a_prev
     idx = np.arange(N)
-    lo = np.minimum.outer(idx, idx)
-    hi = np.maximum.outer(idx, idx)
-    T = rowfac[lo] * colfac[hi] * np.exp(LW[hi] - LW[lo + 1])
+    T = _semiseparable(rowfac, colfac, -LW[1:], LW[:N], idx[:, None], idx)
 
     Jinv = TridiagonalResolvent(J).dense()
     H = Jinv - T
@@ -487,9 +486,8 @@ def _resolvent_row(J: TridiagonalMatrix, ref_row: int) -> np.ndarray:
     J is complex symmetric, so its row equals its column J^-1 e_ref.  Im z != 0
     keeps J - z nonsingular for real symmetric data.
     """
+    _check_shift(J)
     N = J.N
-    if J.shift.imag == 0:
-        raise InvalidParams("resolvent row needs Im z != 0")
     if not 1 <= ref_row <= N:
         raise InvalidParams(f"row index must lie in [1, {N}]")
     e_ref = np.zeros(N, dtype=complex)
@@ -552,6 +550,7 @@ def resolvent_norm_estimate(J: TridiagonalMatrix) -> float:
     Iterates R^H R where each application of R is a banded solve; J is
     complex symmetric, so R^H amounts to solving the conjugated matrix.
     """
+    _check_shift(J)
     ab = J.banded()
     ab_conj = np.conj(ab)
     rng = np.random.default_rng(_POWER_SEED)

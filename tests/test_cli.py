@@ -361,7 +361,8 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     # non-finite tolerances and zoom scales, tolerances below the rounding
     # floor, decay sizes below 3 rows, a zoom so coarse that only the two
     # neighbours of the row clear the decay floor (one distance fixes no slope),
-    # and n below 1 for cumulants and hypotheses
+    # n below 1 for cumulants and hypotheses, and non-finite centres, offsets,
+    # pole heights and weights
     hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
     hyp_x0 = ["hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--x0", "2"]
     for argv in (
@@ -377,6 +378,16 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         *(["cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5", "--n", n,
            "--f", "im:1/(x-i)", "-o", str(tmp_path / "cum.csv")] for n in ("-5", "0")),
         *(hyp_x0 + ["--n", n] for n in ("-3", "0")),
+        hyp + ["--x0", "nan"],
+        ["sample", "--ensemble", "hermite", "--alpha", "0.4", "--n", "50", "--count", "10",
+         "--f", "im:1/(x-i)", "--x0", "inf"],
+        ["cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5", "--n", "100",
+         "--f", "im:1/(x-i)", "--x0", "nan", "-o", str(tmp_path / "cum.csv")],
+        ["decay", "--n-alpha", "100", "--x0", "nan", "-o", str(tmp_path / "decay.csv")],
+        ["decay", "--n-alpha", "100", "--eta", "1+nani", "-o", str(tmp_path / "decay.csv")],
+        ["fit", "--target", "hat:0,1", "--poles", "5", "--height", "nan",
+         "-o", str(tmp_path / "fit.csv")],
+        ["variance-limit", "--f", "im:nan/(x-i)"],
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv

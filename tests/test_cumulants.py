@@ -5,6 +5,7 @@ import pytest
 
 import opemeso as om
 from opemeso.cumulants import _compositions, _cumulant_raw, _first_coupled_row, _PowerBlocks
+from opemeso.ensembles import hypothesis_window
 from opemeso.errors import InvalidParams, WindowTooSmall
 
 IM_G = om.parse_test_function("im:1/(x-i)")
@@ -144,7 +145,9 @@ class TestCumulantIdentities:
                           lambda: om.cumulant_bound_check(F, n, 3),
                           lambda: om.build_F(om.chebyshev2(), n, EDGE_R, IM_G),
                           lambda: om.build_F(om.chebyshev2(), n, EDGE_R, IM_G, window=(1, 50)),
-                          lambda: om.convergence_sweep(om.chebyshev2(), EDGE_R, IM_G, [n, 100])):
+                          lambda: om.convergence_sweep(om.chebyshev2(), EDGE_R, IM_G, [n, 100]),
+                          lambda: om.default_margin(n, EDGE_R),
+                          lambda: hypothesis_window(n, 0.5, 0.1)):
                 with pytest.raises(InvalidParams, match="n >= 1"):
                     check()
 

@@ -1,5 +1,7 @@
 """Test-function storage, conjugate closure, and the CLI mini-grammar."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,9 @@ class TestResolventTestFunction:
             om.ResolventTestFunction((), ())
         with pytest.raises(InvalidParams):
             om.ResolventTestFunction((1.0 - 0.5j,), (1.0,))
+        for poles, weights in (((complex(1, math.inf),), (1.0,)), ((1j,), (math.nan,))):
+            with pytest.raises(InvalidParams, match="finite"):
+                om.ResolventTestFunction(poles, weights)
 
 
 class TestGrammar:

@@ -1,5 +1,6 @@
 """Tridiagonal core: recursions vs dense oracle, transfer data, decompositions."""
 
+import functools
 import math
 
 import numpy as np
@@ -70,15 +71,25 @@ class TestInversion:
         with pytest.raises(InvalidParams):
             res.entry(1, 3)
 
-    def test_real_shift_needs_oracle_blessing(self):
-        # singular at z = 0: [[1, 1], [1, 1]]
-        J = om.TridiagonalMatrix([1.0, 1.0], [1.0], 0.0)
-        with pytest.raises(Singular):
-            om.TridiagonalResolvent(J)
-        # well-conditioned real-shift matrices are allowed through
-        J2 = om.TridiagonalMatrix([3.0, -2.0], [0.5], 0.0)
-        dense = om.TridiagonalResolvent(J2).dense()
-        assert np.allclose(dense @ J2.to_dense(), np.eye(2), atol=1e-12)
+    def test_real_shift_refused_by_every_resolvent_operation(self):
+        # Im z = 0 is outside the domain whether or not J - z is singular: the
+        # free N = 5 matrix at z = 0 is, [[0, 1], [1, 0]] and the free N = 4
+        # matrix are not.  The refusal comes before any arithmetic, so no
+        # RuntimeWarning (an error under this suite's settings) and no raw
+        # LinAlgError; the dense oracle stays the one route for real shifts.
+        operations = (
+            om.TridiagonalResolvent,
+            lambda J: _resolvent_row(J, 1),
+            om.resolvent_norm_estimate,
+            om.almost_toeplitz_decompose,
+        )
+        for N in (5, 2, 4):
+            J = om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 0.0)
+            for op in operations:
+                with pytest.raises(InvalidParams, match="Im z"):
+                    op(J)
+            if N != 5:
+                assert np.allclose(om.invert_dense_oracle(J) @ J.to_dense(), np.eye(N))
 
 
 class TestDenseOracle:
@@ -337,6 +348,24 @@ class TestAlmostToeplitz:
         assert math.isfinite(d.bound_constant)
 
 
+@functools.lru_cache(maxsize=None)
+def _thomas_row(N, z, ref):
+    """Row ``ref`` of (J - z)^-1 for diag 0, off-diagonals 1, by 40-digit Thomas elimination."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        b = -mpmath.mpc(z.real, z.imag)
+        c, d = [mpmath.mpc(0)] * N, [mpmath.mpc(0)] * N
+        c[0], d[0] = 1 / b, mpmath.mpc(ref == 1) / b
+        for i in range(1, N):
+            m = b - c[i - 1]
+            c[i] = 1 / m
+            d[i] = (int(i == ref - 1) - d[i - 1]) / m
+        x = [d[-1]]
+        for i in range(N - 2, -1, -1):
+            x.append(d[i] - c[i] * x[-1])
+        return np.array([complex(v) for v in reversed(x)])
+
+
 class TestDecayProfile:
     def test_edge_rate(self):
         N = 2000
@@ -372,28 +401,23 @@ class TestDecayProfile:
         assert all(isinstance(r[0], int) for r in rows)
 
     @pytest.mark.parametrize(
-        "N, z, tol",
-        # the pivot route reads 1.3e-13 on the first case and 6.0e-13 on the second
-        [(400, 2 + 0.01j, 1e-13), (2000, 2 + 1e-4j, 1e-12)],
+        "route",
+        [_resolvent_row, lambda J, ref: om.TridiagonalResolvent(J).row(ref)],
+        ids=["banded", "oracle"],
     )
-    def test_row_matches_mpmath_thomas_solve(self, N, z, tol):
-        mpmath = pytest.importorskip("mpmath")
+    @pytest.mark.parametrize(
+        "N, z, tol",
+        # banded solve / local-ratio oracle read 2.0e-14 / 2.2e-14, 4.2e-14 /
+        # 5.8e-14, 2.3e-13 / 2.3e-13 and 2.4e-14 / 2.4e-14 on these cases; the
+        # oracle's former three-sum assembly read 1.3e-13, 7.5e-13, 6.0e-13 and
+        # 3.0e-13, and sign flips alone in place of quarter turns 3.0e-13 in the bulk
+        [(400, 2 + 0.01j, 1e-13), (2000, 2 + 0.01j, 1e-13), (2000, 2 + 1e-4j, 1e-12),
+         (2000, 0.01j, 1e-13)],
+    )
+    def test_row_matches_mpmath_thomas_solve(self, route, N, z, tol):
         ref = N // 2
-        with mpmath.workdps(40):
-            # Thomas elimination of (J - z) x = e_ref for diag 0, off-diagonals 1
-            b = -mpmath.mpc(z.real, z.imag)
-            c, d = [mpmath.mpc(0)] * N, [mpmath.mpc(0)] * N
-            c[0], d[0] = 1 / b, mpmath.mpc(ref == 1) / b
-            for i in range(1, N):
-                m = b - c[i - 1]
-                c[i] = 1 / m
-                d[i] = (int(i == ref - 1) - d[i - 1]) / m
-            x = [d[-1]]
-            for i in range(N - 2, -1, -1):
-                x.append(d[i] - c[i] * x[-1])
-            exact = np.array([complex(v) for v in reversed(x)])
-        J = om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), z)
-        row = _resolvent_row(J, ref)
+        exact = _thomas_row(N, z, ref)
+        row = route(om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), z), ref)
         keep = np.abs(exact) > 1e-13 * np.max(np.abs(exact))
         assert np.max(np.abs(row[keep] / exact[keep] - 1)) <= tol
 
@@ -449,6 +473,12 @@ class TestSerialization:
     def test_shape_validation(self):
         with pytest.raises(InvalidParams):
             om.TridiagonalMatrix([1.0, 2.0], [1.0, 2.0], 0.0)
+
+    def test_non_finite_entries_refused(self):
+        for diag, off, z in (([math.nan, 0.0], [1.0], 1j), ([0.0, 0.0], [math.inf], 1j),
+                             ([0.0, 0.0], [1.0], complex(0, math.nan))):
+            with pytest.raises(InvalidParams, match="finite"):
+                om.TridiagonalMatrix(diag, off, z)
 
 
 def test_oracle_equivalence_bulk_random():
