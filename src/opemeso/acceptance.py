@@ -285,8 +285,15 @@ CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, str]]]] = [
 ]
 
 
-def run(only: list[int] | None = None, echo=print) -> list[CriterionResult]:
-    """Run the selected criteria (all by default), one pass/fail line each."""
+def run(only: list[int] | None = None) -> list[CriterionResult]:
+    """Run the selected criteria (all by default), one pass/fail line each.
+
+    Raises ValueError when ``only`` names a number no criterion has.
+    """
+    unknown = sorted(set(only or ()) - {number for number, _, _ in CRITERIA})
+    if unknown:
+        names = ", ".join(map(str, unknown))
+        raise ValueError(f"no criterion numbered {names}; they run from 1 to {len(CRITERIA)}")
     results = []
     for number, description, fn in CRITERIA:
         if only is not None and number not in only:
@@ -299,5 +306,5 @@ def run(only: list[int] | None = None, echo=print) -> list[CriterionResult]:
         elapsed = time.perf_counter() - start
         results.append(CriterionResult(number, description, ok, detail, elapsed))
         status = "PASS" if ok else "FAIL"
-        echo(f"[{status}] criterion {number:2d} ({description}): {detail} [{elapsed:.1f}s]")
+        print(f"[{status}] criterion {number:2d} ({description}): {detail} [{elapsed:.1f}s]")
     return results

@@ -296,11 +296,11 @@ def _check_batch_ensemble(batch: SampleBatch) -> None:
         )
 
 
-def _write_batch(spec, args) -> None:
-    """Write, or with ``--resume`` extend, the ``--out-batch`` spectra file.
+def _batch_to_save(spec, args) -> SampleBatch | None:
+    """The ``--out-batch`` spectra: fresh, or with ``--resume`` the stored ones extended.
 
-    A resumed file must hold the requested seed, n and ensemble; it is
-    rewritten only when ``--count`` asks for more samples than it stores.
+    A resumed file must hold the requested seed, n and ensemble; None when
+    ``--count`` asks for no more samples than it stores, so it is not rewritten.
     """
     if args.resume and Path(args.out_batch).exists():
         existing = load_batch(args.out_batch, spec)
@@ -309,27 +309,29 @@ def _write_batch(spec, args) -> None:
         _check_batch_ensemble(existing)
         missing = args.count - existing.count
         if missing <= 0:
-            return
+            return None
         extra = sample_spectra(spec, args.n, missing, args.seed, start_index=existing.count)
-        batch = SampleBatch(spec, args.n, args.seed, np.vstack([existing.spectra, extra.spectra]))
-    else:
-        batch = sample_spectra(spec, args.n, args.count, args.seed)
-    save_batch(batch, args.out_batch)
+        return SampleBatch(spec, args.n, args.seed, np.vstack([existing.spectra, extra.spectra]))
+    return sample_spectra(spec, args.n, args.count, args.seed)
 
 
 def cmd_sample(args) -> list[Path]:
     """Report the statistic's moments; eigenvalues only for ``--out-batch``.
 
     The report comes from ``sample_statistic`` whatever the batch file holds,
-    so it depends on (ensemble, n, count, seed, f, edge) alone.
+    so it depends on (ensemble, n, count, seed, f, edge) alone.  The batch is
+    drawn, and a stored one checked, before the statistic, so a refused batch
+    costs no statistic; it is saved only after the statistic succeeds.
     """
     spec = _ensemble_from_args(args)
     edge = _edge_from_args(args)
     f = parse_test_function(args.f)
+    batch = _batch_to_save(spec, args) if args.out_batch else None
     X = sample_statistic(spec, args.n, args.count, args.seed, f, edge)
     outputs = []
     if args.out_batch:
-        _write_batch(spec, args)
+        if batch is not None:
+            save_batch(batch, args.out_batch)
         outputs.append(Path(args.out_batch))
     mean, var, se = empirical_statistic(X)
     payload = {
@@ -388,7 +390,7 @@ def _replay_args(path: str) -> list[str]:
             if value:
                 replay.append(flag)
         else:
-            replay.extend([flag, str(value)])
+            replay.append(f"{flag}={value}")  # one token, so a value may start with "-"
     return replay
 
 

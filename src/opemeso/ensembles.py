@@ -1,11 +1,13 @@
 """Ensemble catalog: recurrence coefficients, edge locations, hypothesis checks.
 
 Every supported family exposes the orthonormal three-term recurrence
-coefficients (a_{j,n}, b_{j,n}) through :func:`recurrence`.  Families whose
+coefficients (a_{j,n}, b_{j,n}) through :func:`jacobi_window`, the only code
+that reads them; :func:`recurrence` is its two-row window.  Families whose
 measure is rescaled with the ensemble size n have ``varying=True``; for the
 others the coefficients are independent of n.  Each catalog family is one
 ``_FamilyRecord`` in ``_CATALOG`` (parameters and their checks, the varying
-flag, the support end, the a_j and b_j formulas) plus one constructor.
+flag, the support end, the a_j and b_j formulas) plus one constructor; a
+custom callback becomes a record of the same shape.
 
 Index convention: a_j is the off-diagonal entry coupling rows j-1 and j of
 the Jacobi matrix (j >= 1), b_j the diagonal entry of row j (j >= 0), so the
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -46,13 +49,14 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class _FamilyRecord:
-    """Everything the catalog knows about one family.
+    """Everything the code knows about one family.
 
     ``a(p, j, n)`` is a_{j,n} for j >= 1 and ``b(p, j, n)`` is b_{j,n} for
-    j >= 0, with p the spec's params; b defaults to 0.0.  ``checks`` pairs a
-    range predicate on p with the InvalidParams message raised when it
-    fails.  A discrete family's ``support`` is (label, last index as a
-    function of (p, n)).
+    j >= 0, with p the spec's params; b defaults to 0.0.  Only
+    :func:`jacobi_window` calls them, once it has checked n and the support.
+    ``checks`` pairs a range predicate on p with the InvalidParams message
+    raised when it fails.  A discrete family's ``support`` is (label, last
+    index as a function of (p, n)).  ``determinate(p)`` is None when unknown.
     """
 
     params: frozenset
@@ -173,9 +177,12 @@ _CATALOG = {
 class EnsembleSpec:
     """An ensemble family plus its parameters.
 
-    ``coeff_fn`` is only used by ``Family.CUSTOM`` and must map
-    ``(j, n) -> (a, b)``.  Custom specs are rejected by any operation that
-    needs a closed form (JSON serialization, the Monte-Carlo sampler).
+    ``coeff_fn`` is only used by ``Family.CUSTOM`` and must be a pure map
+    ``(j, n) -> (a, b)``: it is called once per coefficient read (about twice
+    per Jacobi row) and must return the same pair every time.  ``record`` is
+    the family's ``_FamilyRecord``, a record of the callback for a custom spec.
+    Custom specs are rejected by any operation that needs a closed form (JSON
+    serialization, the Monte-Carlo sampler).
     """
 
     family: Family
@@ -183,34 +190,40 @@ class EnsembleSpec:
     coeff_fn: Callable[[int, int], tuple[float, float]] | None = None
 
     def __post_init__(self):
-        if self.family is Family.CUSTOM:
-            if self.coeff_fn is None:
-                raise InvalidParams("custom family requires a coefficient callback")
-            return
+        if self.family is Family.CUSTOM and self.coeff_fn is None:
+            raise InvalidParams("custom family requires a coefficient callback")
+        record = self.record
         if not isinstance(self.params, dict) or not all(
             isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.params.values()
         ):
-            raise InvalidParams(
-                f"params for {self.family.value} must map names to real numbers"
-            )
-        record = _CATALOG[self.family]
+            raise InvalidParams(f"params for {self.family.value} must map names to real numbers")
         unknown = set(self.params) - record.params
         if unknown:
-            raise InvalidParams(
-                f"unknown params for {self.family.value}: {sorted(unknown)}"
-            )
+            raise InvalidParams(f"unknown params for {self.family.value}: {sorted(unknown)}")
         missing = record.params - set(self.params)
         if missing:
-            raise InvalidParams(
-                f"missing params for {self.family.value}: {sorted(missing)}"
-            )
+            raise InvalidParams(f"missing params for {self.family.value}: {sorted(missing)}")
+        for key, value in self.params.items():
+            if not abs(value) <= sys.float_info.max:  # also refuses ints beyond the float range
+                raise InvalidParams(
+                    f"{self.family.value} param {key} must be a finite float, got {value}"
+                )
         for ok, message in record.checks:
             if not ok(self.params):
                 raise InvalidParams(message)
 
     @property
+    def record(self) -> _FamilyRecord:
+        """The catalog record, or for a custom spec one that calls coeff_fn per coefficient."""
+        fn = self.coeff_fn
+        return _CATALOG.get(self.family) or _FamilyRecord(
+            frozenset(), varying=True, determinate=lambda p: None,
+            a=lambda p, j, n: float(fn(j, n)[0]), b=lambda p, j, n: float(fn(j, n)[1]),
+        )
+
+    @property
     def varying(self) -> bool:
-        return self.family is Family.CUSTOM or _CATALOG[self.family].varying
+        return self.record.varying
 
     @property
     def moment_determinate(self) -> bool | None:
@@ -219,9 +232,7 @@ class EnsembleSpec:
         Metadata only; None for custom callbacks.  Freud is determinate
         exactly when gamma >= 1, all other catalog families are determinate.
         """
-        if self.family is Family.CUSTOM:
-            return None
-        return _CATALOG[self.family].determinate(self.params)
+        return self.record.determinate(self.params)
 
     def to_json(self) -> dict:
         if self.family is Family.CUSTOM:
@@ -294,6 +305,7 @@ def log_singular() -> EnsembleSpec:
 
 
 def custom(coeff_fn: Callable[[int, int], tuple[float, float]]) -> EnsembleSpec:
+    """A spec reading (a_{j,n}, b_{j,n}) from coeff_fn(j, n), which must be pure."""
     return EnsembleSpec(Family.CUSTOM, {}, coeff_fn=coeff_fn)
 
 
@@ -307,32 +319,17 @@ def freud_scale_constant(gamma: float) -> float:
     return 0.5 * g ** (1.0 / gamma)
 
 
-def _record(spec: EnsembleSpec, j: int, n: int) -> _FamilyRecord:
-    """The catalog record of a closed-form spec whose support contains index j."""
-    record = _CATALOG[spec.family]
-    if record.support is not None:
-        label, end = record.support
-        last = end(spec.params, n)
-        if j > last:
-            raise OutOfDomain(f"{spec.family.value} support ends at j = {label} = {last:g}")
-    return record
-
-
 def recurrence(spec: EnsembleSpec, j: int, n: int) -> tuple[float, float]:
     """Return (a_{j,n}, b_{j,n}) for index j >= 1 and ensemble size n >= 1.
 
-    For non-varying families the result does not depend on n.  Raises
-    OutOfDomain when j leaves the support of a discrete family.
+    The rows j..j+1 of :func:`jacobi_window`.  For non-varying families the
+    result does not depend on n.  Raises OutOfDomain when j leaves the
+    support of a discrete family.
     """
     if j < 1:
         raise OutOfDomain(f"recurrence index must be >= 1, got {j}")
-    if n < 1:
-        raise OutOfDomain(f"ensemble size must be >= 1, got {n}")
-    if spec.family is Family.CUSTOM:
-        a, b = spec.coeff_fn(j, n)
-        return float(a), float(b)
-    record = _record(spec, j, n)
-    return record.a(spec.params, j, n), record.b(spec.params, j, n)
+    diag, offdiag = jacobi_window(spec, n, j, j + 1)
+    return float(offdiag[0]), float(diag[1])
 
 
 def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
@@ -340,20 +337,22 @@ def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
 
     Returns (diag, offdiag) as float arrays: diag[i] = b_{lo-1+i,n} and
     offdiag[i] = a_{lo+i,n}, matching the TridiagonalMatrix layout for the
-    window block.  At lo = 1, diag[0] = b_{0,n} comes from the same b formula.
+    window block (at lo = 1, diag[0] = b_{0,n}).  The window, n >= 1 and a
+    discrete family's support (at the last index read, hi - 1) are checked
+    once; then b_{lo-1..hi-1} and a_{lo..hi-1} are read from ``spec.record``.
     """
     if not 1 <= lo <= hi:
         raise OutOfDomain(f"window ({lo}, {hi}) must satisfy 1 <= lo <= hi")
-    diag = np.empty(hi - lo + 1)
-    offdiag = np.empty(hi - lo)
-    if lo > 1:
-        diag[0] = recurrence(spec, lo - 1, n)[1]
-    elif spec.family is Family.CUSTOM:
-        diag[0] = spec.coeff_fn(0, n)[1]
-    else:
-        diag[0] = _CATALOG[spec.family].b(spec.params, 0, n)
-    for j in range(lo, hi):
-        offdiag[j - lo], diag[j - lo + 1] = recurrence(spec, j, n)
+    if n < 1:
+        raise OutOfDomain(f"ensemble size must be >= 1, got {n}")
+    record, p = spec.record, spec.params
+    if record.support is not None:
+        label, end = record.support
+        last = end(p, n)
+        if hi - 1 > last:
+            raise OutOfDomain(f"{spec.family.value} support ends at j = {label} = {last:g}")
+    diag = np.array([record.b(p, j, n) for j in range(lo - 1, hi)], dtype=float)
+    offdiag = np.array([record.a(p, j, n) for j in range(lo, hi)], dtype=float)
     return diag, offdiag
 
 

@@ -208,13 +208,18 @@ def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
     ``f`` is any real function decaying at infinity (rational or compactly
     supported).  est_error is the last refinement step plus the rounding term
     plus the weighted-Lipschitz tail bound; NoConvergence when tol lies below
-    the rounding floor.
+    the rounding floor, InvalidParams when f is so large that a value, its
+    norm or the integral overflows the float range.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParams(f"quadrature tolerance must be finite and positive, got {tol!r}")
     s = 1.0 if side is Side.LEFT else -1.0
-    bound = weighted_lipschitz_norm(f) ** 2
-    value, est = _truncated_square(_variance_integrand(f, s), bound, 8 * math.pi ** 2, tol)
+    try:
+        with np.errstate(over="raise"):
+            bound = weighted_lipschitz_norm(f) ** 2
+            value, est = _truncated_square(_variance_integrand(f, s), bound, 8 * math.pi ** 2, tol)
+    except (FloatingPointError, OverflowError):
+        raise InvalidParams("f is too large: the variance quadrature overflows") from None
     return LimitVariance(value=value, method="quadrature", side=side, est_error=est)
 
 
@@ -233,14 +238,19 @@ def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     after squaring; numpy's pairwise sum of up to 4e6 terms adds at most
     17 eps sum |t_rs|.  The |t_rs| weighting matters when terms cancel, and
     kappa when two poles nearly coincide close to the real axis.
+    InvalidParams when a term or the sum overflows the float range.
     """
     c, eta = f.expanded()
     rho = np.sqrt(-eta) if side is Side.LEFT else np.sqrt(eta)
     pair_sum = rho[:, None] + rho[None, :]
-    terms = np.outer(c, c) / (4.0 * np.outer(rho, rho) * pair_sum ** 2)
-    total = complex(np.sum(terms))
-    kappa = np.add.outer(np.abs(rho), np.abs(rho)) / np.abs(pair_sum)
-    rounding = np.finfo(float).eps * float(np.sum(np.abs(terms) * (2 * kappa + 27)))
+    try:
+        with np.errstate(over="raise"):
+            terms = np.outer(c, c) / (4.0 * np.outer(rho, rho) * pair_sum ** 2)
+            total = complex(np.sum(terms))
+            kappa = np.add.outer(np.abs(rho), np.abs(rho)) / np.abs(pair_sum)
+            rounding = np.finfo(float).eps * float(np.sum(np.abs(terms) * (2 * kappa + 27)))
+    except FloatingPointError:
+        raise InvalidParams("f is too large: the residue sum overflows") from None
     est = abs(total.imag) + rounding
     return LimitVariance(value=total.real, method="residue", side=side, est_error=est)
 

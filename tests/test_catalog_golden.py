@@ -4,9 +4,9 @@
 callback, the recurrence coefficients on a (j, n) grid, the Jacobi window
 rows 1..8 (which start with b_0), the family flags, the finite-n edges and
 ``check_hypotheses(...).to_json()`` on a small grid.  Errors are pinned as
-(type name, message).  Comparison is exact, except for Krawtchouk b_0, where
-the general diagonal formula ((K - 0) p + 0 (1 - p)) / n replaces the former
-shortcut t p and may differ from it by at most 2 ulp.
+(type name, message).  Comparison is exact.  Krawtchouk b_0 comes from the
+general diagonal formula ((K - 0) p + 0 (1 - p)) / n, which may differ from
+the shortcut t p by at most 2 ulp (``test_krawtchouk_b0_ulp_bound``).
 
 Regenerate with ``python tests/test_catalog_golden.py --write``.
 """
@@ -17,12 +17,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import opemeso as om
 
 GOLDEN = Path(__file__).parent / "golden" / "catalog.json"
 
-B0_ULPS = 2  # Krawtchouk b_0 bound, see the module docstring
+B0_ULPS = 2  # Krawtchouk b_0 against t p, see the module docstring
 
 
 def _custom(j, n):
@@ -100,28 +101,24 @@ def catalog_records() -> dict:
     return records
 
 
-def _pop_krawtchouk_b0(records: dict) -> list[float]:
-    """Remove and return b_0 of every Krawtchouk window (in place)."""
-    b0 = []
-    for label, rec in records.items():
-        if label.startswith("krawtchouk"):
-            for n in WINDOW_N:
-                window = rec["window"][str(n)]
-                if isinstance(window, dict):
-                    b0.append(window["diag"].pop(0))
-    return b0
-
-
 def test_catalog_matches_golden():
     expected = json.loads(GOLDEN.read_text())
     actual = json.loads(json.dumps(catalog_records()))
-    want_b0 = _pop_krawtchouk_b0(expected)
-    got_b0 = _pop_krawtchouk_b0(actual)
-    assert len(got_b0) == len(want_b0) > 0
-    for got, want in zip(got_b0, want_b0):
-        assert abs(got - want) <= B0_ULPS * np.spacing(want)
     for label in SPECS:
         assert actual[label] == expected[label], label
+
+
+@pytest.mark.parametrize("label", list(SPECS))
+@pytest.mark.parametrize("n", [0, -2])
+def test_size_below_one_is_out_of_domain(label, n):
+    spec = SPECS[label]
+    message = f"ensemble size must be >= 1, got {n}"
+    for lo, hi in ((1, 1), (1, 8), (3, 5)):
+        with pytest.raises(om.OutOfDomain, match=message):
+            om.jacobi_window(spec, n, lo, hi)
+    for j in (1, 4):
+        with pytest.raises(om.OutOfDomain, match=message):
+            om.recurrence(spec, j, n)
 
 
 def test_krawtchouk_b0_ulp_bound():

@@ -55,6 +55,10 @@ REPLAY_RUNS = {
         "variance-limit", "--f", "im:1/(x-i)", "--method", "residue", "-o", "var.json",
     ],
     "decay": ["decay", "--n-alpha", "100", "--size", "300", "-o", "decay.csv"],
+    # a value starting with "-" replays as one --flag=value token
+    "decay-negative-eta": [
+        "decay", "--n-alpha", "100", "--eta=-0.5+2i", "--size", "400", "-o", "d.csv",
+    ],
     "hypotheses": [
         "hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--n", "200",
         "-o", "hyp.json",
@@ -263,6 +267,32 @@ def test_sample_n_above_spectrum_cap(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.json", "stats.json.manifest.json"]
 
 
+def test_refused_batch_never_computes_the_statistic(tmp_path, monkeypatch, capsys):
+    # the batch is checked (and drawn) first, so its refusal costs no statistic
+    batch_path = tmp_path / "batch.bin"
+    assert main(_sample_argv(batch_path, "hermite", None, 5)) == 0
+    before = batch_path.read_bytes()
+
+    def refuse(*args):
+        raise AssertionError("sample_statistic ran for a refused batch")
+
+    monkeypatch.setattr("opemeso.cli.sample_statistic", refuse)
+    big = ["sample", "--ensemble", "hermite", "--alpha", "0.4", "--f", "im:1/(x-i)",
+           "--n", "5000", "--count", "3", "--out-batch", str(tmp_path / "big.bin")]
+    wrong_seed = _sample_argv(batch_path, "hermite", None, 8)
+    wrong_seed[wrong_seed.index("--seed") + 1] = "4"
+    for argv in (
+        big,
+        wrong_seed + ["--resume"],
+        _sample_argv(batch_path, "laguerre", '{"gamma": 0}', 8) + ["--resume"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["batch.bin", "batch.bin.manifest.json"]
+    assert batch_path.read_bytes() == before
+
+
 def _sample_argv(batch_path, ensemble, params, count):
     argv = [
         "sample", "--ensemble", ensemble, "--alpha", "0.4", "--n", "30",
@@ -319,6 +349,14 @@ def test_selftest_subset(capsys):
     assert "[PASS] criterion  3" in out
 
 
+@pytest.mark.parametrize("only", ["13", "0,3"])
+def test_selftest_unknown_criterion_is_a_config_error(capsys, only):
+    assert main(["selftest", "--only", only]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: no criterion numbered")
+
+
 def test_config_error_exit_code():
     # malformed params JSON is a configuration error
     code = main([
@@ -361,8 +399,9 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     # non-finite tolerances and zoom scales, tolerances below the rounding
     # floor, decay sizes below 3 rows, a zoom so coarse that only the two
     # neighbours of the row clear the decay floor (one distance fixes no slope),
-    # n below 1 for cumulants and hypotheses, and non-finite centres, offsets,
-    # pole heights and weights
+    # n below 1 for cumulants and hypotheses, non-finite centres, offsets,
+    # pole heights, weights and family params, and weights so large that the
+    # variance quadrature or the residue sum overflows
     hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
     hyp_x0 = ["hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--x0", "2"]
     for argv in (
@@ -388,6 +427,10 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         ["fit", "--target", "hat:0,1", "--poles", "5", "--height", "nan",
          "-o", str(tmp_path / "fit.csv")],
         ["variance-limit", "--f", "im:nan/(x-i)"],
+        hyp + ["--params", '{"gamma": 1e400}'],
+        ["variance-limit", "--f", "im:1e308/(x-i)+im:1e308/(x-i)"],
+        ["variance-limit", "--f", "im:1e300/(x-0.000001i)", "--method", "quadrature"],
+        ["variance-limit", "--f", "im:1e200/(x-i)", "--method", "residue"],
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv

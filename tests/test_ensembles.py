@@ -75,6 +75,24 @@ class TestRecurrence:
         spec = om.custom(lambda j, n: (1.0 + j / n, -0.5))
         assert om.recurrence(spec, 3, 6) == (1.5, -0.5)
 
+    def test_custom_record(self):
+        # a callback is a record like any catalog family, read one coefficient at a time
+        calls = []
+
+        def coeff(j, n):
+            calls.append((j, n))
+            return 2.0 * j + n, -j / n
+
+        spec = om.custom(coeff)
+        record = spec.record
+        assert record.varying is True and spec.varying is True
+        assert record.determinate(spec.params) is None and spec.moment_determinate is None
+        assert (record.a(spec.params, 3, 4), record.b(spec.params, 3, 4)) == (10.0, -0.75)
+        assert calls == [(3, 4), (3, 4)]
+        diag, off = om.jacobi_window(spec, 4, 1, 3)
+        assert diag.tolist() == [0.0, -0.25, -0.5]
+        assert off.tolist() == [6.0, 8.0]
+
     def test_bad_indices(self):
         with pytest.raises(OutOfDomain):
             om.recurrence(om.chebyshev2(), 0, 5)
@@ -139,6 +157,18 @@ class TestParamValidation:
             om.EnsembleSpec(Family.LAGUERRE, {"gamma": 0.0, "bogus": 1})
         with pytest.raises(InvalidParams):
             om.EnsembleSpec(Family.LAGUERRE, {})
+
+    @pytest.mark.parametrize(
+        "value", [math.inf, -math.inf, math.nan, 10 ** 400], ids=["inf", "-inf", "nan", "int"]
+    )
+    def test_rejects_non_finite_params(self, value):
+        for build in (
+            lambda: om.laguerre(value),
+            lambda: om.krawtchouk(0.5, value),
+            lambda: om.hahn(1.0, value, 1.0),
+        ):
+            with pytest.raises(InvalidParams, match="must be a finite float"):
+                build()
 
     def test_custom_requires_callback(self):
         with pytest.raises(InvalidParams):
