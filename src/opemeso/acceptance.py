@@ -212,18 +212,25 @@ def criterion_9_decay_rates() -> tuple[bool, str]:
 
 
 def criterion_10_resolvent_norm() -> tuple[bool, str]:
-    """Power-iteration norm of (J - z)^-1 never exceeds (1 + 1e-6)/|Im z|."""
+    """Power-iteration norm of (J - z)^-1: at most (1 + 1e-6)/|Im z|, at least
+    0.98 of the dense oracle's 2-norm (an estimate of 0 must not pass)."""
     rng = np.random.default_rng(5150)
     worst = 0.0
+    lowest = math.inf
     for _ in range(50):
         N = int(rng.integers(5, 200))
         diag = rng.uniform(-3, 3, size=N)
         off = rng.uniform(0.1, 2.0, size=N - 1)
         z = complex(rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(0.05, 2.0))
         J = TridiagonalMatrix(diag, off, z)
-        ratio = resolvent_norm_estimate(J) * abs(z.imag)
-        worst = max(worst, ratio)
-    return worst <= 1 + 1e-6, f"max |Im z| * ||R|| = {worst:.9f} (tol 1 + 1e-6)"
+        est = resolvent_norm_estimate(J)
+        worst = max(worst, est * abs(z.imag))
+        lowest = min(lowest, est / float(np.linalg.norm(invert_dense_oracle(J), 2)))
+    ok = worst <= 1 + 1e-6 and lowest >= 0.98
+    return ok, (
+        f"max |Im z| * ||R|| = {worst:.9f} (tol 1 + 1e-6); "
+        f"min estimate / ||R||_2 = {lowest:.4f} (>= 0.98)"
+    )
 
 
 def criterion_11_monte_carlo() -> tuple[bool, str]:

@@ -190,9 +190,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _target_ends(text: str) -> tuple[float, float]:
+    """The ends a, b of a "bump:a,b" or "hat:a,b" target: finite and distinct."""
+    a, b = (float(t) for t in text.split(","))
+    if not (math.isfinite(a) and math.isfinite(b) and a != b):
+        raise InvalidParams(f"target ends must be finite and distinct, got {a!r}, {b!r}")
+    return a, b
+
+
 def _make_target(text: str):
     if text.startswith("bump:"):
-        a, b = (float(t) for t in text[5:].split(","))
+        a, b = _target_ends(text[5:])
 
         def bump(x):
             x = np.asarray(x, dtype=float)
@@ -206,7 +214,7 @@ def _make_target(text: str):
 
         return bump
     if text.startswith("hat:"):
-        a, b = (float(t) for t in text[4:].split(","))
+        a, b = _target_ends(text[4:])
         mid = 0.5 * (a + b)
 
         def hat(x):
@@ -323,6 +331,8 @@ def cmd_sample(args) -> list[Path]:
     drawn, and a stored one checked, before the statistic, so a refused batch
     costs no statistic; it is saved only after the statistic succeeds.
     """
+    if args.resume and not args.out_batch:
+        raise ValueError("--resume extends a batch file and needs --out-batch")
     spec = _ensemble_from_args(args)
     edge = _edge_from_args(args)
     f = parse_test_function(args.f)

@@ -6,6 +6,7 @@ pass/fail lines; the same checks back the ``opemeso selftest`` subcommand.
 
 import pytest
 
+from opemeso import acceptance
 from opemeso.acceptance import CRITERIA
 
 
@@ -17,3 +18,16 @@ def test_criterion(number, description, fn):
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] criterion {number:2d} ({description}): {detail}")
     assert ok, f"criterion {number} ({description}): {detail}"
+
+
+def test_a_raising_criterion_fails_and_the_run_goes_on(monkeypatch, capsys):
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(
+        acceptance, "CRITERIA", [(1, "crashes", crash), (2, "passes", lambda: (True, "fine"))]
+    )
+    results = acceptance.run()
+    assert [(r.number, r.ok) for r in results] == [(1, False), (2, True)]
+    assert results[0].detail == "raised RuntimeError: boom"
+    assert "[FAIL] criterion  1 (crashes): raised RuntimeError: boom" in capsys.readouterr().out

@@ -69,6 +69,11 @@ REPLAY_RUNS = {
         "--f", "im:1/(x-i)", "--out-batch", "batch.bin", "-o", "stats.json",
     ],
     "fit": ["fit", "--target", "bump:-1,1", "--poles", "6", "-o", "fit.csv"],
+    # a store_true flag: the manifest records True and replays a bare --resume
+    "sample-resume": [
+        "sample", "--ensemble", "hermite", "--alpha", "0.5", "--n", "20", "--count", "4",
+        "--f", "im:1/(x-i)", "--out-batch", "batch.bin", "--resume", "-o", "stats.json",
+    ],
 }
 
 
@@ -106,6 +111,8 @@ def test_rerun_overwrites_outputs_without_truncating_first(tmp_path, monkeypatch
     assert main(argv) == 0
     (manifest,) = tmp_path.glob("*.manifest.json")
     expected = json.loads(manifest.read_text())["outputs"] + [manifest.name]
+    if "--resume" in argv:  # a resume that adds no rows leaves the batch file alone
+        expected.remove("batch.bin")
     assert sorted(opened) == sorted(expected)
     assert all(flags & os.O_TRUNC == 0 for flags in opened.values()), opened
 
@@ -343,6 +350,21 @@ def test_fit_outputs(tmp_path):
     assert meta["achieved_lw_norm"] > 0
 
 
+@pytest.mark.parametrize("target", ["hat:2,1", "im:1/(x-0.5i)"], ids=["reversed-ends", "poles"])
+def test_fit_targets(tmp_path, target):
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "--target", target, "--poles", "6", "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 7
+
+
+def test_resume_from_an_empty_batch(tmp_path):
+    batch_path, fresh_path = tmp_path / "batch.bin", tmp_path / "fresh.bin"
+    opemeso.save_batch(opemeso.SampleBatch(opemeso.hermite(), 30, 3, np.empty((0, 30))), batch_path)
+    assert main(_sample_argv(batch_path, "hermite", None, 4) + ["--resume"]) == 0
+    assert main(_sample_argv(fresh_path, "hermite", None, 4)) == 0
+    assert batch_path.read_bytes() == fresh_path.read_bytes()
+
+
 def test_selftest_subset(capsys):
     assert main(["selftest", "--only", "3"]) == 0
     out = capsys.readouterr().out
@@ -357,13 +379,17 @@ def test_selftest_unknown_criterion_is_a_config_error(capsys, only):
     assert err.startswith("config error: no criterion numbered")
 
 
-def test_config_error_exit_code():
-    # malformed params JSON is a configuration error
-    code = main([
-        "hypotheses", "--ensemble", "laguerre", "--params", "{bad json",
-        "--n", "100", "--alpha", "0.5",
-    ])
-    assert code == 2
+def test_config_error_exit_code(capsys):
+    # malformed params JSON is a configuration error, and so is --resume
+    # without a batch file to extend
+    for argv in (
+        ["hypotheses", "--ensemble", "laguerre", "--params", "{bad json",
+         "--n", "100", "--alpha", "0.5"],
+        ["sample", "--ensemble", "hermite", "--alpha", "0.5", "--n", "10", "--count", "3",
+         "--f", "im:1/(x-i)", "--resume"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
 
 
 def test_bad_paths_are_config_errors(tmp_path, capsys):
@@ -400,8 +426,9 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     # floor, decay sizes below 3 rows, a zoom so coarse that only the two
     # neighbours of the row clear the decay floor (one distance fixes no slope),
     # n below 1 for cumulants and hypotheses, non-finite centres, offsets,
-    # pole heights, weights and family params, and weights so large that the
-    # variance quadrature or the residue sum overflows
+    # pole heights, weights and family params, weights so large that the
+    # variance quadrature or the residue sum overflows, and fit targets whose
+    # ends are equal or not finite
     hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
     hyp_x0 = ["hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--x0", "2"]
     for argv in (
@@ -431,6 +458,8 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         ["variance-limit", "--f", "im:1e308/(x-i)+im:1e308/(x-i)"],
         ["variance-limit", "--f", "im:1e300/(x-0.000001i)", "--method", "quadrature"],
         ["variance-limit", "--f", "im:1e200/(x-i)", "--method", "residue"],
+        *(["fit", "--target", target, "--poles", "5", "-o", str(tmp_path / "fit.csv")]
+          for target in ("bump:1,1", "hat:1,1", "hat:0,inf", "bump:nan,1")),
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv

@@ -344,3 +344,17 @@ class TestSweepCut:
         blocks = _PowerBlocks(F[lo:, lo:], n - lo, max_power=3)
         for m in (2, 3, 4):
             assert blocks.cumulant(m) == om.cumulant(F, n, m)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: om.build_F(om.chebyshev2(), 100, EDGE_R, IM_G, window=(0, 120)), "1 <= lo"),
+        (lambda: om.build_F(om.chebyshev2(), 100, EDGE_R, IM_G, window=(1, 100)), "hi > n"),
+        (lambda: om.cumulant(np.zeros((4, 5)), 2, 2), "square"),
+    ],
+    ids=["window-lo", "window-hi", "non-square"],
+)
+def test_refusals(call, match):
+    with pytest.raises(InvalidParams, match=match):
+        call()

@@ -496,3 +496,17 @@ def test_recurrence_finite_and_positive_offdiag(spec, j, n):
     a, b = om.recurrence(spec, j, n)
     assert math.isfinite(a) and math.isfinite(b)
     assert a > 0
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: om.from_json(["hermite"]), InvalidParams, "JSON object"),
+        (lambda: om.jacobi_window(om.hermite(), 10, 5, 4), OutOfDomain, "1 <= lo <= hi"),
+        (lambda: om.jacobi_window(om.hermite(), 10, 0, 4), OutOfDomain, "1 <= lo <= hi"),
+    ],
+    ids=["spec-not-object", "window-reversed", "window-lo"],
+)
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

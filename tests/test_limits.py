@@ -240,6 +240,23 @@ class TestFit:
         with pytest.raises(InvalidParams):
             om.fit_resolvent_approximation(smooth_bump, 5, -1.0)
 
+    def test_single_pole_sits_at_the_support_centre(self):
+        fitted, achieved = om.fit_resolvent_approximation(smooth_bump, 1, 0.25, support=(-1.0, 3.0))
+        assert fitted.poles == (1 + 0.25j,)
+        assert len(fitted.weights) == 1 and math.isfinite(achieved)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: np.zeros_like(x),
+            lambda x: smooth_bump(np.asarray(x) - 200.0),  # support beyond the scan grid
+        ],
+        ids=["zero", "support-off-grid"],
+    )
+    def test_refuses_targets_without_detectable_support(self, f):
+        with pytest.raises(InvalidParams, match="cannot detect support"):
+            om.fit_resolvent_approximation(f, 5, 0.25)
+
     def test_support_detection(self):
         fitted, achieved = om.fit_resolvent_approximation(smooth_bump, 20, 0.25)
         norm = om.weighted_lipschitz_norm(smooth_bump)

@@ -248,3 +248,28 @@ class TestPersistence:
             path.write_bytes(cut)
             with pytest.raises(InvalidParams):
                 om.load_batch(path, om.hermite())
+
+
+def _written(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda tmp: om.sample_spectra(om.hermite(), 0, 5, seed=1), InvalidParams, "n >= 1"),
+        (lambda tmp: om.sample_spectra(om.hermite(), 10, 5, seed=-1), InvalidParams, "64"),
+        (lambda tmp: om.sample_spectra(om.hermite(), 10, 5, seed=2 ** 64), InvalidParams, "64"),
+        (lambda tmp: om.sample_spectra(om.laguerre(-0.5), 10, 5, seed=1), Unsupported, "gamma"),
+        (lambda tmp: om.load_batch(
+            _written(tmp / "v2.bin", sampling._HEADER.pack(sampling._MAGIC, 2, 1, 0, 0)),
+            om.hermite(),
+        ), InvalidParams, "version 2"),
+    ],
+    ids=["n-below-one", "negative-seed", "seed-too-large", "laguerre-negative-gamma",
+         "batch-version"],
+)
+def test_refusals(tmp_path, call, error, match):
+    with pytest.raises(error, match=match):
+        call(tmp_path)

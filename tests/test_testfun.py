@@ -118,3 +118,9 @@ def test_always_real_on_real_axis(pole_data, x):
     c, eta = f.expanded()
     val = sum(ci / (x - ei) for ci, ei in zip(c, eta))
     assert abs(val.imag) < 1e-12 * max(1.0, abs(val.real))
+
+
+@pytest.mark.parametrize("factor", [0.0, -2.0])
+def test_scaled_argument_refuses_non_positive_factors(factor):
+    with pytest.raises(InvalidParams, match="positive"):
+        om.ResolventTestFunction((1j,), (1.0,)).scaled_argument(factor)

@@ -348,6 +348,30 @@ class TestAlmostToeplitz:
         assert math.isfinite(d.bound_constant)
 
 
+def _tri(diag, off, z=1j):
+    return om.TridiagonalMatrix(diag, off, z)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        # eigenvalue 1 of [[0, 1], [1, 0]] one ulp from the shift: LU succeeds
+        (lambda: om.invert_dense_oracle(_tri([0, 0], [1], 1 - 1e-16)), Singular, "condition"),
+        (lambda: om.TridiagonalResolvent(_tri([1, 1, 1], [1, 0])), InvalidParams, "nonzero"),
+        (lambda: om.TridiagonalResolvent(_tri([1, 1, 1], [1, 1])).row(4), InvalidParams, "row"),
+        (lambda: om.transfer_spectrum(_tri([1, 1], [1])), InvalidParams, "N >= 3"),
+        (lambda: om.transfer_spectrum(_tri([1, 1, 1], [0, 1])), InvalidParams, "nonzero"),
+        (lambda: om.almost_toeplitz_decompose(_tri([2, 2, 2], [1, 1])), InvalidParams, "N >= 4"),
+        (lambda: om.almost_toeplitz_decompose(_tri([2] * 4, [1, 0, 1])), InvalidParams, "nonzero"),
+    ],
+    ids=["ill-conditioned", "oracle-zero-off", "row-index", "transfer-N", "transfer-zero-off",
+         "split-N", "split-zero-off"],
+)
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 @functools.lru_cache(maxsize=None)
 def _thomas_row(N, z, ref):
     """Row ``ref`` of (J - z)^-1 for diag 0, off-diagonals 1, by 40-digit Thomas elimination."""
