@@ -40,6 +40,7 @@ _MAX_LEVEL = 9             # panel refinement stops at 2^9 panels per axis
 _PI_SQUARED_TOL = 1e-7
 _FIT_GRID_POINTS = 2000
 _MAX_POLES = 1000          # the fit's design matrix is ~4800 x M float64: 38 MB at the cap
+_LIPSCHITZ_PANEL_ROWS = 32  # two 32 x 2001 float64 panels (1 MB) fit in L2; timed fastest of 8-256
 
 
 @dataclass(frozen=True)
@@ -131,21 +132,40 @@ def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2
     differences (relative step 1e-4) otherwise.  ``grid`` >= 2 tangent-spaced
     points cover the real line out to ~1e6, which also captures the
     pairs-at-infinity limit sup sqrt(1+y^2)|f(y)|.
+
+    The pairs are streamed in panels of rows through two reused
+    (rows, grid) buffers, so memory is O(rows * grid), not O(grid^2).  Each
+    pair sees the same float operations in the same order as the dense
+    grid x grid quotient, so the sup is the same to the bit.  InvalidParams
+    when f has a NaN or infinite value on the grid.
     """
     if grid < 2:
         raise InvalidParams(f"the Lipschitz grid needs at least 2 points, got {grid}")
     xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, grid))
     fx = np.asarray(f(xs), dtype=float)
+    if not np.isfinite(fx).all():
+        raise InvalidParams("f has a NaN or infinite value on the Lipschitz grid")
     w = np.sqrt(1 + xs ** 2)
-    diff = np.abs(fx[:, None] - fx[None, :])
-    dist = np.abs(xs[:, None] - xs[None, :])
-    np.fill_diagonal(dist, 1.0)
-    quot = diff / dist * w[:, None] * w[None, :]
-    np.fill_diagonal(quot, 0.0)
-    off_sup = float(quot.max())
+    rows = min(_LIPSCHITZ_PANEL_ROWS, grid)
+    q_buf = np.empty((rows, grid))
+    d_buf = np.empty((rows, grid))
+    off_sup = 0.0
+    for s in range(0, grid, rows):
+        e = min(s + rows, grid)
+        q, d = q_buf[: e - s], d_buf[: e - s]
+        local = np.arange(e - s)
+        np.subtract(fx[s:e, None], fx[None, :], out=q)
+        np.abs(q, out=q)
+        np.subtract(xs[s:e, None], xs[None, :], out=d)
+        np.abs(d, out=d)
+        d[local, s + local] = 1.0  # q's diagonal is then |f_i - f_i| / 1 * w_i^2 = 0 exactly
+        q /= d
+        q *= w[s:e, None]
+        q *= w[None, :]
+        off_sup = np.maximum(off_sup, q.max())
 
     diag_sup = float(np.max((1 + xs ** 2) * np.abs(_derivative(f, xs))))
-    return max(off_sup, diag_sup)
+    return max(float(off_sup), diag_sup)
 
 
 def _dominating_integrand(X, Y):

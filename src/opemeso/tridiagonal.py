@@ -347,6 +347,8 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     Where Re(b - z) <= 0, C and D cancel terms growing like |omega-/omega+|^N
     (~1e76 at N = 200), so T is noise there by any route; ``applicable`` is
     False, and T + H stays the oracle's inverse while C and D are finite.
+    Once C, D, phi's denominator or T overflow (N = 700 at diagonal -2,
+    off-diagonal 1, z = 0.5i), the split raises InvalidParams.
     """
     res = TridiagonalResolvent(J)                # refuses Im z = 0 and zero off-diagonals
     N = J.N
@@ -374,53 +376,62 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     r_gamma = gamma2 / gamma1
     r_delta = delta2 * gamma2 / (delta1 * gamma1)
 
-    # signed eigenvalue-ratio products (complex logs; moduli < 1 in regime)
-    log_ratio = np.log(omm / omp)                 # index l-1 <-> step l
-    # suffix[k] = prod_{l=k}^{N-1} ratio_l, k = 1..N (suffix[N] = 1)
-    suffix = np.ones(N + 1, dtype=complex)
-    suffix[1:N] = np.exp(np.cumsum(log_ratio[:N - 1][::-1])[::-1])
-    # prefix[j] = prod_{l=2}^{j} ratio_l, j = 1..N (prefix[1] = 1)
-    prefix = np.ones(N + 1, dtype=complex)
-    prefix[2:] = np.exp(np.cumsum(log_ratio[1:]))
+    # Where Re(b - z) <= 0 the ratio products grow with N and can overflow;
+    # the finiteness check below turns that into a typed refusal.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # signed eigenvalue-ratio products (complex logs; moduli < 1 in regime)
+        log_ratio = np.log(omm / omp)                 # index l-1 <-> step l
+        # suffix[k] = prod_{l=k}^{N-1} ratio_l, k = 1..N (suffix[N] = 1)
+        suffix = np.ones(N + 1, dtype=complex)
+        suffix[1:N] = np.exp(np.cumsum(log_ratio[:N - 1][::-1])[::-1])
+        # prefix[j] = prod_{l=2}^{j} ratio_l, j = 1..N (prefix[1] = 1)
+        prefix = np.ones(N + 1, dtype=complex)
+        prefix[2:] = np.exp(np.cumsum(log_ratio[1:]))
 
-    # 1 + C(k) + r_beta suffix[k] = (1 + r_beta) prod_{m=k}^{N-1} d_{m+1} / (a_m omega+_m),
-    # k = 1..N-1 (C(N) = 0): the bottom solution from (v_N, v_{N-1}) = V_{N-1} (1, r_beta)
-    C = np.zeros(N + 1, dtype=complex)
-    log_v = np.cumsum(np.log(d[1:] / (a * omp[: N - 1]))[::-1])[::-1]
-    C[1:N] = (1 + r_beta) * np.exp(log_v) - 1 - r_beta * suffix[1:N]
-    # U(j) = 1 + D(j) + r_gamma prefix[j] = (1 + r_gamma) prod_{m=1}^{j-1} delta_m /
-    # (a_m lambda+_{m+1}), j = 1..N (D(1) = 0): the top solution from W_2 (1, r_gamma)
-    U = (1 + r_gamma) * np.exp(np.cumsum(np.log(res._delta[:-1] / (a * lap[1:]))))  # j = 2..N
-    D = np.zeros(N + 1, dtype=complex)
-    D[2:] = U - 1 - r_gamma * prefix[2:]
-    # phi's denominator 1 + r_delta prefix[N-1] + dtilde is the first component at
-    # N-1 of the scaled solution from W_2 (1, r_delta) = u + r_shift s, with
-    # r_shift = r_delta - r_gamma and s from (1, lambda-_2).  Write s = alpha u + beta v
-    # with v_1 = 1 (v_2 = rho); beta_tilde = beta v_{N-1} / prod_{j=2}^{N-1} lambda+_j
-    # is one term of the denominator, so its exponent overflows only where it does.
-    u1, u2, rho = 1 + r_gamma, lp2 + r_gamma * lm2, a[0] / d[1]
-    alpha = (rho - lm2) / (u1 * rho - u2)
-    beta_tilde = (lm2 - lp2) / (u1 * rho - u2) * np.exp(
-        -np.sum(np.log(d[1 : N - 1] * lap[1 : N - 1] / a[: N - 2]))
-    )
-    r_shift = r_delta - r_gamma
-    phi_denom = U[N - 3] * (1 + r_shift * alpha) + r_shift * beta_tilde
-    dtilde = phi_denom - 1 - r_delta * prefix[N - 1]
+        # 1 + C(k) + r_beta suffix[k] = (1 + r_beta) prod_{m=k}^{N-1} d_{m+1} / (a_m omega+_m),
+        # k = 1..N-1 (C(N) = 0): the bottom solution from (v_N, v_{N-1}) = V_{N-1} (1, r_beta)
+        C = np.zeros(N + 1, dtype=complex)
+        log_v = np.cumsum(np.log(d[1:] / (a * omp[: N - 1]))[::-1])[::-1]
+        C[1:N] = (1 + r_beta) * np.exp(log_v) - 1 - r_beta * suffix[1:N]
+        # U(j) = 1 + D(j) + r_gamma prefix[j] = (1 + r_gamma) prod_{m=1}^{j-1} delta_m /
+        # (a_m lambda+_{m+1}), j = 1..N (D(1) = 0): the top solution from W_2 (1, r_gamma)
+        U = (1 + r_gamma) * np.exp(np.cumsum(np.log(res._delta[:-1] / (a * lap[1:]))))  # j = 2..N
+        D = np.zeros(N + 1, dtype=complex)
+        D[2:] = U - 1 - r_gamma * prefix[2:]
+        # phi's denominator 1 + r_delta prefix[N-1] + dtilde is the first component at
+        # N-1 of the scaled solution from W_2 (1, r_delta) = u + r_shift s, with
+        # r_shift = r_delta - r_gamma and s from (1, lambda-_2).  Write s = alpha u + beta v
+        # with v_1 = 1 (v_2 = rho); beta_tilde = beta v_{N-1} / prod_{j=2}^{N-1} lambda+_j
+        # is one term of the denominator, so its exponent overflows only where it does.
+        u1, u2, rho = 1 + r_gamma, lp2 + r_gamma * lm2, a[0] / d[1]
+        alpha = (rho - lm2) / (u1 * rho - u2)
+        beta_tilde = (lm2 - lp2) / (u1 * rho - u2) * np.exp(
+            -np.sum(np.log(d[1 : N - 1] * lap[1 : N - 1] / a[: N - 2]))
+        )
+        r_shift = r_delta - r_gamma
+        phi_denom = U[N - 3] * (1 + r_shift * alpha) + r_shift * beta_tilde
+        dtilde = phi_denom - 1 - r_delta * prefix[N - 1]
 
-    # T entries: for lo = min(j, k) <= hi = max(j, k) (1-based),
-    #   T = (-1)^{hi-lo} pref (1+D(lo)) (1+C(hi)) / a_{hi-1} * exp(LW(hi-1) - LW(lo))
-    # with LW(i) = sum_{l=1}^{i} log omega_l^-; the unified exponent covers
-    # the diagonal (hi = lo gives the 1/omega_lo^- of the exact formula, also at
-    # lo = 1), and the sign splits as (-1)^hi (-1)^lo into the per-index factors.
-    LW = np.zeros(N + 1, dtype=complex)           # LW[i], i = 0..N
-    LW[1:] = np.cumsum(np.log(omm))
-    alt = (-1.0) ** np.arange(1, N + 1)
-    pref = omN1 / ((opN1 - omN1) * phi_denom)
-    rowfac = pref * alt * (1.0 + D[1:])
-    colfac = alt * (1.0 + C[1:]) / a_prev
-    idx = np.arange(N)
-    T = _semiseparable(rowfac, colfac, -LW[1:], LW[:N], idx[:, None], idx)
+        # T entries: for lo = min(j, k) <= hi = max(j, k) (1-based),
+        #   T = (-1)^{hi-lo} pref (1+D(lo)) (1+C(hi)) / a_{hi-1} * exp(LW(hi-1) - LW(lo))
+        # with LW(i) = sum_{l=1}^{i} log omega_l^-; the unified exponent covers
+        # the diagonal (hi = lo gives the 1/omega_lo^- of the exact formula, also at
+        # lo = 1), and the sign splits as (-1)^hi (-1)^lo into the per-index factors.
+        LW = np.zeros(N + 1, dtype=complex)           # LW[i], i = 0..N
+        LW[1:] = np.cumsum(np.log(omm))
+        alt = (-1.0) ** np.arange(1, N + 1)
+        pref = omN1 / ((opN1 - omN1) * phi_denom)
+        rowfac = pref * alt * (1.0 + D[1:])
+        colfac = alt * (1.0 + C[1:]) / a_prev
+        idx = np.arange(N)
+        T = _semiseparable(rowfac, colfac, -LW[1:], LW[:N], idx[:, None], idx)
 
+    for name, value in (("C", C), ("D", D), ("phi_denom", phi_denom), ("T", T)):
+        if not np.all(np.isfinite(value)):
+            raise InvalidParams(
+                f"almost-Toeplitz split overflows at N = {N}: {name} is not finite"
+                " (Re(b - z) <= 0 on a long window)"
+            )
     H = res.dense() - T
 
     # smallness certificates

@@ -1,16 +1,19 @@
 """Limit theory: quadrature vs residue, norms, rational approximation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import opemeso as om
 from opemeso import limits
+from opemeso.cli import _make_target
 from opemeso.errors import IllConditioned, InvalidParams, NoConvergence
 
 IM_G = om.parse_test_function("im:1/(x-i)")
 RE_G = om.parse_test_function("re:1/(x-i)")
+TWO_POLE = om.ResolventTestFunction((0.3 + 0.5j, -1.0 + 1.5j), (0.7, -0.4))
 
 
 def smooth_bump(x):
@@ -183,6 +186,57 @@ class TestWeightedLipschitzNorm:
         base = om.weighted_lipschitz_norm(IM_G)
         scaled = om.weighted_lipschitz_norm(IM_G.scaled_argument(4.0))
         assert abs(scaled - base) > 0.1
+
+    @staticmethod
+    def dense_norm(f, grid):
+        """The dense grid x grid formula the streamed norm replaced."""
+        xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, grid))
+        fx = np.asarray(f(xs), dtype=float)
+        w = np.sqrt(1 + xs ** 2)
+        diff = np.abs(fx[:, None] - fx[None, :])
+        dist = np.abs(xs[:, None] - xs[None, :])
+        np.fill_diagonal(dist, 1.0)
+        quot = diff / dist * w[:, None] * w[None, :]
+        np.fill_diagonal(quot, 0.0)
+        diag_sup = float(np.max((1 + xs ** 2) * np.abs(limits._derivative(f, xs))))
+        return max(float(quot.max()), diag_sup)
+
+    @pytest.mark.parametrize(
+        "f",
+        [IM_G, RE_G, TWO_POLE, lambda x: TWO_POLE(-x * x), _make_target("bump:-1,2"),
+         _make_target("hat:0,1")],
+        ids=["im", "re", "two-pole", "two-pole-edge-form", "bump", "hat"],
+    )
+    def test_streamed_sup_is_the_dense_sup_bit_for_bit(self, f, monkeypatch):
+        # grids below, at and beyond the 32-row panel edges; the second pass
+        # zeroes f' so the pairwise sup is compared also where the diagonal wins
+        for pass_ in ("norm", "pairs only"):
+            for grid in (2, 3, 31, 32, 33, 1001, 2001, 4001):
+                assert om.weighted_lipschitz_norm(f, grid) == self.dense_norm(f, grid), (pass_, grid)
+            monkeypatch.setattr(limits, "_derivative", lambda f, x: np.zeros_like(x))
+
+    def test_memory_is_linear_in_the_grid(self):
+        # the dense formula peaked at 489 MB at this grid; two 32 x 4001 panels take 2 MB
+        tracemalloc.start()
+        try:
+            om.weighted_lipschitz_norm(IM_G, 4001)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize(
+        "index, value", [(1000, math.nan), (3, math.nan), (3, math.inf)],
+        ids=["nan-mid-grid", "nan-first-panel", "inf-first-panel"],
+    )
+    def test_non_finite_values_refused(self, index, value):
+        def f(x):
+            out = np.array(IM_G(x), dtype=float)
+            out[index] = value
+            return out
+
+        with pytest.raises(InvalidParams, match="NaN or infinite"):
+            om.weighted_lipschitz_norm(f)
 
 
 class TestVarianceApproximationChain:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -321,6 +322,18 @@ class TestAlmostToeplitz:
         assert abs(dec.T[0, 0] - dec.T[1, 1]) <= 1e-12 * abs(dec.T[1, 1])
         oracle = om.invert_dense_oracle(J)
         assert np.max(np.abs(dec.T + dec.H - oracle)) <= 1e-10
+
+    def test_overflowing_split_refused_without_warnings(self):
+        # Re(b - z) < 0: C grows like |omega-/omega+|^N, ~4.5e252 at N = 600
+        def J(N):
+            return om.TridiagonalMatrix(-2.0 * np.ones(N), np.ones(N - 1), 0.5j)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dec = om.almost_toeplitz_decompose(J(600))
+            assert np.max(np.abs(dec.T + dec.H - om.invert_dense_oracle(J(600)))) <= 1e-10
+            with pytest.raises(InvalidParams, match="overflows at N = 700: C is not finite"):
+                om.almost_toeplitz_decompose(J(700))
 
     @pytest.mark.parametrize("fixture", ["toeplitz", "criterion8", "laguerre"])
     def test_T_matches_explicit_transfer_products(self, fixture):

@@ -23,7 +23,7 @@ from pathlib import Path
 WORKLOADS = ("edge-sweep", "mc-batch", "variance-limit", "resolvent-decay")
 SEEDS = (1, 2, 3)
 SECONDS = 20.0
-TRACED = ("edge-sweep", "mc-batch", "resolvent-decay")
+TRACED = ("edge-sweep", "mc-batch", "variance-limit", "resolvent-decay")
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
