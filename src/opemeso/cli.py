@@ -425,25 +425,24 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "selftest":
             return cmd_selftest(args)
         outputs = _COMMANDS[args.command](args)
+        if outputs:
+            wallclock = time.perf_counter() - start
+            manifest = {
+                "schema": 1,
+                "command": args.command,
+                "config": {k: v for k, v in vars(args).items() if k != "from_manifest"},
+                "git_describe": _git_describe(),
+                "versions": _versions(),
+                "wallclock_s": wallclock,
+                "outputs": [str(p) for p in outputs],
+            }
+            _emit(_json(manifest, sort_keys=True), f"{outputs[0]}.manifest.json")
     except OpemesoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:  # unreadable/unwritable paths, bad JSON or values
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    wallclock = time.perf_counter() - start
-    if outputs:
-        manifest = {
-            "schema": 1,
-            "command": args.command,
-            "config": {k: v for k, v in vars(args).items() if k != "from_manifest"},
-            "git_describe": _git_describe(),
-            "versions": _versions(),
-            "wallclock_s": wallclock,
-            "outputs": [str(p) for p in outputs],
-        }
-        _emit(_json(manifest, sort_keys=True), f"{outputs[0]}.manifest.json")
     return 0
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .ensembles import EdgeSpec, EnsembleSpec, jacobi_window
-from .errors import InvalidParams, WindowTooSmall
+from .errors import InvalidParams, WindowTooSmall, refuse_overflow
 from .testfun import ResolventTestFunction
 from .tridiagonal import _DENSE_MAX_ROWS, _POWER_SEED, TridiagonalMatrix, _power_norm
 
@@ -97,15 +97,16 @@ def build_F(
     # conjugate pairs: sum over the upper-half-plane poles of 2 Re(c_r R(z_r));
     # each resolvent overwrites its own Fortran-ordered identity and is scaled
     # in place, so one complex block is alive at a time
-    for r in range(len(c) // 2):
-        ab = TridiagonalMatrix(diag, off, x0 + eta[r] / n_alpha).banded()
-        resolvent = solve_banded(
-            (1, 1), ab, np.eye(hi - lo + 1, dtype=complex, order="F"), overwrite_b=True
-        )
-        resolvent *= c[r]
-        resolvent.real *= 2.0
-        block += resolvent.real
-        del resolvent
+    with refuse_overflow(f"the window operator at n = {n}"):
+        for r in range(len(c) // 2):
+            ab = TridiagonalMatrix(diag, off, x0 + eta[r] / n_alpha).banded()
+            resolvent = solve_banded(
+                (1, 1), ab, np.eye(hi - lo + 1, dtype=complex, order="F"), overwrite_b=True
+            )
+            resolvent *= c[r]
+            resolvent.real *= 2.0
+            block += resolvent.real
+            del resolvent
     if lo > 1:
         # identity block below the window inverts to itself
         sigma = float(np.real(np.sum(c)))
@@ -371,13 +372,15 @@ def convergence_sweep(
     for n in n_list:
         margin = default_margin(n, edge)
         window = (1, n + margin)
-        F = build_F(spec, n, edge, f, window=window)
-        n_alpha = float(n) ** edge.alpha
-        scaled = {1: cumulant(F, n, 1) / n_alpha}
-        lo = _first_coupled_row(F, n)
-        blocks = _PowerBlocks(F[lo:, lo:], n - lo, max_power=m_max - 1)
-        for m in range(2, m_max + 1):
-            scaled[m] = blocks.cumulant(m) / n_alpha ** m
+        with refuse_overflow(f"the cumulant sweep at n = {n}"):
+            F = build_F(spec, n, edge, f, window=window)
+            n_alpha = float(n) ** edge.alpha
+            scaled = {1: cumulant(F, n, 1) / n_alpha}
+            lo = _first_coupled_row(F, n)
+            blocks = _PowerBlocks(F[lo:, lo:], n - lo, max_power=m_max - 1)
+            for m in range(2, m_max + 1):
+                scaled[m] = blocks.cumulant(m) / n_alpha ** m
+            norm = operator_norm_estimate(F)
         reports.append(
             CumulantReport(
                 n=n,
@@ -385,7 +388,7 @@ def convergence_sweep(
                 x0=edge.center(spec, n),
                 scaled_cumulants=scaled,
                 window=window,
-                op_norm_estimate=operator_norm_estimate(F),
+                op_norm_estimate=norm,
             )
         )
     return reports

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidParams, OutOfDomain
+from .errors import InvalidParams, OutOfDomain, refuse_overflow
 
 
 class Family(Enum):
@@ -339,7 +339,8 @@ def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
     offdiag[i] = a_{lo+i,n}, matching the TridiagonalMatrix layout for the
     window block (at lo = 1, diag[0] = b_{0,n}).  The window, n >= 1 and a
     discrete family's support (at the last index read, hi - 1) are checked
-    once; then b_{lo-1..hi-1} and a_{lo..hi-1} are read from ``spec.record``.
+    once; then b_{lo-1..hi-1} and a_{lo..hi-1} are read from ``spec.record``,
+    and a coefficient that overflows, or is not finite, raises InvalidParams.
     """
     if not 1 <= lo <= hi:
         raise OutOfDomain(f"window ({lo}, {hi}) must satisfy 1 <= lo <= hi")
@@ -351,8 +352,11 @@ def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
         last = end(p, n)
         if hi - 1 > last:
             raise OutOfDomain(f"{spec.family.value} support ends at j = {label} = {last:g}")
-    diag = np.array([record.b(p, j, n) for j in range(lo - 1, hi)], dtype=float)
-    offdiag = np.array([record.a(p, j, n) for j in range(lo, hi)], dtype=float)
+    with refuse_overflow(f"a {spec.family.value} coefficient"):
+        diag = np.array([record.b(p, j, n) for j in range(lo - 1, hi)], dtype=float)
+        offdiag = np.array([record.a(p, j, n) for j in range(lo, hi)], dtype=float)
+        if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
+            raise OverflowError  # a Python float * overflows to inf without raising
     return diag, offdiag
 
 

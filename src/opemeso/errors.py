@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one overflow policy."""
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class OpemesoError(Exception):
@@ -31,3 +35,16 @@ class IllConditioned(OpemesoError):
 
 class Unsupported(OpemesoError):
     """Operation is not available for the given ensemble family."""
+
+
+@contextmanager
+def refuse_overflow(what: str):
+    """Refuse an overflow in the block as InvalidParams("<what> overflows the float range").
+
+    The block runs under np.errstate(over="raise").  A Python float * overflows
+    to inf silently, so a block whose result can hold such an inf raises OverflowError."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except (FloatingPointError, OverflowError):
+        raise InvalidParams(f"{what} overflows the float range") from None

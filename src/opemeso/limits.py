@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .ensembles import Side
-from .errors import IllConditioned, InvalidParams, NoConvergence
+from .errors import IllConditioned, InvalidParams, NoConvergence, refuse_overflow
 from .testfun import ResolventTestFunction
 
 __all__ = [
@@ -234,12 +234,9 @@ def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParams(f"quadrature tolerance must be finite and positive, got {tol!r}")
     s = 1.0 if side is Side.LEFT else -1.0
-    try:
-        with np.errstate(over="raise"):
-            bound = weighted_lipschitz_norm(f) ** 2
-            value, est = _truncated_square(_variance_integrand(f, s), bound, 8 * math.pi ** 2, tol)
-    except (FloatingPointError, OverflowError):
-        raise InvalidParams("f is too large: the variance quadrature overflows") from None
+    with refuse_overflow("the variance quadrature of f"):
+        bound = weighted_lipschitz_norm(f) ** 2
+        value, est = _truncated_square(_variance_integrand(f, s), bound, 8 * math.pi ** 2, tol)
     return LimitVariance(value=value, method="quadrature", side=side, est_error=est)
 
 
@@ -263,14 +260,11 @@ def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     c, eta = f.expanded()
     rho = np.sqrt(-eta) if side is Side.LEFT else np.sqrt(eta)
     pair_sum = rho[:, None] + rho[None, :]
-    try:
-        with np.errstate(over="raise"):
-            terms = np.outer(c, c) / (4.0 * np.outer(rho, rho) * pair_sum ** 2)
-            total = complex(np.sum(terms))
-            kappa = np.add.outer(np.abs(rho), np.abs(rho)) / np.abs(pair_sum)
-            rounding = np.finfo(float).eps * float(np.sum(np.abs(terms) * (2 * kappa + 27)))
-    except FloatingPointError:
-        raise InvalidParams("f is too large: the residue sum overflows") from None
+    with refuse_overflow("the residue sum of f"):
+        terms = np.outer(c, c) / (4.0 * np.outer(rho, rho) * pair_sum ** 2)
+        total = complex(np.sum(terms))
+        kappa = np.add.outer(np.abs(rho), np.abs(rho)) / np.abs(pair_sum)
+        rounding = np.finfo(float).eps * float(np.sum(np.abs(terms) * (2 * kappa + 27)))
     est = abs(total.imag) + rounding
     return LimitVariance(value=total.real, method="residue", side=side, est_error=est)
 

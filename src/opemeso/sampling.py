@@ -31,7 +31,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from ._files import write_in_place
 from .ensembles import EdgeSpec, EnsembleSpec, Family
-from .errors import InvalidParams, Unsupported
+from .errors import InvalidParams, Unsupported, refuse_overflow
 from .testfun import ResolventTestFunction
 
 _MAGIC = b"OPEBATCH"
@@ -195,15 +195,16 @@ def sample_statistic(
     c = scale * np.asarray(f.weights)
     width = max(_MIN_SWEEP, _SWEEP_ENTRIES // (n * len(w)))
     X = np.empty(count)
-    for lo in range(0, count, width):
-        k = min(width, count - lo)
-        diag = np.empty((n, k))
-        off2 = np.empty((n - 1, k))
-        for col in range(k):
-            d, e = _model(ensemble.family, n, gamma, _stream(seed, lo + col))
-            diag[:, col] = d
-            off2[:, col] = e * e
-        X[lo:lo + k] = _trace_statistic(diag, off2, w, c)
+    with refuse_overflow("the trace statistic of f"):
+        for lo in range(0, count, width):
+            k = min(width, count - lo)
+            diag = np.empty((n, k))
+            off2 = np.empty((n - 1, k))
+            for col in range(k):
+                d, e = _model(ensemble.family, n, gamma, _stream(seed, lo + col))
+                diag[:, col] = d
+                off2[:, col] = e * e
+            X[lo:lo + k] = _trace_statistic(diag, off2, w, c)
     return X
 
 
@@ -240,23 +241,25 @@ def empirical_statistic(X: np.ndarray) -> tuple[float, float, float]:
     sample mean, the unbiased sample variance, and the standard error of that
     variance from the fourth central moment.
     """
-    mean, centered = _centered(X)
-    count = len(centered)
-    if count < 2:
-        return mean, 0.0, 0.0
-    var = float(np.sum(centered ** 2) / (count - 1))
-    m4 = float(np.mean(centered ** 4))
-    var_of_var = (m4 - var ** 2 * (count - 3) / (count - 1)) / count
+    with refuse_overflow("the sample variance of X"):
+        mean, centered = _centered(X)
+        count = len(centered)
+        if count < 2:
+            return mean, 0.0, 0.0
+        var = float(np.sum(centered ** 2) / (count - 1))
+        m4 = float(np.mean(centered ** 4))
+        var_of_var = (m4 - var ** 2 * (count - 3) / (count - 1)) / count
     return mean, var, float(np.sqrt(max(var_of_var, 0.0)))
 
 
 def standardized_skewness(X: np.ndarray) -> float:
     """Skewness of the standardized per-sample statistic X."""
-    _, centered = _centered(X)
-    sd = centered.std()
-    if sd == 0:
-        return 0.0
-    return float(np.mean(centered ** 3) / sd ** 3)
+    with refuse_overflow("the sample skewness of X"):
+        _, centered = _centered(X)
+        sd = centered.std()
+        if sd == 0:
+            return 0.0
+        return float(np.mean(centered ** 3) / sd ** 3)
 
 
 def save_batch(batch: SampleBatch, path) -> None:

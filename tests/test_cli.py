@@ -398,11 +398,14 @@ def test_bad_paths_are_config_errors(tmp_path, capsys):
     malformed.write_text("{not json")
     not_manifest = tmp_path / "list.manifest.json"
     not_manifest.write_text("[1, 2]")
+    (tmp_path / "out.json.manifest.json").mkdir()  # the manifest path is a directory
     for argv in (
         ["--from-manifest", str(tmp_path / "missing.manifest.json")],
         ["--from-manifest", str(malformed)],
         ["--from-manifest", str(not_manifest)],
         hyp + ["-o", str(tmp_path / "no_such_dir" / "x.json")],
+        ["variance-limit", "--f", "im:1/(x-i)", "--method", "residue",
+         "-o", str(tmp_path / "out.json")],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("config error:")
@@ -427,8 +430,9 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     # neighbours of the row clear the decay floor (one distance fixes no slope),
     # n below 1 for cumulants and hypotheses, non-finite centres, offsets,
     # pole heights, weights and family params, weights so large that the
-    # variance quadrature or the residue sum overflows, and fit targets whose
-    # ends are equal or not finite
+    # variance quadrature or the residue sum overflows, fit targets whose
+    # ends are equal or not finite, and weights or family params so large that
+    # the cumulants, the Monte-Carlo statistic or a coefficient overflows
     hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
     hyp_x0 = ["hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--x0", "2"]
     for argv in (
@@ -460,6 +464,14 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         ["variance-limit", "--f", "im:1e200/(x-i)", "--method", "residue"],
         *(["fit", "--target", target, "--poles", "5", "-o", str(tmp_path / "fit.csv")]
           for target in ("bump:1,1", "hat:1,1", "hat:0,inf", "bump:nan,1")),
+        *(["cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5", "--x0", "2", "--n", "50",
+           "--m-max", "4", "--f", f"im:{d}/(x-i)", "-o", str(tmp_path / "c.csv")]
+          for d in ("1e308", "1e200")),
+        *(["sample", "--ensemble", "hermite", "--alpha", "0.5", "--n", "50", "--count", "10",
+           "--f", f"im:{d}/(x-i)"] for d in ("1e200", "1e308")),
+        hyp + ["--params", '{"gamma": 1e308}'],
+        ["hypotheses", "--ensemble", "freud", "--params", '{"gamma": 1e-3}', "--n", "100",
+         "--alpha", "0.5"],
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv

@@ -10,6 +10,10 @@ from opemeso.errors import InvalidParams, WindowTooSmall
 
 IM_G = om.parse_test_function("im:1/(x-i)")
 EDGE_R = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
+EDGE_X0 = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, x0=2.0)
+# finite weights whose window operator overflows, or only its power blocks
+HUGE_NEAR_AXIS = om.parse_test_function("im:1e308/(x-0.01i)")
+HUGE = om.parse_test_function("im:1e200/(x-i)")
 
 # pinned after the first run of this fixture (chebyshev2, n=200, x0=2,
 # f = Im 1/(x-i)); the independent dense-oracle path reproduces it below
@@ -352,8 +356,12 @@ class TestSweepCut:
         (lambda: om.build_F(om.chebyshev2(), 100, EDGE_R, IM_G, window=(0, 120)), "1 <= lo"),
         (lambda: om.build_F(om.chebyshev2(), 100, EDGE_R, IM_G, window=(1, 100)), "hi > n"),
         (lambda: om.cumulant(np.zeros((4, 5)), 2, 2), "square"),
+        (lambda: om.build_F(om.chebyshev2(), 50, EDGE_X0, HUGE_NEAR_AXIS),
+         "window operator at n = 50 overflows the float range"),
+        (lambda: om.convergence_sweep(om.chebyshev2(), EDGE_X0, HUGE, [50]),
+         "cumulant sweep at n = 50 overflows the float range"),
     ],
-    ids=["window-lo", "window-hi", "non-square"],
+    ids=["window-lo", "window-hi", "non-square", "window-overflow", "sweep-overflow"],
 )
 def test_refusals(call, match):
     with pytest.raises(InvalidParams, match=match):

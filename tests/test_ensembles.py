@@ -504,8 +504,14 @@ def test_recurrence_finite_and_positive_offdiag(spec, j, n):
         (lambda: om.from_json(["hermite"]), InvalidParams, "JSON object"),
         (lambda: om.jacobi_window(om.hermite(), 10, 5, 4), OutOfDomain, "1 <= lo <= hi"),
         (lambda: om.jacobi_window(om.hermite(), 10, 0, 4), OutOfDomain, "1 <= lo <= hi"),
+        # a Python float * overflows to inf, ** raises OverflowError
+        (lambda: om.jacobi_window(om.laguerre(1e308), 100, 1, 4), InvalidParams,
+         "a laguerre coefficient overflows the float range"),
+        (lambda: om.jacobi_window(om.freud(1e-3), 100, 1, 4), InvalidParams,
+         "a freud coefficient overflows the float range"),
     ],
-    ids=["spec-not-object", "window-reversed", "window-lo"],
+    ids=["spec-not-object", "window-reversed", "window-lo", "laguerre-overflow",
+         "freud-overflow"],
 )
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):

@@ -266,9 +266,17 @@ def _written(path, data: bytes):
             _written(tmp / "v2.bin", sampling._HEADER.pack(sampling._MAGIC, 2, 1, 0, 0)),
             om.hermite(),
         ), InvalidParams, "version 2"),
+        (lambda tmp: om.sample_statistic(
+            om.hermite(), 50, 10, 0, om.parse_test_function("im:1e308/(x-i)"),
+            om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5),
+        ), InvalidParams, "trace statistic of f overflows the float range"),
+        (lambda tmp: om.empirical_statistic(np.array([1e200, -1e200, 3.0])),
+         InvalidParams, "sample variance of X overflows the float range"),
+        (lambda tmp: standardized_skewness(np.array([1e200, -1e200, 3.0])),
+         InvalidParams, "sample skewness of X overflows the float range"),
     ],
     ids=["n-below-one", "negative-seed", "seed-too-large", "laguerre-negative-gamma",
-         "batch-version"],
+         "batch-version", "statistic-overflow", "variance-overflow", "skewness-overflow"],
 )
 def test_refusals(tmp_path, call, error, match):
     with pytest.raises(error, match=match):

@@ -332,7 +332,7 @@ class TestAlmostToeplitz:
             warnings.simplefilter("error")
             dec = om.almost_toeplitz_decompose(J(600))
             assert np.max(np.abs(dec.T + dec.H - om.invert_dense_oracle(J(600)))) <= 1e-10
-            with pytest.raises(InvalidParams, match="overflows at N = 700: C is not finite"):
+            with pytest.raises(InvalidParams, match="split at N = 700 overflows the float range"):
                 om.almost_toeplitz_decompose(J(700))
 
     @pytest.mark.parametrize("fixture", ["toeplitz", "criterion8", "laguerre"])

@@ -7,8 +7,11 @@ Runs ``perfbench/run.py --trace 0`` of the checkout at ``--root`` for every
 workload and each of SEEDS, SECONDS each, one after another, then one
 ``--trace 1`` run of each TRACED workload.  Each metric gets its per-seed
 values, median and quartiles (inclusive method); the machine record is the
-one the first run printed.  Two files made this way on the same machine diff
-metric by metric.
+one the first run printed.  A record shows where one checkout stands; it does
+not back a claim against another record.  On a shared machine two records
+made half an hour apart drifted by 8-35 % on workloads neither change touched,
+while alternated runs of the two checkouts did not, so a speed claim needs
+alternated parent/change pairs run back to back.
 """
 
 from __future__ import annotations
