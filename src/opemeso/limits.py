@@ -41,6 +41,7 @@ _PI_SQUARED_TOL = 1e-7
 _FIT_GRID_POINTS = 2000
 _MAX_POLES = 1000          # the fit's design matrix is ~4800 x M float64: 38 MB at the cap
 _LIPSCHITZ_PANEL_ROWS = 32  # two 32 x 2001 float64 panels (1 MB) fit in L2; timed fastest of 8-256
+_MIN_POLE_HEIGHT = math.sqrt(np.finfo(float).tiny)  # 1.5e-154: (Im lambda)^2 stays a normal float
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,22 @@ def _double_integral_tan(
     raise NoConvergence(
         f"refinement stalled at |delta| = {diff / scale:.3g} > tol/2 = {tol / 2:.3g}"
     )
+
+
+def _refuse_poles_near_axis(f) -> None:
+    """Refuse a rational f with a pole below ``_MIN_POLE_HEIGHT`` above the real axis.
+
+    Both variance routes divide by squared distances to a pole: f' by
+    (x - lambda)^2, the residue sum by (rho_r + rho_s)^2 with Re rho of the
+    order of Im lambda.  Below this height the square underflows to 0 and
+    the quotient is inf or NaN, a division by zero rather than an overflow."""
+    if isinstance(f, ResolventTestFunction):
+        height = min(p.imag for p in f.poles)
+        if height < _MIN_POLE_HEIGHT:
+            raise InvalidParams(
+                f"a pole of f lies too close to the real axis: Im = {height:.3g} "
+                f"< {_MIN_POLE_HEIGHT:.3g}, where its square underflows"
+            )
 
 
 def _derivative(f, x):
@@ -229,10 +246,12 @@ def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
     supported).  est_error is the last refinement step plus the rounding term
     plus the weighted-Lipschitz tail bound; NoConvergence when tol lies below
     the rounding floor, InvalidParams when f is so large that a value, its
-    norm or the integral overflows the float range.
+    norm or the integral overflows the float range, or when a pole of a
+    rational f lies closer than 1.5e-154 to the real axis.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InvalidParams(f"quadrature tolerance must be finite and positive, got {tol!r}")
+    _refuse_poles_near_axis(f)
     s = 1.0 if side is Side.LEFT else -1.0
     with refuse_overflow("the variance quadrature of f"):
         bound = weighted_lipschitz_norm(f) ** 2
@@ -255,13 +274,21 @@ def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     after squaring; numpy's pairwise sum of up to 4e6 terms adds at most
     17 eps sum |t_rs|.  The |t_rs| weighting matters when terms cancel, and
     kappa when two poles nearly coincide close to the real axis.
-    InvalidParams when a term or the sum overflows the float range.
+    InvalidParams when a term or the sum overflows the float range, or when
+    a pole lies so close to the real axis (for its modulus) that a
+    denominator underflows to 0.
     """
+    _refuse_poles_near_axis(f)
     c, eta = f.expanded()
     rho = np.sqrt(-eta) if side is Side.LEFT else np.sqrt(eta)
     pair_sum = rho[:, None] + rho[None, :]
     with refuse_overflow("the residue sum of f"):
-        terms = np.outer(c, c) / (4.0 * np.outer(rho, rho) * pair_sum ** 2)
+        denom = 4.0 * np.outer(rho, rho) * pair_sum ** 2
+        if not denom.all():
+            raise InvalidParams(
+                "a pole of f lies too close to the real axis: a residue denominator underflows to 0"
+            )
+        terms = np.outer(c, c) / denom
         total = complex(np.sum(terms))
         kappa = np.add.outer(np.abs(rho), np.abs(rho)) / np.abs(pair_sum)
         rounding = np.finfo(float).eps * float(np.sum(np.abs(terms) * (2 * kappa + 27)))

@@ -1,7 +1,8 @@
 """Exact finite tri-diagonal linear algebra; resolvents need Im z != 0.
 
-One resolvent row costs one banded LU solve against a unit vector; decay
-fits and norm estimates use banded solves only.  ``TridiagonalResolvent`` is
+One resolvent row costs one banded LU solve against a unit vector, and a
+norm estimate factors J - z once and reuses the factors in every power
+iteration; neither builds an N x N matrix.  ``TridiagonalResolvent`` is
 the entry oracle: from the backward and forward continued-fraction pivots it
 builds each entry as a product of local ratios, summed in log space.  On top
 of that sit the transfer-matrix spectral data, the almost-Toeplitz split of
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .ensembles import Side
 from .errors import InvalidParams, Singular, refuse_overflow
@@ -93,6 +95,27 @@ def _semiseparable(u, v, U, V, j, k) -> np.ndarray:
     return u[lo] * v[hi] * np.exp(U[lo] + V[hi])
 
 
+def _semiseparable_dense(u, v, U, V) -> np.ndarray:
+    """All N x N entries of ``_semiseparable``, each computed once.
+
+    Row j holds u[j] v[k] exp(U[j] + V[k]) for k >= j, the broadcast formula's
+    float operations in its order, so every entry is the same to the bit; the
+    row is written into column j too, and no N x N index array is built."""
+    N = len(u)
+    out = np.empty((N, N), dtype=complex)
+    for j in range(N):
+        row = u[j] * v[j:] * np.exp(U[j] + V[j:])
+        out[j, j:] = row
+        out[j:, j] = row
+    return out
+
+
+def _refuse_dense(what: str, N: int) -> None:
+    """Refuse an N x N result above the dense cap before anything is allocated."""
+    if N > _DENSE_MAX_ROWS:
+        raise InvalidParams(f"{what} capped at N = {_DENSE_MAX_ROWS}, got N = {N}")
+
+
 def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
     """Compensated cumulative sum; error stays O(eps * |partial|) at any length.
 
@@ -114,8 +137,7 @@ def invert_dense_oracle(J: TridiagonalMatrix) -> np.ndarray:
     Accepts real shifts too.  Raises Singular when the factorization fails or
     the 1-norm condition estimate exceeds 1/machine-eps.
     """
-    if J.N > _DENSE_MAX_ROWS:
-        raise InvalidParams(f"dense oracle capped at N = {_DENSE_MAX_ROWS}")
+    _refuse_dense("dense oracle", J.N)
     A = J.to_dense()
     try:
         inv = np.linalg.inv(A)
@@ -161,6 +183,8 @@ class TridiagonalResolvent:
     Needs Im z != 0: for real symmetric data and Im z > 0, Im delta_j, Im d_j
     and Im 1/R_jj are all <= -Im z (mirrored for Im z < 0), so no pivot can
     vanish.  A single row is cheaper from ``_resolvent_row``'s banded solve.
+    ``dense()`` evaluates each entry of the upper triangle once and mirrors
+    it; it refuses N above the dense cap of 5000 rows.
     """
 
     def __init__(self, J: TridiagonalMatrix):
@@ -198,9 +222,9 @@ class TridiagonalResolvent:
         return self._assemble(j, np.arange(1, N + 1))
 
     def dense(self) -> np.ndarray:
-        """All N^2 entries, assembled from the log scales."""
-        idx = np.arange(1, self.J.N + 1)
-        return self._assemble(idx[:, None], idx)
+        """All N^2 entries, bit-identical to ``entry``; one triangle is computed."""
+        _refuse_dense("dense resolvent", self.J.N)
+        return _semiseparable_dense(self._S.conj(), self._S, self._U, self._V)
 
 
 @dataclass(frozen=True)
@@ -349,8 +373,9 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     False, T + H stays the oracle's inverse, and an overflow of any quantity
     (from N = 695 at diagonal -2, off-diagonal 1, z = 0.5i) raises InvalidParams.
     """
-    res = TridiagonalResolvent(J)                # refuses Im z = 0 and zero off-diagonals
     N = J.N
+    _refuse_dense("almost-Toeplitz split", N)
+    res = TridiagonalResolvent(J)                # refuses Im z = 0 and zero off-diagonals
     if N < 4:
         raise InvalidParams("almost-Toeplitz split needs N >= 4")
     bz = J.diag.astype(complex) - J.shift        # b_{l-1} - z at python index l-1
@@ -421,8 +446,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
         pref = omN1 / ((opN1 - omN1) * phi_denom)
         rowfac = pref * alt * (1.0 + D[1:])
         colfac = alt * (1.0 + C[1:]) / a_prev
-        idx = np.arange(N)
-        T = _semiseparable(rowfac, colfac, -LW[1:], LW[:N], idx[:, None], idx)
+        T = _semiseparable_dense(rowfac, colfac, -LW[1:], LW[:N])
     H = res.dense() - T
 
     # smallness certificates
@@ -546,14 +570,23 @@ def _power_norm(gram, v: np.ndarray) -> float:
 def resolvent_norm_estimate(J: TridiagonalMatrix) -> float:
     """Power-iteration estimate of the l2 operator norm of J^-1.
 
-    Iterates R^H R where each application of R is a banded solve; J is
-    complex symmetric, so R^H amounts to solving the conjugated matrix.
+    Iterates R^H R from one band LU factorization of J - z (LAPACK zgbtrf
+    with one sub- and one super-diagonal, which takes every N >= 1): each
+    iteration applies R and then R^H as two triangular solve pairs (zgbtrs
+    with trans 'N', then 'C') against the stored factors.  Singular when the
+    factorization meets an exactly zero pivot.
     """
     _check_shift(J)
-    ab = J.banded()
-    ab_conj = np.conj(ab)
+    ab = np.zeros((4, J.N), dtype=complex)       # row 0: room for the pivoting fill-in
+    ab[1:] = J.banded()
+    lu, piv, info = zgbtrf(ab, 1, 1, overwrite_ab=True)
+    if info != 0:
+        raise Singular(f"band LU of J - z failed (LAPACK info = {info})")
+
+    def gram(x):
+        y = zgbtrs(lu, 1, 1, x, piv, trans=0)[0]
+        return zgbtrs(lu, 1, 1, y, piv, trans=2, overwrite_b=True)[0]
+
     rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(J.N) + 1j * rng.standard_normal(J.N)
-    return _power_norm(
-        lambda x: solve_banded((1, 1), ab_conj, solve_banded((1, 1), ab, x)), v
-    )
+    return _power_norm(gram, v)

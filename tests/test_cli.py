@@ -432,7 +432,8 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     # pole heights, weights and family params, weights so large that the
     # variance quadrature or the residue sum overflows, fit targets whose
     # ends are equal or not finite, and weights or family params so large that
-    # the cumulants, the Monte-Carlo statistic or a coefficient overflows
+    # the cumulants, the Monte-Carlo statistic or a coefficient overflows, and
+    # a pole so close to the real axis that its height squares to 0
     hyp = ["hypotheses", "--ensemble", "laguerre", "--n", "100", "--alpha", "0.5"]
     hyp_x0 = ["hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--x0", "2"]
     for argv in (
@@ -472,6 +473,8 @@ def test_numerical_error_exit_code(tmp_path, capsys):
         hyp + ["--params", '{"gamma": 1e308}'],
         ["hypotheses", "--ensemble", "freud", "--params", '{"gamma": 1e-3}', "--n", "100",
          "--alpha", "0.5"],
+        *(["variance-limit", "--f", "im:1/(x-1e-300i)", "--method", method]
+          for method in ("residue", "quadrature", "both")),
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv

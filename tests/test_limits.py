@@ -126,6 +126,24 @@ class TestQuadrature:
             om.sigma2_quadrature(triangle_hat, om.Side.LEFT, tol=1e-13)
 
 
+@pytest.mark.parametrize("route", [om.sigma2_residue, om.sigma2_quadrature])
+@pytest.mark.parametrize("side", [om.Side.LEFT, om.Side.RIGHT])
+def test_pole_near_axis_refused_without_warnings(route, side):
+    # (1e-300)^2 underflows to 0: the residue sum and f' would divide by zero
+    f = om.ResolventTestFunction((1e-300j, 0.5 + 1j), (1.0, 1.0))
+    with pytest.raises(InvalidParams, match="too close to the real axis: Im = 1e-300"):
+        route(f, side)
+
+
+@pytest.mark.parametrize("pole, side", [(-1e30 + 1e-150j, om.Side.RIGHT),
+                                        (1e30 + 1e-150j, om.Side.LEFT)])
+def test_residue_denominator_underflow_refused(pole, side):
+    # the height clears the cap, but Re rho = Im / (2 |rho|) = 5e-166 squares to 0
+    f = om.ResolventTestFunction((pole,), (1.0,))
+    with pytest.raises(InvalidParams, match="residue denominator underflows"):
+        om.sigma2_residue(f, side)
+
+
 class TestPiSquared:
     def test_value(self):
         assert abs(om.pi_squared_check() - math.pi ** 2) < 1e-6

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.linalg import solve_banded
+
 import opemeso as om
+from opemeso import tridiagonal
 from opemeso.errors import InvalidParams, Singular
 from opemeso.tridiagonal import _resolvent_row
 
@@ -376,9 +379,14 @@ def _tri(diag, off, z=1j):
         (lambda: om.transfer_spectrum(_tri([1, 1, 1], [0, 1])), InvalidParams, "nonzero"),
         (lambda: om.almost_toeplitz_decompose(_tri([2, 2, 2], [1, 1])), InvalidParams, "N >= 4"),
         (lambda: om.almost_toeplitz_decompose(_tri([2] * 4, [1, 0, 1])), InvalidParams, "nonzero"),
+        # refused before the N x N result is allocated (74.5 GiB of index arrays before)
+        (lambda: om.TridiagonalResolvent(_tri(np.zeros(10 ** 5), np.ones(10 ** 5 - 1))).dense(),
+         InvalidParams, "dense resolvent capped at N = 5000"),
+        (lambda: om.almost_toeplitz_decompose(_tri(np.zeros(10 ** 5), np.ones(10 ** 5 - 1))),
+         InvalidParams, "split capped at N = 5000"),
     ],
     ids=["ill-conditioned", "oracle-zero-off", "row-index", "transfer-N", "transfer-zero-off",
-         "split-N", "split-zero-off"],
+         "split-N", "split-zero-off", "dense-cap", "split-cap"],
 )
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
@@ -494,7 +502,97 @@ class TestDecayProfile:
             om.decay_profile(om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2.5), N // 2)
 
 
+def _broadcast_dense(u, v, U, V):
+    """``_semiseparable`` over the full index grid: the one-triangle assembly's reference."""
+    idx = np.arange(len(u))
+    return tridiagonal._semiseparable(u, v, U, V, idx[:, None], idx)
+
+
+def _split_fixture(N, regime):
+    k = np.arange(N)
+    if regime == "positive":      # Re(b - z) > 0 on every row
+        return om.TridiagonalMatrix(2.5 + 1e-4 * k / N, 1 + 1e-4 * k[:-1] / N, 0.05j)
+    rng = np.random.default_rng(N)  # Re(b - z) < 0: C and D grow to ~1e67 at N = 1000
+    return om.TridiagonalMatrix(
+        -2.0 + 0.01 * rng.uniform(-1, 1, N), 1 + 0.01 * rng.uniform(-1, 1, N - 1), 0.01j
+    )
+
+
+@pytest.mark.parametrize("regime", ["positive", "negative"])
+class TestOneTriangle:
+    @pytest.mark.parametrize("N", [1, 2, 4, 37, 1000])
+    def test_dense_is_the_broadcast_formula(self, N, regime):
+        res = om.TridiagonalResolvent(_split_fixture(N, regime))
+        assert (res.dense() == _broadcast_dense(res._S.conj(), res._S, res._U, res._V)).all()
+
+    @pytest.mark.parametrize("N", [4, 37, 1000])
+    def test_split_is_the_broadcast_formula(self, N, regime, monkeypatch):
+        J = _split_fixture(N, regime)
+        dec = om.almost_toeplitz_decompose(J)
+        monkeypatch.setattr(tridiagonal, "_semiseparable_dense", _broadcast_dense)
+        ref = om.almost_toeplitz_decompose(J)
+        assert (dec.T == ref.T).all() and (dec.H == ref.H).all()
+        assert dec.diagnostics == ref.diagnostics
+        sign_fails = dec.diagnostics.reason == "Re(b_j - z) > 0 fails on some row"
+        assert sign_fails == (regime == "negative")
+
+
+def _norm_by_solve_banded(J):
+    """The estimate with two solve_banded calls per power iteration: the reference formula."""
+    ab = J.banded()
+    ab_conj = np.conj(ab)
+    rng = np.random.default_rng(tridiagonal._POWER_SEED)
+    v = rng.standard_normal(J.N) + 1j * rng.standard_normal(J.N)
+    return tridiagonal._power_norm(
+        lambda x: solve_banded((1, 1), ab_conj, solve_banded((1, 1), ab, x)), v
+    )
+
+
 class TestResolventNorm:
+    def test_one_factorization_per_estimate(self, monkeypatch):
+        factorizations = []
+
+        def counting_zgbtrf(*args, **kwargs):
+            factorizations.append(args[0].shape)
+            return zgbtrf(*args, **kwargs)
+
+        def no_solve_banded(*args, **kwargs):
+            raise AssertionError("solve_banded refactors J - z")
+
+        zgbtrf = tridiagonal.zgbtrf
+        monkeypatch.setattr(tridiagonal, "zgbtrf", counting_zgbtrf)
+        monkeypatch.setattr(tridiagonal, "solve_banded", no_solve_banded)
+        J = _random_matrix(np.random.default_rng(7), n_max=120)
+        om.resolvent_norm_estimate(J)
+        assert factorizations == [(4, J.N)]
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_smallest_sizes(self, N):
+        J = om.TridiagonalMatrix([0.5, -1.5][:N], [0.7][: N - 1], 0.2 + 0.3j)
+        est = om.resolvent_norm_estimate(J)
+        assert est == pytest.approx(np.linalg.norm(om.invert_dense_oracle(J), 2), rel=1e-12)
+        assert abs(est - _norm_by_solve_banded(J)) <= 1e-14 * est
+
+    def test_matches_solve_banded_on_criterion_10_fixtures(self):
+        # the same 50 draws as acceptance.criterion_10_resolvent_norm
+        rng = np.random.default_rng(5150)
+        for _ in range(50):
+            N = int(rng.integers(5, 200))
+            diag = rng.uniform(-3, 3, size=N)
+            off = rng.uniform(0.1, 2.0, size=N - 1)
+            z = complex(rng.uniform(-3, 3), rng.choice([-1, 1]) * rng.uniform(0.05, 2.0))
+            J = om.TridiagonalMatrix(diag, off, z)
+            ref = _norm_by_solve_banded(J)
+            assert abs(om.resolvent_norm_estimate(J) - ref) <= 1e-14 * ref, N
+
+    def test_zero_pivot_is_singular(self, monkeypatch):
+        def zero_pivot(ab, kl, ku, **kwargs):
+            return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 2
+
+        monkeypatch.setattr(tridiagonal, "zgbtrf", zero_pivot)
+        with pytest.raises(Singular, match="info = 2"):
+            om.resolvent_norm_estimate(_tri([1.0, 2.0, 3.0], [1.0, 1.0]))
+
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_bounded_by_imaginary_part(self, seed):

@@ -2,6 +2,8 @@
 
     python3 tools/bench_record.py --label baseline --output BENCH_baseline.json
     python3 tools/bench_record.py --root ../other-checkout --commit abc1234 ...
+    python3 tools/bench_record.py --label NAME --output BENCH_NAME.json \
+        --parent ../parent-checkout --parent-output BENCH_before_NAME.json
 
 Runs ``perfbench/run.py --trace 0`` of the checkout at ``--root`` for every
 workload and each of SEEDS, SECONDS each, one after another, then one
@@ -12,6 +14,11 @@ not back a claim against another record.  On a shared machine two records
 made half an hour apart drifted by 8-35 % on workloads neither change touched,
 while alternated runs of the two checkouts did not, so a speed claim needs
 alternated parent/change pairs run back to back.
+
+``--parent`` makes those pairs: for each (workload, seed) it runs the parent
+checkout and ``--root`` back to back, the parent first in every other pair, likewise for the traced runs, and writes the
+parent's record (label ``before_<label>``) to ``--parent-output``.  Each
+record names the other in ``alternated_with``.
 """
 
 from __future__ import annotations
@@ -45,36 +52,67 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def git_head(root: Path) -> str:
+    return subprocess.run(
+        ["git", "rev-parse", "--short", "HEAD"], cwd=root, capture_output=True, text=True
+    ).stdout.strip()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--output", type=Path, required=True)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--commit", help="recorded as is; defaults to the root's git HEAD")
+    parser.add_argument("--parent", type=Path, help="checkout whose runs alternate with the root's")
+    parser.add_argument("--parent-output", type=Path, help="where the parent's record goes")
     args = parser.parse_args(argv)
+    if (args.parent is None) != (args.parent_output is None):
+        parser.error("--parent and --parent-output go together")
 
-    commit = args.commit or subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=args.root, capture_output=True, text=True
-    ).stdout.strip()
-    record = {"schema": 1, "label": args.label, "commit": commit, "seeds": list(SEEDS),
-              "seconds": SECONDS, "command": "python3 perfbench/run.py --trace 0",
-              "machine": None, "workloads": {}, "traced": {}}
+    # (root, record, output); with --parent the parent comes first
+    sides = [(args.root, args.label, args.commit or git_head(args.root), args.output)]
+    if args.parent is not None:
+        sides.insert(0, (args.parent, f"before_{args.label}", git_head(args.parent),
+                         args.parent_output))
+    records = [{"schema": 1, "label": label, "commit": commit, "seeds": list(SEEDS),
+                "seconds": SECONDS, "command": "python3 perfbench/run.py --trace 0",
+                "machine": None, "workloads": {}, "traced": {}}
+               for _, label, commit, _ in sides]
+    if len(sides) == 2:
+        for record, other in zip(records, records[::-1]):
+            record["alternated_with"] = {"label": other["label"], "commit": other["commit"]}
+
+    def in_turn(pair: int) -> list[int]:
+        """Side indices in run order: the parent first on pairs 0, 2, 4, ..."""
+        order = list(range(len(sides)))
+        return order if pair % 2 == 0 else order[::-1]
+
+    pair = 0
     for workload in WORKLOADS:
-        runs = [bench(args.root, workload, seed, SECONDS, 0) for seed in SEEDS]
-        record["machine"] = record["machine"] or runs[0]["machine"]
-        record["workloads"][workload] = {
-            "attempted": sum(r["attempted"] for r in runs),
-            "failed": sum(r["failed"] for r in runs),
-            "metrics": {name: summary([r["metrics"][name]["value"] for r in runs])
-                        for name in runs[0]["metrics"]},
-        }
+        runs = [[] for _ in sides]
+        for seed in SEEDS:
+            for i in in_turn(pair):
+                runs[i].append(bench(sides[i][0], workload, seed, SECONDS, 0))
+            pair += 1
+        for record, side_runs in zip(records, runs):
+            record["machine"] = record["machine"] or side_runs[0]["machine"]
+            record["workloads"][workload] = {
+                "attempted": sum(r["attempted"] for r in side_runs),
+                "failed": sum(r["failed"] for r in side_runs),
+                "metrics": {name: summary([r["metrics"][name]["value"] for r in side_runs])
+                            for name in side_runs[0]["metrics"]},
+            }
     for workload in TRACED:
-        run = bench(args.root, workload, SEEDS[0], SECONDS, 1)
-        record["traced"][workload] = {
-            "seed": SEEDS[0], "correct": run["correct"], "absent": run["absent"],
-            "metrics": {name: m["value"] for name, m in run["metrics"].items()},
-        }
-    args.output.write_text(json.dumps(record, indent=1) + "\n")
+        for i in in_turn(pair):
+            run = bench(sides[i][0], workload, SEEDS[0], SECONDS, 1)
+            records[i]["traced"][workload] = {
+                "seed": SEEDS[0], "correct": run["correct"], "absent": run["absent"],
+                "metrics": {name: m["value"] for name, m in run["metrics"].items()},
+            }
+        pair += 1
+    for (_, _, _, output), record in zip(sides, records):
+        output.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
