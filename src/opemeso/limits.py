@@ -120,10 +120,9 @@ def _double_integral_tan(
 def _refuse_poles_near_axis(f) -> None:
     """Refuse a rational f with a pole below ``_MIN_POLE_HEIGHT`` above the real axis.
 
-    Both variance routes divide by squared distances to a pole: f' by
-    (x - lambda)^2, the residue sum by (rho_r + rho_s)^2 with Re rho of the
-    order of Im lambda.  Below this height the square underflows to 0 and
-    the quotient is inf or NaN, a division by zero rather than an overflow."""
+    f' divides by (x - lambda)^2; below this height the square can underflow
+    to 0, and the quotient is inf or NaN, a division by zero rather than an
+    overflow."""
     if isinstance(f, ResolventTestFunction):
         height = min(p.imag for p in f.poles)
         if height < _MIN_POLE_HEIGHT:
@@ -278,7 +277,6 @@ def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     a pole lies so close to the real axis (for its modulus) that a
     denominator underflows to 0.
     """
-    _refuse_poles_near_axis(f)
     c, eta = f.expanded()
     rho = np.sqrt(-eta) if side is Side.LEFT else np.sqrt(eta)
     pair_sum = rho[:, None] + rho[None, :]

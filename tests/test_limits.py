@@ -131,7 +131,7 @@ class TestQuadrature:
 def test_pole_near_axis_refused_without_warnings(route, side):
     # (1e-300)^2 underflows to 0: the residue sum and f' would divide by zero
     f = om.ResolventTestFunction((1e-300j, 0.5 + 1j), (1.0, 1.0))
-    with pytest.raises(InvalidParams, match="too close to the real axis: Im = 1e-300"):
+    with pytest.raises(InvalidParams, match="too close to the real axis"):
         route(f, side)
 
 
