@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
 from scipy.linalg import solve_banded
 
 import opemeso as om
@@ -379,7 +378,7 @@ def _tri(diag, off, z=1j):
         (lambda: om.transfer_spectrum(_tri([1, 1, 1], [0, 1])), InvalidParams, "nonzero"),
         (lambda: om.almost_toeplitz_decompose(_tri([2, 2, 2], [1, 1])), InvalidParams, "N >= 4"),
         (lambda: om.almost_toeplitz_decompose(_tri([2] * 4, [1, 0, 1])), InvalidParams, "nonzero"),
-        # refused before the N x N result is allocated (74.5 GiB of index arrays before)
+        # refused before the N x N result (160 GB of complex entries at N = 10^5) is allocated
         (lambda: om.TridiagonalResolvent(_tri(np.zeros(10 ** 5), np.ones(10 ** 5 - 1))).dense(),
          InvalidParams, "dense resolvent capped at N = 5000"),
         (lambda: om.almost_toeplitz_decompose(_tri(np.zeros(10 ** 5), np.ones(10 ** 5 - 1))),
