@@ -9,7 +9,9 @@ bit-identical across runs and can be resumed from any index.
 Two routes share those models:
 
 * ``sample_spectra`` runs one symmetric eigensolve per sample and returns the
-  spectra, which ``save_batch``/``load_batch`` persist;
+  spectra, which ``save_batch``/``load_batch`` persist.  The eigensolve is
+  LAPACK's dsterf called through ctypes, which releases the GIL, so from
+  moderate n one thread per CPU solves every k-th sample;
 * ``sample_statistic`` returns the linear statistic X = sum_i f(n^alpha
   (lambda_i - x0)) of each sample for a rational f = sum_r Im(d_r/(x -
   lambda_r)) without eigenvalues: X = sum_r Im(d_r n^-alpha Tr(J - w_r)^-1)
@@ -23,25 +25,30 @@ either route.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack
 
 from ._files import write_in_place
 from .ensembles import EdgeSpec, EnsembleSpec, Family
-from .errors import InvalidParams, Unsupported, refuse_overflow
+from .errors import InvalidParams, NoConvergence, Unsupported, refuse_overflow
 from .testfun import ResolventTestFunction
 
 _MAGIC = b"OPEBATCH"
 _VERSION = 1
 _HEADER = struct.Struct("<8sIQQQ")  # magic, version, n, count, seed
 _MAX_SPECTRUM = 2000  # largest n of a stored spectrum: sterf is O(n^2) per sample
-# largest count * n.  At n = 400, count = 25,000 `opemeso sample` takes 0.9 s
-# with a 90 MB process peak, or 41 s at 134 MB with --out-batch, whose
-# eigensolves dominate.  Narrow batches pay the sweep's per-row calls: one
-# sample at n = 10^7 takes 46 s at 439 MB (2-core AMD EPYC)
+# largest count * n.  At n = 400, count = 25,000 `opemeso sample` takes 2.4 s
+# with a 91 MB process peak, or 54 s at 167 MB with --out-batch, whose
+# eigensolves dominate even on both CPUs (2-core Intel Xeon).  Narrow batches
+# pay the sweep's per-row calls: one sample at n = 10^7 takes 46 s at 439 MB
+# (2-core AMD EPYC)
 _MAX_ENTRIES = 10 ** 7
 # count * n * poles per trace sweep: bounds the stacked models at 16 MB and
 # the pivot state (four complex (poles, width) arrays) at 64 MB / n, whatever
@@ -50,6 +57,15 @@ _MAX_ENTRIES = 10 ** 7
 # whatever the width
 _SWEEP_ENTRIES = 2 ** 20
 _MIN_SWEEP = 256
+# the C signature of LAPACK's dsterf with 32-bit integers (LP64)
+_STERF_SIGNATURE = b"void (int *, d *, d *, int *)"
+# smallest n whose spectra are solved on a thread per CPU.  Below it the
+# samples' Philox draws, which hold the GIL, cost about as much as their
+# eigensolves, and the threads fight over the GIL: Hermite with count * n =
+# 10^6 on 2 CPUs takes 2.7-3.0 s inline and 3.6-5.8 s threaded at n = 48,
+# 3.1-3.2 and 2.8-3.8 s at n = 64, and 3.1-3.2 and 2.5-2.9 s at n = 80
+# (2-core Intel Xeon)
+_THREADED_N = 80
 
 __all__ = [
     "SampleBatch",
@@ -122,6 +138,55 @@ def _checked_gamma(ensemble: EnsembleSpec, n: int, count: int, seed: int) -> flo
     return gamma
 
 
+@cache
+def _sterf():
+    """LAPACK's dsterf(n, d, e, info) from scipy's cython_lapack, as a ctypes call.
+
+    A ctypes foreign call releases the GIL for the whole eigensolve, which no
+    scipy wrapper of sterf does.  The capsule name is the C signature; an ILP64
+    build or any other one is refused.
+    """
+    capsule = cython_lapack.__pyx_capi__["dsterf"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))(capsule)
+    if name.replace(b"__pyx_t_5scipy_6linalg_13cython_lapack_", b"") != _STERF_SIGNATURE:
+        raise Unsupported(f"scipy's dsterf has signature {name.decode()!r}, not {_STERF_SIGNATURE.decode()!r}")
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)
+    pointer = get_pointer(("PyCapsule_GetPointer", api))(capsule, name)
+    int_p = ctypes.POINTER(ctypes.c_int)
+    return ctypes.CFUNCTYPE(None, int_p, ctypes.c_void_p, ctypes.c_void_p, int_p)(pointer)
+
+
+def eigh_tridiagonal(d, e) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix (d, e) by dsterf.
+
+    The root-free QL/QR iteration that ``scipy.linalg.eigh_tridiagonal(d, e,
+    eigvals_only=True)`` reaches through ``stevd``, which only rescales a matrix
+    whose largest entry lies outside about [1e-146, 1e146], so the models here
+    give the same bytes.  A failed iteration raises ``NoConvergence``.
+    """
+    w = np.array(d, dtype=np.float64)  # copies: sterf overwrites d with the
+    work = np.array(e, dtype=np.float64)  # eigenvalues and e with garbage
+    n = w.size
+    if w.ndim != 1 or work.shape != (n - 1,) or n >= 2 ** 31:
+        raise InvalidParams(f"a tridiagonal needs n = 1 .. 2^31 - 1 diagonal and n - 1 "
+                            f"off-diagonal entries, got {w.shape} and {work.shape}")
+    info = ctypes.c_int(0)
+    _sterf()(ctypes.c_int(n), w.ctypes.data, work.ctypes.data, info)
+    if info.value:
+        raise NoConvergence(f"dsterf did not converge at n = {n}: "
+                            f"{info.value} off-diagonal entries stayed nonzero")
+    return w
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def sample_spectra(
     ensemble: EnsembleSpec,
     n: int,
@@ -134,14 +199,36 @@ def sample_spectra(
     Only the Hermite and Laguerre families carry a tridiagonal matrix model.
     ``start_index`` shifts the per-sample stream indices, so a resumed run
     produces exactly the samples a longer fresh run would have produced.
+    From n = ``_THREADED_N`` on, one thread per CPU draws and solves every
+    k-th sample; each spectrum depends on its (seed, index) alone, so the
+    bytes are the same on any number of CPUs.
     """
     if n > _MAX_SPECTRUM:
         raise InvalidParams(f"sampler supports 1 <= n <= {_MAX_SPECTRUM} for spectra")
     gamma = _checked_gamma(ensemble, n, count, seed)
     spectra = np.empty((count, n))
-    for i in range(count):
-        diag, off = _model(ensemble.family, n, gamma, _stream(seed, start_index + i))
-        spectra[i] = eigh_tridiagonal(diag, off, eigvals_only=True)
+    workers = min(_cpus(), count) if n >= _THREADED_N else 1
+    stop = False
+
+    def solve(first: int) -> None:
+        for i in range(first, count, workers):
+            if stop:
+                return
+            diag, off = _model(ensemble.family, n, gamma, _stream(seed, start_index + i))
+            try:
+                spectra[i] = eigh_tridiagonal(diag, off)
+            except NoConvergence as exc:
+                raise NoConvergence(f"sample {start_index + i}: {exc}") from None
+
+    if workers == 1:
+        solve(0)
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                for future in [pool.submit(solve, first) for first in range(workers)]:
+                    future.result()
+            finally:  # a failed sample or an interrupt stops the other threads early
+                stop = True
     spectra.setflags(write=False)
     return SampleBatch(ensemble=ensemble, n=n, seed=seed, spectra=spectra)
 

@@ -11,6 +11,7 @@ import pytest
 import scipy
 
 import opemeso
+from opemeso import sampling
 from opemeso.cli import main
 
 
@@ -422,7 +423,7 @@ def test_empty_output_path_is_a_config_error(tmp_path, monkeypatch, capsys, argv
     assert [p.name for p in tmp_path.iterdir()] == expected
 
 
-def test_numerical_error_exit_code(tmp_path, capsys):
+def test_numerical_error_exit_code(tmp_path, capsys, monkeypatch):
     # invalid family parameters surface as a numerical/domain failure, and so
     # do params that are not an object of real numbers, non-positive or
     # non-finite tolerances and zoom scales, tolerances below the rounding
@@ -478,6 +479,15 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error:"), argv
+    # an eigensolve that does not converge, on the threaded path, writes no batch file
+    with monkeypatch.context() as patch:
+        patch.setattr(sampling, "_sterf", lambda: _sterf_reporting_info_1)
+        patch.setattr(sampling, "_cpus", lambda: 2)
+        assert main(["sample", "--ensemble", "hermite", "--alpha", "0.4", "--n", "400",
+                     "--count", "10", "--f", "im:1/(x-i)",
+                     "--out-batch", str(tmp_path / "batch.bin")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample ") and "dsterf did not converge at n = 400" in err
     assert list(tmp_path.iterdir()) == []
     # n = 1 with an explicit centre still runs
     assert main(hyp_x0 + ["--n", "1"]) == 0
@@ -492,6 +502,10 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     empty = tmp_path / "empty.bin"
     empty.write_bytes(b"")
     assert main(_sample_argv(empty, "hermite", None, 4) + ["--resume"]) == 1
+
+
+def _sterf_reporting_info_1(n, d, e, info):
+    info.value = 1
 
 
 BIG_SAMPLE = [

@@ -1,14 +1,20 @@
 """Monte-Carlo sampler: determinism, distributional checks, persistence."""
 
+import ctypes
 import hashlib
 import math
+import threading
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import opemeso as om
 from opemeso import sampling
-from opemeso.errors import InvalidParams, Unsupported
+from opemeso.ensembles import Family
+from opemeso.errors import InvalidParams, NoConvergence, Unsupported
 from opemeso.sampling import SampleBatch, _model, _stream, standardized_skewness
 
 IM_G = om.parse_test_function("im:1/(x-i)")
@@ -281,3 +287,90 @@ def _written(path, data: bytes):
 def test_refusals(tmp_path, call, error, match):
     with pytest.raises(error, match=match):
         call(tmp_path)
+
+
+def _sterf_failing_on(diag0: float):
+    """A dsterf stand-in that reports info = 1 for the matrix whose d[0] is diag0."""
+    def sterf(n, d, e, info):
+        if ctypes.c_double.from_address(d).value == diag0:
+            info.value = 1
+    return sterf
+
+
+class TestSterfKernel:
+    """sampling.eigh_tridiagonal: dsterf through ctypes, bytes as scipy's."""
+
+    @pytest.mark.parametrize("spec", MODELS, ids=["hermite", "laguerre0", "laguerre0.5"])
+    def test_matches_scipy(self, spec):
+        cut = sampling._THREADED_N
+        for n in (1, 2, 3, 20, cut - 1, cut + 1, 400, 2000):
+            for i in range(3):
+                diag, off = _model(spec.family, n, spec.params.get("gamma", 0.0), _stream(6, i))
+                model = np.concatenate([diag, off])
+                ours = sampling.eigh_tridiagonal(diag, off)
+                assert np.array_equal(np.concatenate([diag, off]), model)  # sterf works on copies
+                reference = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+                assert ours.dtype == reference.dtype and np.array_equal(ours, reference), (n, i)
+
+    def test_refuses_other_shapes(self):
+        for d, e in ((np.ones(3), np.ones(3)), (np.ones((2, 2)), np.ones(1)), (np.ones(0), np.ones(0))):
+            with pytest.raises(InvalidParams, match="off-diagonal entries"):
+                sampling.eigh_tridiagonal(d, e)
+
+    def test_signature_checked(self, monkeypatch):
+        # an ILP64 build names 64-bit integers in the capsule; its dsterf is refused
+        new_capsule = ctypes.PYFUNCTYPE(
+            ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p
+        )(("PyCapsule_New", ctypes.pythonapi))
+        name = b"void (int64_t *, d *, d *, int64_t *)"
+        capsule = new_capsule(ctypes.addressof(ctypes.c_char(0)), name, None)
+        monkeypatch.setattr(sampling, "cython_lapack", SimpleNamespace(__pyx_capi__={"dsterf": capsule}))
+        with pytest.raises(Unsupported, match="int64_t"):
+            sampling._sterf.__wrapped__()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_no_convergence_names_n_and_sample(self, monkeypatch, workers):
+        # sample 5 fails; the error reaches the caller and no thread outlives the call
+        n = sampling._THREADED_N + 1
+        diag0 = _model(Family.HERMITE, n, 0.0, _stream(4, 5))[0][0]
+        monkeypatch.setattr(sampling, "_sterf", lambda: _sterf_failing_on(diag0))
+        monkeypatch.setattr(sampling, "_cpus", lambda: workers)
+        before = set(threading.enumerate())
+        with pytest.raises(NoConvergence, match=f"sample 5: dsterf did not converge at n = {n}"):
+            om.sample_spectra(om.hermite(), n, 7, seed=4, start_index=3)
+        assert set(threading.enumerate()) == before
+
+
+class TestThreadedSpectra:
+    """sample_spectra on a thread per CPU: the same bytes on any CPU count."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_counts_agree(self, monkeypatch, workers):
+        monkeypatch.setattr(sampling, "_cpus", lambda: workers)
+        for spec in (om.hermite(), om.laguerre(0.5)):
+            gamma = spec.params.get("gamma", 0.0)
+            for n in (sampling._THREADED_N - 1, sampling._THREADED_N):
+                for count in (1, 2, 5, 7):
+                    for start in (0, 4):
+                        batch = om.sample_spectra(spec, n, count, seed=12, start_index=start)
+                        for i in range(count):
+                            diag, off = _model(spec.family, n, gamma, _stream(12, start + i))
+                            reference = scipy.linalg.eigh_tridiagonal(diag, off, eigvals_only=True)
+                            assert np.array_equal(batch.spectra[i], reference), (n, count, start, i)
+
+    def test_resume_matches_fresh_above_cutoff(self):
+        full = om.sample_spectra(om.hermite(), 400, 12, seed=9)
+        tail = om.sample_spectra(om.hermite(), 400, 5, seed=9, start_index=7)
+        assert np.array_equal(full.spectra[7:], tail.spectra)
+
+    def test_peak_memory_is_the_spectra(self):
+        # 2000 spectra of n = 400 take 6.4 MB; a list of every model would add 12.8 MB
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            batch = om.sample_spectra(om.hermite(), 400, 2000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.spectra.nbytes == 6_400_000
+        assert peak < batch.spectra.nbytes + 1_000_000
