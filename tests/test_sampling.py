@@ -322,8 +322,8 @@ class TestSterfKernel:
         new_capsule = ctypes.PYFUNCTYPE(
             ctypes.py_object, ctypes.c_void_p, ctypes.c_char_p, ctypes.c_void_p
         )(("PyCapsule_New", ctypes.pythonapi))
-        name = b"void (int64_t *, d *, d *, int64_t *)"
-        capsule = new_capsule(ctypes.addressof(ctypes.c_char(0)), name, None)
+        name, target = b"void (int64_t *, d *, d *, int64_t *)", ctypes.c_char(0)
+        capsule = new_capsule(ctypes.addressof(target), name, None)  # both outlive the call
         monkeypatch.setattr(sampling, "cython_lapack", SimpleNamespace(__pyx_capi__={"dsterf": capsule}))
         with pytest.raises(Unsupported, match="int64_t"):
             sampling._sterf.__wrapped__()
