@@ -255,14 +255,14 @@ def criterion_12_hypothesis_checker() -> tuple[bool, str]:
     edge_cheb = EdgeSpec(side=Side.RIGHT, alpha=0.5, epsilon=0.1)
     rep_cheb = check_hypotheses(chebyshev2(), 500, edge_cheb)
     cheb_zero = (
-        rep_cheb.max_da_scaled == 0.0
-        and rep_cheb.max_db_scaled == 0.0
-        and rep_cheb.rec1_raw == 0.0
-        and rep_cheb.rec2_raw == 0.0
+        rep_cheb.scaled["max_da"] == 0.0
+        and rep_cheb.scaled["max_db"] == 0.0
+        and rep_cheb.raw["rec1"] == 0.0
+        and rep_cheb.raw["rec2"] == 0.0
     )
-    ok = rep_lag.rec2_raw == 0.0 and cheb_zero
+    ok = rep_lag.raw["rec2"] == 0.0 and cheb_zero
     return ok, (
-        f"laguerre rec2 raw max = {rep_lag.rec2_raw!r} (exact 0.0); "
+        f"laguerre rec2 raw max = {rep_lag.raw['rec2']!r} (exact 0.0); "
         f"chebyshev all-zero = {cheb_zero}"
     )
 

@@ -19,7 +19,7 @@ happens.  The literal composition sum is kept as the oracle
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -322,23 +322,19 @@ def cumulant_bound_check(F: np.ndarray, n: int, m: int) -> BoundReport:
 
 @dataclass(frozen=True)
 class CumulantReport:
-    """Scaled cumulants n^{-m alpha} C_m for one ensemble size."""
+    """Scaled cumulants n^{-m alpha} C_m for one ensemble size, the fields in JSON order."""
 
     n: int
     alpha: float
     x0: float
-    scaled_cumulants: dict[int, float]
     window: tuple[int, int]
     op_norm_estimate: float
+    scaled_cumulants: dict[int, float]
 
     def to_json(self) -> dict:
         return {
             "schema": 1,
-            "n": self.n,
-            "alpha": self.alpha,
-            "x0": self.x0,
-            "window": list(self.window),
-            "op_norm_estimate": self.op_norm_estimate,
+            **asdict(self),
             "scaled_cumulants": {str(m): v for m, v in self.scaled_cumulants.items()},
         }
 
@@ -386,9 +382,9 @@ def convergence_sweep(
                 n=n,
                 alpha=edge.alpha,
                 x0=edge.center(spec, n),
-                scaled_cumulants=scaled,
                 window=window,
                 op_norm_estimate=norm,
+                scaled_cumulants=scaled,
             )
         )
     return reports

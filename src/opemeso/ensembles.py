@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Callable
@@ -438,7 +438,8 @@ class HypothesisReport:
     (|da|*n, |db|*n) and to the two order-reduction quantities
     (|a_j a_{j-2} - a_{j-1}^2| * n^(alpha+eps) and the x0-shifted
     cross-difference * n^(3 alpha/2 + eps)).  Raw (unscaled) maxima are kept
-    so that exact cancellations can be asserted as exact zeros.
+    so that exact cancellations can be asserted as exact zeros.  The fields,
+    in order, are the JSON layout of ``to_json``.
     """
 
     n: int
@@ -446,16 +447,10 @@ class HypothesisReport:
     epsilon: float
     x0: float
     window: tuple[int, int]
-    max_da_scaled: float
-    max_db_scaled: float
-    rec1_scaled: float
-    rec2_scaled: float
-    rec1_raw: float
-    rec2_raw: float
-    a_abs_min: float
-    a_abs_max: float
-    b_abs_max: float
-    thresholds: dict
+    scaled: dict   # max_da, max_db, rec1, rec2
+    raw: dict      # rec1, rec2
+    bounds: dict   # a_abs_min, a_abs_max, b_abs_max
+    thresholds: dict  # keyed "<name>_scaled" for scaled[name]
     flags: dict
 
     @property
@@ -463,28 +458,7 @@ class HypothesisReport:
         return all(self.flags.values())
 
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "x0": self.x0,
-            "window": list(self.window),
-            "scaled": {
-                "max_da": self.max_da_scaled,
-                "max_db": self.max_db_scaled,
-                "rec1": self.rec1_scaled,
-                "rec2": self.rec2_scaled,
-            },
-            "raw": {"rec1": self.rec1_raw, "rec2": self.rec2_raw},
-            "bounds": {
-                "a_abs_min": self.a_abs_min,
-                "a_abs_max": self.a_abs_max,
-                "b_abs_max": self.b_abs_max,
-            },
-            "thresholds": dict(self.thresholds),
-            "flags": dict(self.flags),
-        }
+        return {"schema": 1, **asdict(self)}
 
 
 _THRESHOLD_FLOOR = 1e-9  # for quantities that vanish identically
@@ -513,15 +487,18 @@ def _hypothesis_quantities(spec, n, alpha, epsilon, x0):
     abs_b = np.abs(b[k:])
     return {
         "window": (lo, hi),
-        "max_da_scaled": max_da * n,
-        "max_db_scaled": max_db * n,
-        "rec1_scaled": rec1 * n ** (alpha + epsilon),
-        "rec2_scaled": rec2 * n ** (1.5 * alpha + epsilon),
-        "rec1_raw": rec1,
-        "rec2_raw": rec2,
-        "a_abs_min": float(abs_a.min()),
-        "a_abs_max": float(abs_a.max()),
-        "b_abs_max": float(abs_b.max()),
+        "scaled": {
+            "max_da": max_da * n,
+            "max_db": max_db * n,
+            "rec1": rec1 * n ** (alpha + epsilon),
+            "rec2": rec2 * n ** (1.5 * alpha + epsilon),
+        },
+        "raw": {"rec1": rec1, "rec2": rec2},
+        "bounds": {
+            "a_abs_min": float(abs_a.min()),
+            "a_abs_max": float(abs_a.max()),
+            "b_abs_max": float(abs_b.max()),
+        },
     }
 
 
@@ -567,13 +544,11 @@ def check_hypotheses(
     q = _hypothesis_quantities(spec, n, edge.alpha, edge.epsilon, x0)
 
     if thresholds is None:
-        ref = _reference_quantities(spec, n, edge, q)
+        ref = _reference_quantities(spec, n, edge, q)["scaled"]
         thresholds = {
-            key: max(10.0 * ref[key], _THRESHOLD_FLOOR)
-            for key in ("max_da_scaled", "max_db_scaled", "rec1_scaled", "rec2_scaled")
+            f"{name}_scaled": max(10.0 * value, _THRESHOLD_FLOOR) for name, value in ref.items()
         }
-
-    flags = {key: q[key] <= thresholds[key] for key in thresholds}
+    flags = {key: q["scaled"][key.removesuffix("_scaled")] <= thresholds[key] for key in thresholds}
     return HypothesisReport(
         n=n,
         alpha=edge.alpha,

@@ -15,7 +15,7 @@ of variables makes composite Gauss-Legendre panels efficient on that square.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -54,13 +54,7 @@ class LimitVariance:
     est_error: float
 
     def to_json(self) -> dict:
-        return {
-            "schema": 1,
-            "value": self.value,
-            "method": self.method,
-            "side": self.side.value,
-            "est_error": self.est_error,
-        }
+        return {"schema": 1, **asdict(self), "side": self.side.value}
 
 
 def _gl_panels(a: float, b: float, n_panels: int):

@@ -242,18 +242,18 @@ class TestHypotheses:
     def test_chebyshev_all_zero(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
         rep = om.check_hypotheses(om.chebyshev2(), 500, edge)
-        assert rep.max_da_scaled == 0.0
-        assert rep.max_db_scaled == 0.0
-        assert rep.rec1_raw == 0.0
-        assert rep.rec2_raw == 0.0
+        assert rep.scaled["max_da"] == 0.0
+        assert rep.scaled["max_db"] == 0.0
+        assert rep.raw["rec1"] == 0.0
+        assert rep.raw["rec2"] == 0.0
         assert rep.all_pass
 
     def test_laguerre_hard_edge_cancellation_exact_zero(self):
         # n = 2^10 keeps every gamma = 0 coefficient an exact dyadic
         edge = om.EdgeSpec(side=om.Side.LEFT, alpha=1.0, x0=0.0, epsilon=0.1)
         rep = om.check_hypotheses(om.laguerre(0.0), 1024, edge)
-        assert rep.rec2_raw == 0.0
-        assert rep.rec2_scaled == 0.0
+        assert rep.raw["rec2"] == 0.0
+        assert rep.scaled["rec2"] == 0.0
 
     def test_laguerre_cancellation_fraction_oracle(self):
         # independent exact-rational evaluation of the same cross-difference
@@ -269,8 +269,8 @@ class TestHypotheses:
         brute = max(
             abs(math.sqrt(j / n) - math.sqrt((j - 1) / n)) for j in range(lo, hi + 1)
         )
-        assert rep.max_da_scaled == pytest.approx(brute * n, rel=1e-12)
-        assert 0.4 <= rep.max_da_scaled <= 0.6
+        assert rep.scaled["max_da"] == pytest.approx(brute * n, rel=1e-12)
+        assert 0.4 <= rep.scaled["max_da"] <= 0.6
 
     @pytest.mark.parametrize(
         "spec",
@@ -297,11 +297,11 @@ class TestHypotheses:
                                      - (b[j - 2] - x0 - a[j - 1]) * a[j - 1]))
         rep = om.check_hypotheses(spec, n, edge, thresholds={})
         window = range(lo, hi + 1)
-        assert (rep.max_da_scaled, rep.max_db_scaled) == (da * n, db * n)
-        assert (rep.rec1_raw, rep.rec2_raw) == (rec1, rec2)
-        assert rep.a_abs_min == min(abs(a[j]) for j in window)
-        assert rep.a_abs_max == max(abs(a[j]) for j in window)
-        assert rep.b_abs_max == max(abs(b[j]) for j in window)
+        assert (rep.scaled["max_da"], rep.scaled["max_db"]) == (da * n, db * n)
+        assert (rep.raw["rec1"], rep.raw["rec2"]) == (rec1, rec2)
+        assert rep.bounds["a_abs_min"] == min(abs(a[j]) for j in window)
+        assert rep.bounds["a_abs_max"] == max(abs(a[j]) for j in window)
+        assert rep.bounds["b_abs_max"] == max(abs(b[j]) for j in window)
 
     def test_threshold_flags(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
@@ -327,7 +327,9 @@ class TestHypotheses:
         rep = om.check_hypotheses(spec, 100_000, edge)
         assert rep.window == (82218, 117782)
         keys = ("max_da_scaled", "max_db_scaled", "rec1_scaled", "rec2_scaled")
-        assert rep.thresholds == {k: max(10.0 * getattr(ref, k), 1e-9) for k in keys}
+        assert rep.thresholds == {
+            k: max(10.0 * ref.scaled[k.removesuffix("_scaled")], 1e-9) for k in keys
+        }
 
     def test_reference_falls_back_to_requested_n(self):
         # 1000 and 2000 leave the support, and the doubling reaches n = 3500
@@ -336,7 +338,9 @@ class TestHypotheses:
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=1.5)
         rep = om.check_hypotheses(spec, 3500, edge)
         keys = ("max_da_scaled", "max_db_scaled", "rec1_scaled", "rec2_scaled")
-        assert rep.thresholds == {k: max(10.0 * getattr(rep, k), 1e-9) for k in keys}
+        assert rep.thresholds == {
+            k: max(10.0 * rep.scaled[k.removesuffix("_scaled")], 1e-9) for k in keys
+        }
         assert rep.all_pass
 
     def test_report_json(self):
