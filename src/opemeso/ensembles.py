@@ -91,26 +91,19 @@ def _jacobi_b(p, j, n):
     return 2 * (g2 ** 2 - g1 ** 2) / ((2 * j + s) * (2 * j + s + 2))
 
 
-# Hahn coefficients as printed in the source material.  The diagonal's
-# (2j+a+b+N+1) factor is dimensionally inconsistent with the standard Hahn
-# recurrence; see README ("Known quirks") and the weight-based cross-check
-# in the tests.
+def _hahn_ac(p, j, n):
+    """Textbook Hahn A_j and C_j at alpha = t1 n, beta = t2 n, N = t3 n.
 
-def _hahn_a(p, j, n):
+    -x Q_j = A_j Q_{j+1} - (A_j + C_j) Q_j + C_j Q_{j-1} on the sites
+    x = 0..N, so b_j = (A_j + C_j)/n and a_j = sqrt(A_{j-1} C_j)/n put the
+    spectrum on x/n, the scale Krawtchouk uses.
+    """
     aa, bb, big_n = p["t1"] * n, p["t2"] * n, p["t3"] * n
     s = 2 * j + aa + bb
     return (
-        j * (j + aa + bb + big_n + 1) * (j + bb) / (big_n * s * (s + 1))
-    ) * math.sqrt(
-        (big_n - j) * (j + aa + bb) * (aa + j) * (s + 1)
-        / (j * (j + aa + bb + big_n + 1) * (bb + j) * (s - 1))
+        (j + aa + bb + 1) * (j + aa + 1) * (big_n - j) / ((s + 1) * (s + 2)),
+        j * (j + aa + bb + big_n + 1) * (j + bb) / (s * (s + 1)),
     )
-
-
-def _hahn_b(p, j, n):
-    aa, bb, big_n = p["t1"] * n, p["t2"] * n, p["t3"] * n
-    s = 2 * j + aa + bb
-    return (big_n - j) * (j + aa + bb + 1) * (j + aa + 1) / (big_n * (s + big_n + 1) * (s + 2))
 
 
 # Asymptotic coefficients for the log(2/(1-x)) weight; the 1/(j^2 log^2 j)
@@ -162,7 +155,9 @@ _CATALOG = {
         support=("K = t*n", lambda p, n: p["t"] * n),
     ),
     Family.HAHN: _FamilyRecord(
-        frozenset({"t1", "t2", "t3"}), varying=True, a=_hahn_a, b=_hahn_b,
+        frozenset({"t1", "t2", "t3"}), varying=True,
+        a=lambda p, j, n: math.sqrt(_hahn_ac(p, j - 1, n)[0] * _hahn_ac(p, j, n)[1]) / n,
+        b=lambda p, j, n: sum(_hahn_ac(p, j, n)) / n,
         checks=((lambda p: p["t1"] > 0 and p["t2"] > 0, "hahn requires t1, t2 > 0"),
                 (lambda p: p["t3"] >= 1, "hahn requires t3 >= 1")),
         support=("N = t3*n", lambda p, n: p["t3"] * n),
@@ -535,7 +530,9 @@ def check_hypotheses(
     doubling of 1000 whose window fits, or at n itself once the doubling
     reaches it).  In that last case every quantity is checked against 10x
     itself, so the default flags pass trivially and say nothing; pass
-    ``thresholds`` explicitly to check such a call.
+    ``thresholds`` explicitly to check such a call.  Its keys are
+    ``"<name>_scaled"`` for the report's ``scaled[name]``, its values finite
+    real numbers; any other key or value raises InvalidParams.
     Raises OutOfDomain when the window leaves the family's support.
     """
     if n < 1:
@@ -548,7 +545,15 @@ def check_hypotheses(
         thresholds = {
             f"{name}_scaled": max(10.0 * value, _THRESHOLD_FLOOR) for name, value in ref.items()
         }
-    flags = {key: q["scaled"][key.removesuffix("_scaled")] <= thresholds[key] for key in thresholds}
+    names = {f"{name}_scaled": name for name in q["scaled"]}
+    for key, value in thresholds.items():
+        if key not in names:
+            raise InvalidParams(f"unknown threshold {key!r}; expected one of {sorted(names)}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            abs(value) <= sys.float_info.max  # also refuses NaN and ints beyond the float range
+        ):
+            raise InvalidParams(f"threshold {key} must be a finite real number, got {value!r}")
+    flags = {key: q["scaled"][names[key]] <= value for key, value in thresholds.items()}
     return HypothesisReport(
         n=n,
         alpha=edge.alpha,

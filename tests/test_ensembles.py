@@ -422,9 +422,7 @@ def _stieltjes_from_weight(xs, ws, kmax):
 
 
 class TestHahnWeightCrossCheck:
-    """The diagonal formula is implemented as printed but is known not to
-    match the orthogonality weight; this cross-check quantifies both sides
-    (see README, "Known quirks")."""
+    """The catalog's Hahn coefficients against the Stieltjes oracle of its weight."""
 
     A, B, N = 2, 3, 12
 
@@ -460,24 +458,47 @@ class TestHahnWeightCrossCheck:
             _, C_j = self._standard_ac(j)
             assert math.sqrt(A_prev * C_j) == pytest.approx(a_true[j - 1], abs=1e-10)
 
-    def test_printed_offdiagonal_asymptotically_consistent(self):
-        # the printed a_{j,n} differs from the weight-derived value only at
-        # the O(1/(N-j)) level (index-shift slips), so it is close at small N
-        a_true, _ = self._weight_coeffs()
+    def test_catalog_matches_oracle(self):
+        # at n = N the scale x/n is x/N: times N, the coefficients are the oracle's
+        a_true, b_true = self._weight_coeffs()
         spec = om.hahn(self.A / self.N, self.B / self.N, 1.0)
-        for j in range(1, 7):
-            a_printed = om.recurrence(spec, j, self.N)[0] * self.N
-            assert abs(a_printed / a_true[j - 1] - 1) < 0.15
+        diag, offdiag = om.jacobi_window(spec, self.N, 1, 9)
+        np.testing.assert_allclose(diag * self.N, b_true, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(offdiag * self.N, a_true, rtol=0, atol=1e-10)
 
-    def test_printed_diagonal_flagged_mismatch(self):
-        # the printed b_{j,n} carries a spurious (2j+a+b+N+1) factor and does
-        # NOT reproduce the weight; assert the mismatch so the flag in the
-        # docs stays backed by a number
-        _, b_true = self._weight_coeffs()
-        spec = om.hahn(self.A / self.N, self.B / self.N, 1.0)
-        for j in range(1, 7):
-            b_printed = om.recurrence(spec, j, self.N)[1] * self.N
-            assert abs(b_printed / b_true[j] - 1) > 0.5
+
+def _log_choose(top, k):
+    return math.lgamma(top + 1) - math.lgamma(k + 1) - math.lgamma(top - k + 1)
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [(om.krawtchouk(0.25, 2.0), 20), (om.krawtchouk(0.6, 1.0), 30),
+     (om.krawtchouk(0.5, 1.5), 10), (om.hahn(0.5, 0.7, 1.5), 40),
+     (om.hahn(1.0, 1.0, 1.0), 12), (om.hahn(0.25, 2.0, 2.0), 16)],
+    ids=str,
+)
+def test_discrete_family_reproduces_its_weight(spec, n):
+    # the whole Jacobi matrix, rows 0..N with N = t n or t3 n the support end,
+    # has the sites 0..N over n as its eigenvalues and the normalised weight as
+    # its squared first eigenvector components; the weight error is absolute,
+    # because relative error means nothing in the tails
+    from scipy.linalg import eigh_tridiagonal
+
+    p = spec.params
+    last = round((p["t"] if spec.family is Family.KRAWTCHOUK else p["t3"]) * n)
+    sites = np.arange(last + 1)
+    if spec.family is Family.KRAWTCHOUK:
+        log_w = [_log_choose(last, x) + x * math.log(p["p"]) + (last - x) * math.log(1 - p["p"])
+                 for x in sites]
+    else:
+        a, b = p["t1"] * n, p["t2"] * n
+        log_w = [_log_choose(a + x, x) + _log_choose(b + last - x, last - x) for x in sites]
+    weight = np.exp(np.array(log_w) - max(log_w))
+    diag, offdiag = om.jacobi_window(spec, n, 1, last + 1)
+    eigenvalues, vectors = eigh_tridiagonal(diag, offdiag)
+    np.testing.assert_allclose(eigenvalues * n, sites, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vectors[0] ** 2, weight / weight.sum(), rtol=0, atol=1e-12)
 
 
 @st.composite
@@ -502,6 +523,11 @@ def test_recurrence_finite_and_positive_offdiag(spec, j, n):
     assert a > 0
 
 
+def _hermite_hypotheses(thresholds):
+    edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5)
+    return om.check_hypotheses(om.hermite(), 100, edge, thresholds=thresholds)
+
+
 @pytest.mark.parametrize(
     "call, error, match",
     [
@@ -513,9 +539,19 @@ def test_recurrence_finite_and_positive_offdiag(spec, j, n):
          "a laguerre coefficient overflows the float range"),
         (lambda: om.jacobi_window(om.freud(1e-3), 100, 1, 4), InvalidParams,
          "a freud coefficient overflows the float range"),
+        # thresholds= names a scaled quantity by its "<name>_scaled" key
+        (lambda: _hermite_hypotheses({"max_da": 1.0}), InvalidParams,
+         "unknown threshold 'max_da'"),
+        (lambda: _hermite_hypotheses({"window": 1.0}), InvalidParams,
+         "unknown threshold 'window'"),
+        (lambda: _hermite_hypotheses({"a_abs_min": 1.0}), InvalidParams,
+         "unknown threshold 'a_abs_min'"),
+        (lambda: _hermite_hypotheses({"rec1_scaled": math.nan}), InvalidParams,
+         "threshold rec1_scaled must be a finite real number, got nan"),
     ],
     ids=["spec-not-object", "window-reversed", "window-lo", "laguerre-overflow",
-         "freud-overflow"],
+         "freud-overflow", "threshold-unscaled-name", "threshold-window",
+         "threshold-bound", "threshold-nan"],
 )
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):
