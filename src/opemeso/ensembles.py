@@ -530,9 +530,9 @@ def check_hypotheses(
     doubling of 1000 whose window fits, or at n itself once the doubling
     reaches it).  In that last case every quantity is checked against 10x
     itself, so the default flags pass trivially and say nothing; pass
-    ``thresholds`` explicitly to check such a call.  Its keys are
-    ``"<name>_scaled"`` for the report's ``scaled[name]``, its values finite
-    real numbers; any other key or value raises InvalidParams.
+    ``thresholds`` explicitly to check such a call.  It is a dict whose keys
+    are ``"<name>_scaled"`` for the report's ``scaled[name]`` and whose values
+    are finite real numbers; anything else raises InvalidParams.
     Raises OutOfDomain when the window leaves the family's support.
     """
     if n < 1:
@@ -545,6 +545,8 @@ def check_hypotheses(
         thresholds = {
             f"{name}_scaled": max(10.0 * value, _THRESHOLD_FLOOR) for name, value in ref.items()
         }
+    if not isinstance(thresholds, dict):
+        raise InvalidParams(f"thresholds must be a dict, got {type(thresholds).__name__}")
     names = {f"{name}_scaled": name for name in q["scaled"]}
     for key, value in thresholds.items():
         if key not in names:

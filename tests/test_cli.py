@@ -4,6 +4,7 @@ import json
 import os
 import platform
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,33 @@ def test_manifest_records_package_checkout_and_versions(tmp_path, monkeypatch):
         "scipy": scipy.__version__,
         "blas": f"{blas['name']} {blas['version']}",
     }
+
+
+def test_manifest_without_git(tmp_path, monkeypatch):
+    # no git executable: the manifest reads "nogit" and the run goes on
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(subprocess, "run", no_git)
+    assert main(REPLAY_RUNS["variance-limit"]) == 0
+    manifest = json.loads(Path("var.json.manifest.json").read_text())
+    assert manifest["git_describe"] == "nogit"
+
+
+def test_module_entry_point(tmp_path, capsys):
+    # python -m opemeso.cli prints what main() prints and exits with its code
+    argv = ["variance-limit", "--f", "im:1/(x-i)", "--method", "residue"]
+    src = str(Path(opemeso.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "opemeso.cli", *argv], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert json.loads(done.stdout)["residue"]["value"] == pytest.approx(0.09375, abs=1e-12)
 
 
 def test_cumulants_json_format(tmp_path):

@@ -236,6 +236,18 @@ class TestSweep:
         assert payload["schema"] == 1
         assert payload["scaled_cumulants"]["2"] == rep.scaled_cumulants[2]
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the default margin biases C2 low")
+    def test_default_margin_matches_eight_margins(self):
+        # Laguerre gamma = 0 at the right edge: the sweep's 1x-margin C2 reads
+        # 0.0280045, the 8x-margin window 0.0337533, 17 % apart
+        spec, n = om.laguerre(0.0), 200
+        edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5)
+        f = om.parse_test_function("re:1/(x-i)")
+        swept = om.convergence_sweep(spec, edge, f, [n], m_max=2)[0].scaled_cumulants[2]
+        window = (1, n + 8 * om.default_margin(n, edge))
+        wide = om.cumulant(om.build_F(spec, n, edge, f, window=window), n, 2) / n
+        assert swept == pytest.approx(wide, rel=1e-3)
+
     CHEB_N200 = [
         "cumulants", "--ensemble", "chebyshev2", "--alpha", "0.5",
         "--n", "200", "--m-max", "4", "--f", "im:1/(x-i)",

@@ -198,6 +198,10 @@ class TestJson:
         with pytest.raises(InvalidParams):
             om.from_json({"family": "wigner", "params": {}})
 
+    def test_str(self):
+        assert str(om.hermite()) == "hermite"
+        assert str(om.krawtchouk(0.25, 2.0)) == "krawtchouk(p=0.25, t=2)"
+
     def test_custom_not_serializable(self):
         spec = om.custom(lambda j, n: (1.0, 0.0))
         with pytest.raises(InvalidParams):
@@ -548,10 +552,11 @@ def _hermite_hypotheses(thresholds):
          "unknown threshold 'a_abs_min'"),
         (lambda: _hermite_hypotheses({"rec1_scaled": math.nan}), InvalidParams,
          "threshold rec1_scaled must be a finite real number, got nan"),
+        (lambda: _hermite_hypotheses([1.0]), InvalidParams, "thresholds must be a dict, got list"),
     ],
     ids=["spec-not-object", "window-reversed", "window-lo", "laguerre-overflow",
          "freud-overflow", "threshold-unscaled-name", "threshold-window",
-         "threshold-bound", "threshold-nan"],
+         "threshold-bound", "threshold-nan", "thresholds-not-dict"],
 )
 def test_refusals(call, error, match):
     with pytest.raises(error, match=match):

@@ -3,7 +3,9 @@
 import ctypes
 import hashlib
 import math
+import os
 import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -339,6 +341,33 @@ class TestSterfKernel:
         with pytest.raises(NoConvergence, match=f"sample 5: dsterf did not converge at n = {n}"):
             om.sample_spectra(om.hermite(), n, 7, seed=4, start_index=3)
         assert set(threading.enumerate()) == before
+
+
+    def test_failure_stops_the_other_worker(self, monkeypatch):
+        # sample 0 fails on the first worker; the second stops at its next
+        # sample instead of solving all of its 100
+        n, count = sampling._THREADED_N + 1, 200
+        failing = _sterf_failing_on(_model(Family.HERMITE, n, 0.0, _stream(4, 0))[0][0])
+        calls = []
+
+        def sterf(n, d, e, info):
+            calls.append(n)
+            failing(n, d, e, info)
+            time.sleep(0.002)  # lets the failure reach the caller before the second worker ends
+
+        monkeypatch.setattr(sampling, "_sterf", lambda: sterf)
+        monkeypatch.setattr(sampling, "_cpus", lambda: 2)
+        before = set(threading.enumerate())
+        with pytest.raises(NoConvergence, match="sample 0: "):
+            om.sample_spectra(om.hermite(), n, count, seed=4)
+        assert len(calls) < 1 + count // 2
+        assert set(threading.enumerate()) == before
+
+
+def test_cpus_without_an_affinity_mask(monkeypatch):
+    # where the OS has no affinity mask, every CPU counts
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sampling._cpus() == os.cpu_count()
 
 
 class TestThreadedSpectra:
