@@ -462,6 +462,41 @@ class TestHahnWeightCrossCheck:
             _, C_j = self._standard_ac(j)
             assert math.sqrt(A_prev * C_j) == pytest.approx(a_true[j - 1], abs=1e-10)
 
+    def _printed_ab(self, j):
+        # the Hahn a_{j,n} and b_{j,n} as printed in the source material, at n = N
+        aa, bb, big_n = self.A, self.B, self.N
+        s = 2 * j + aa + bb
+        a = (j * (j + aa + bb + big_n + 1) * (j + bb) / (big_n * s * (s + 1))) * math.sqrt(
+            (big_n - j) * (j + aa + bb) * (aa + j) * (s + 1)
+            / (j * (j + aa + bb + big_n + 1) * (bb + j) * (s - 1))
+        )
+        b = (big_n - j) * (j + aa + bb + 1) * (j + aa + 1) / (big_n * (s + big_n + 1) * (s + 2))
+        return a, b
+
+    def test_printed_offdiagonal_asymptotically_consistent(self):
+        # the printed a_{j,n} differs from the weight-derived value only at
+        # the O(1/(N-j)) level (index-shift slips), so it is close at small N;
+        # the catalog takes the exact value, not the printed one
+        a_true, _ = self._weight_coeffs()
+        spec = om.hahn(self.A / self.N, self.B / self.N, 1.0)
+        for j in range(1, 7):
+            a_printed = self._printed_ab(j)[0] * self.N
+            assert abs(a_printed / a_true[j - 1] - 1) < 0.15
+            assert om.recurrence(spec, j, self.N)[0] * self.N == pytest.approx(
+                a_true[j - 1], abs=1e-10)
+
+    def test_printed_diagonal_flagged_mismatch(self):
+        # the printed b_{j,n} carries a spurious (2j+a+b+N+1) factor and does
+        # NOT reproduce the weight, which is why the catalog uses the textbook
+        # recurrence; assert the mismatch so the departure stays backed by a number
+        _, b_true = self._weight_coeffs()
+        spec = om.hahn(self.A / self.N, self.B / self.N, 1.0)
+        for j in range(1, 7):
+            b_printed = self._printed_ab(j)[1] * self.N
+            assert abs(b_printed / b_true[j] - 1) > 0.5
+            assert om.recurrence(spec, j, self.N)[1] * self.N == pytest.approx(
+                b_true[j], abs=1e-10)
+
     def test_catalog_matches_oracle(self):
         # at n = N the scale x/n is x/N: times N, the coefficients are the oracle's
         a_true, b_true = self._weight_coeffs()
