@@ -367,12 +367,14 @@ def cmd_fit(args) -> list[Path]:
     return written + _emit(_json(meta), f"{written[0]}.fit.json")
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> list[Path]:
     from .acceptance import run
 
     only = [int(t) for t in args.only.split(",")] if args.only else None
-    results = run(only=only)
-    return 0 if all(r.ok for r in results) else 1
+    failed = [r.number for r in run(only=only) if not r.ok]
+    if failed:
+        raise OpemesoError(f"selftest criteria failed: {', '.join(map(str, failed))}")
+    return []
 
 
 _COMMANDS = {
@@ -382,6 +384,7 @@ _COMMANDS = {
     "hypotheses": cmd_hypotheses,
     "sample": cmd_sample,
     "fit": cmd_fit,
+    "selftest": cmd_selftest,
 }
 
 
@@ -422,8 +425,6 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.perf_counter()
     try:
-        if args.command == "selftest":
-            return cmd_selftest(args)
         outputs = _COMMANDS[args.command](args)
         if outputs:
             wallclock = time.perf_counter() - start

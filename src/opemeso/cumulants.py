@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 from .ensembles import EdgeSpec, EnsembleSpec, jacobi_window
 from .errors import InvalidParams, WindowTooSmall, refuse_overflow
 from .testfun import ResolventTestFunction
-from .tridiagonal import _DENSE_MAX_ROWS, _POWER_SEED, TridiagonalMatrix, _power_norm
+from .tridiagonal import _POWER_SEED, TridiagonalMatrix, _power_norm, _refuse_dense
 
 __all__ = [
     "build_F",
@@ -69,7 +69,7 @@ def build_F(
 
     The result has real symmetric entries (conjugate closure of the poles).
     Raises InvalidParams, before allocating anything, when n < 1 or ``hi``
-    exceeds the 5000-row cap of the dense oracle.
+    exceeds the dense cap of ``tridiagonal._refuse_dense``.
     """
     if n < 1:
         raise InvalidParams(f"cumulants need n >= 1, got {n}")
@@ -79,10 +79,7 @@ def build_F(
     lo, hi = window
     if lo < 1 or hi <= n:
         raise InvalidParams(f"window {window} must satisfy 1 <= lo, hi > n")
-    if hi > _DENSE_MAX_ROWS:
-        raise InvalidParams(
-            f"window end hi = {hi} exceeds the dense cap of {_DENSE_MAX_ROWS} rows"
-        )
+    _refuse_dense("window operator", hi)
     if hi - n < n ** (edge.alpha / 2):
         raise WindowTooSmall(
             f"margin {hi - n} below n^(alpha/2) = {n ** (edge.alpha / 2):.1f}"
@@ -366,10 +363,8 @@ def convergence_sweep(
         raise InvalidParams("m_max must lie in [2, 6]")
     reports = []
     for n in n_list:
-        margin = default_margin(n, edge)
-        window = (1, n + margin)
         with refuse_overflow(f"the cumulant sweep at n = {n}"):
-            F = build_F(spec, n, edge, f, window=window)
+            F = build_F(spec, n, edge, f)
             n_alpha = float(n) ** edge.alpha
             scaled = {1: cumulant(F, n, 1) / n_alpha}
             lo = _first_coupled_row(F, n)
@@ -382,7 +377,7 @@ def convergence_sweep(
                 n=n,
                 alpha=edge.alpha,
                 x0=edge.center(spec, n),
-                window=window,
+                window=(1, F.shape[0]),
                 op_norm_estimate=norm,
                 scaled_cumulants=scaled,
             )

@@ -333,7 +333,8 @@ def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
     Returns (diag, offdiag) as float arrays: diag[i] = b_{lo-1+i,n} and
     offdiag[i] = a_{lo+i,n}, matching the TridiagonalMatrix layout for the
     window block (at lo = 1, diag[0] = b_{0,n}).  The window, n >= 1 and a
-    discrete family's support (at the last index read, hi - 1) are checked
+    discrete family's support end K (a site to rounding; if fractional,
+    hi - 1 = floor(K) is refused too, as a_{floor(K)+1} != 0) are checked
     once; then b_{lo-1..hi-1} and a_{lo..hi-1} are read from ``spec.record``,
     and a coefficient that overflows, or is not finite, raises InvalidParams.
     """
@@ -345,6 +346,11 @@ def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
     if record.support is not None:
         label, end = record.support
         last = end(p, n)
+        if math.isclose(last, round(last), rel_tol=1e-12):
+            last = round(last)  # a whole site: 2.3 * 100 is 229.99999999999997
+        elif hi - 1 == math.floor(last):
+            raise OutOfDomain(f"{spec.family.value} support ends at the fractional j = {label} "
+                              f"= {last:g}; a window ending at j = {hi - 1} is not all of it")
         if hi - 1 > last:
             raise OutOfDomain(f"{spec.family.value} support ends at j = {label} = {last:g}")
     with refuse_overflow(f"a {spec.family.value} coefficient"):

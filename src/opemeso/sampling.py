@@ -62,8 +62,8 @@ _STERF_SIGNATURE = b"void (int *, d *, d *, int *)"
 # smallest n whose spectra are solved on a thread per CPU.  Below it the
 # samples' Philox draws, which hold the GIL, cost about as much as their
 # eigensolves, and the threads fight over the GIL: Hermite with count * n =
-# 10^6 on 2 CPUs takes 2.7-3.0 s inline and 3.6-5.8 s threaded at n = 48,
-# 3.1-3.2 and 2.8-3.8 s at n = 64, and 3.1-3.2 and 2.5-2.9 s at n = 80
+# 10^6 on 2 CPUs takes 2.7-3.0 s on one thread and 3.6-5.8 s on two at
+# n = 48, 3.1-3.2 and 2.8-3.8 s at n = 64, and 3.1-3.2 and 2.5-2.9 s at n = 80
 # (2-core Intel Xeon)
 _THREADED_N = 80
 
@@ -199,9 +199,9 @@ def sample_spectra(
     Only the Hermite and Laguerre families carry a tridiagonal matrix model.
     ``start_index`` shifts the per-sample stream indices, so a resumed run
     produces exactly the samples a longer fresh run would have produced.
-    From n = ``_THREADED_N`` on, one thread per CPU draws and solves every
-    k-th sample; each spectrum depends on its (seed, index) alone, so the
-    bytes are the same on any number of CPUs.
+    A pool of one thread per CPU from n = ``_THREADED_N`` on, else of one,
+    draws and solves every k-th sample; each spectrum depends on its (seed,
+    index) alone, so the bytes are the same on any number of CPUs.
     """
     if n > _MAX_SPECTRUM:
         raise InvalidParams(f"sampler supports 1 <= n <= {_MAX_SPECTRUM} for spectra")
@@ -220,15 +220,12 @@ def sample_spectra(
             except NoConvergence as exc:
                 raise NoConvergence(f"sample {start_index + i}: {exc}") from None
 
-    if workers == 1:
-        solve(0)
-    else:
-        with ThreadPoolExecutor(workers) as pool:
-            try:
-                for future in [pool.submit(solve, first) for first in range(workers)]:
-                    future.result()
-            finally:  # a failed sample or an interrupt stops the other threads early
-                stop = True
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            for future in [pool.submit(solve, first) for first in range(workers)]:
+                future.result()
+        finally:  # a failed sample or an interrupt stops the other threads early
+            stop = True
     spectra.setflags(write=False)
     return SampleBatch(ensemble=ensemble, n=n, seed=seed, spectra=spectra)
 

@@ -400,6 +400,20 @@ def test_selftest_subset(capsys):
     assert "[PASS] criterion  3" in out
 
 
+def test_selftest_failure_exits_1_and_writes_no_manifest(tmp_path, monkeypatch, capsys):
+    from opemeso import acceptance
+
+    failing = (13, "always fails", lambda: (False, "forced failure"))
+    monkeypatch.setattr(acceptance, "CRITERIA", acceptance.CRITERIA + [failing])
+    monkeypatch.chdir(tmp_path)
+    assert main(["selftest", "--only", "3,13"]) == 1
+    out, err = capsys.readouterr()
+    assert "[PASS] criterion  3" in out
+    assert "[FAIL] criterion 13 (always fails): forced failure" in out
+    assert err == "error: selftest criteria failed: 13\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("only", ["13", "0,3"])
 def test_selftest_unknown_criterion_is_a_config_error(capsys, only):
     assert main(["selftest", "--only", only]) == 2

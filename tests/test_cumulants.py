@@ -45,7 +45,7 @@ class TestBuildF:
 
     def test_oversized_window_rejected_before_allocating(self):
         # the default window at n = 1e5 would need a dense 1e5 x 1e5 matrix
-        with pytest.raises(InvalidParams, match="exceeds the dense cap"):
+        with pytest.raises(InvalidParams, match="window operator capped at N = 5000"):
             om.build_F(om.chebyshev2(), 100_000, EDGE_R, IM_G)
 
     def test_two_sided_block(self):
@@ -221,6 +221,12 @@ class TestSweep:
             expected_m1 = np.trace(F[: rep.n, : rep.n]) / rep.n ** 0.5
             assert rep.scaled_cumulants[1] == pytest.approx(expected_m1, rel=1e-12)
             assert rep.scaled_cumulants[2] >= -1e-12
+
+    def test_windows_are_the_default_window(self):
+        reports = om.convergence_sweep(om.chebyshev2(), EDGE_R, IM_G, [40, 100, 200], m_max=2)
+        assert [r.window for r in reports] == [
+            (1, n + om.default_margin(n, EDGE_R)) for n in (40, 100, 200)
+        ]
 
     def test_rejects_unsorted(self):
         with pytest.raises(InvalidParams):

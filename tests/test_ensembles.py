@@ -407,6 +407,28 @@ class TestJacobiWindow:
         assert b0(om.modified_jacobi(0.5, -0.5), 1) == -1.0
         assert b0(om.krawtchouk(0.25, 2.0), 10) == pytest.approx(0.5)
 
+    def test_whole_support_end_to_rounding_is_that_site(self):
+        # 2.3 * 100 = 229.99999999999997: the full window still ends at K = 230
+        diag, off = om.jacobi_window(om.krawtchouk(0.5, 2.3), 100, 1, 231)
+        sites = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)) * 100
+        np.testing.assert_allclose(sites, np.arange(231), rtol=0, atol=5e-13)
+        with pytest.raises(OutOfDomain, match="support ends at j = K = t\\*n = 230$"):
+            om.jacobi_window(om.krawtchouk(0.5, 2.3), 100, 1, 232)
+
+    @pytest.mark.parametrize("spec, n, end, last", [
+        (om.krawtchouk(0.25, 2.5), 9, "K = t\\*n = 22.5", 22),
+        (om.hahn(0.5, 0.7, 1.5), 41, "N = t3\\*n = 61.5", 61),
+    ], ids=["krawtchouk", "hahn"])
+    def test_fractional_support_end_refuses_the_window_through_its_floor(self, spec, n, end, last):
+        # a_{floor(K)+1} != 0, so the window through floor(K) is not the full matrix
+        with pytest.raises(OutOfDomain, match=f"ends at the fractional j = {end}; "
+                                              f"a window ending at j = {last} "):
+            om.jacobi_window(spec, n, 1, last + 1)
+        with pytest.raises(OutOfDomain, match=f"support ends at j = {end}$"):
+            om.jacobi_window(spec, n, 1, last + 2)
+        diag, off = om.jacobi_window(spec, n, 1, last)  # below it: unchanged
+        assert diag.size == last and off.size == last - 1
+
 
 def _stieltjes_from_weight(xs, ws, kmax):
     """Orthonormal recurrence coefficients of a discrete measure (test oracle)."""
