@@ -27,7 +27,7 @@ from scipy.linalg import solve_banded
 
 from .ensembles import EdgeSpec, EnsembleSpec, jacobi_window
 from .errors import InvalidParams, WindowTooSmall, refuse_overflow
-from .testfun import ResolventTestFunction
+from .testfun import ResolventTestFunction, _rational
 from .tridiagonal import _POWER_SEED, TridiagonalMatrix, _power_norm, _refuse_dense
 
 __all__ = [
@@ -68,17 +68,19 @@ def build_F(
     ``two_sided=True`` defaults the lower end to n - margin instead.
 
     The result has real symmetric entries (conjugate closure of the poles).
-    Raises InvalidParams, before allocating anything, when n < 1 or ``hi``
-    exceeds the dense cap of ``tridiagonal._refuse_dense``.
+    Raises InvalidParams, before allocating anything, when n < 1, the window
+    does not contain row n or ``hi`` exceeds the dense cap of
+    ``tridiagonal._refuse_dense``; Unsupported when f is not rational.
     """
     if n < 1:
         raise InvalidParams(f"cumulants need n >= 1, got {n}")
+    _rational(f, "the window operator")
     if window is None:
         margin = default_margin(n, edge)
         window = (max(1, n - margin) if two_sided else 1, n + margin)
     lo, hi = window
-    if lo < 1 or hi <= n:
-        raise InvalidParams(f"window {window} must satisfy 1 <= lo, hi > n")
+    if not 1 <= lo <= n < hi:
+        raise InvalidParams(f"window {window} must satisfy 1 <= lo <= n, hi > n")
     _refuse_dense("window operator", hi)
     if hi - n < n ** (edge.alpha / 2):
         raise WindowTooSmall(
@@ -357,8 +359,6 @@ def convergence_sweep(
     """
     if list(n_list) != sorted(n_list) or len(n_list) == 0:
         raise InvalidParams("n_list must be nonempty and ascending")
-    if n_list[0] < 1:
-        raise InvalidParams(f"cumulants need n >= 1, got {n_list[0]}")
     if not 2 <= m_max <= 6:
         raise InvalidParams("m_max must lie in [2, 6]")
     reports = []

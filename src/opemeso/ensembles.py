@@ -168,6 +168,12 @@ _CATALOG = {
 }
 
 
+def _finite_real(value) -> bool:
+    """A real number, not a bool, with |value| <= the largest float: NaN, inf and larger ints fail."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and abs(value) <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """An ensemble family plus its parameters.
@@ -188,10 +194,9 @@ class EnsembleSpec:
         if self.family is Family.CUSTOM and self.coeff_fn is None:
             raise InvalidParams("custom family requires a coefficient callback")
         record = self.record
-        if not isinstance(self.params, dict) or not all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in self.params.values()
-        ):
-            raise InvalidParams(f"params for {self.family.value} must map names to real numbers")
+        if not isinstance(self.params, dict):
+            raise InvalidParams(f"params for {self.family.value} must be a dict")
+        object.__setattr__(self, "params", dict(self.params))
         unknown = set(self.params) - record.params
         if unknown:
             raise InvalidParams(f"unknown params for {self.family.value}: {sorted(unknown)}")
@@ -199,9 +204,9 @@ class EnsembleSpec:
         if missing:
             raise InvalidParams(f"missing params for {self.family.value}: {sorted(missing)}")
         for key, value in self.params.items():
-            if not abs(value) <= sys.float_info.max:  # also refuses ints beyond the float range
+            if not _finite_real(value):
                 raise InvalidParams(
-                    f"{self.family.value} param {key} must be a finite float, got {value}"
+                    f"{self.family.value} param {key} must be a finite real number, got {value!r}"
                 )
         for ok, message in record.checks:
             if not ok(self.params):
@@ -255,10 +260,7 @@ def from_json(obj: dict) -> EnsembleSpec:
         raise InvalidParams(f"unknown family {name!r}") from None
     if fam is Family.CUSTOM:
         raise InvalidParams("custom family cannot be parsed from JSON")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise InvalidParams("ensemble params must be a JSON object")
-    return EnsembleSpec(fam, dict(params))
+    return EnsembleSpec(fam, obj.get("params", {}))
 
 
 # Convenience constructors.
@@ -454,10 +456,6 @@ class HypothesisReport:
     thresholds: dict  # keyed "<name>_scaled" for scaled[name]
     flags: dict
 
-    @property
-    def all_pass(self) -> bool:
-        return all(self.flags.values())
-
     def to_json(self) -> dict:
         return {"schema": 1, **asdict(self)}
 
@@ -557,9 +555,7 @@ def check_hypotheses(
     for key, value in thresholds.items():
         if key not in names:
             raise InvalidParams(f"unknown threshold {key!r}; expected one of {sorted(names)}")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            abs(value) <= sys.float_info.max  # also refuses NaN and ints beyond the float range
-        ):
+        if not _finite_real(value):
             raise InvalidParams(f"threshold {key} must be a finite real number, got {value!r}")
     flags = {key: q["scaled"][names[key]] <= value for key, value in thresholds.items()}
     return HypothesisReport(

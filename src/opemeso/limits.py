@@ -22,7 +22,7 @@ import numpy as np
 
 from .ensembles import Side
 from .errors import IllConditioned, InvalidParams, NoConvergence, refuse_overflow
-from .testfun import ResolventTestFunction
+from .testfun import ResolventTestFunction, _rational
 
 __all__ = [
     "LimitVariance",
@@ -269,8 +269,9 @@ def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     kappa when two poles nearly coincide close to the real axis.
     InvalidParams when a term or the sum overflows the float range, or when
     a pole lies so close to the real axis (for its modulus) that a
-    denominator underflows to 0.
+    denominator underflows to 0.  Unsupported when f is not rational.
     """
+    _rational(f, "the residue sum")
     c, eta = f.expanded()
     rho = np.sqrt(-eta) if side is Side.LEFT else np.sqrt(eta)
     pair_sum = rho[:, None] + rho[None, :]

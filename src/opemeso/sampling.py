@@ -38,7 +38,7 @@ from scipy.linalg import cython_lapack
 from ._files import write_in_place
 from .ensembles import EdgeSpec, EnsembleSpec, Family
 from .errors import InvalidParams, NoConvergence, Unsupported, refuse_overflow
-from .testfun import ResolventTestFunction
+from .testfun import ResolventTestFunction, _rational
 
 _MAGIC = b"OPEBATCH"
 _VERSION = 1
@@ -271,8 +271,7 @@ def sample_statistic(
     (``ResolventTestFunction``).  No spectrum is stored, so n is capped only
     through count * n.
     """
-    if not isinstance(f, ResolventTestFunction):
-        raise Unsupported("the trace route needs a rational test function")
+    _rational(f, "the trace statistic")
     gamma = _checked_gamma(ensemble, n, count, seed)
     scale = float(n) ** -edge.alpha
     w = edge.center(ensemble, n) + scale * np.asarray(f.poles)

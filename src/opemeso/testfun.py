@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParams
+from .errors import InvalidParams, Unsupported
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,6 @@ class ResolventTestFunction:
             raise InvalidParams("all poles must lie in the upper half plane")
         object.__setattr__(self, "poles", tuple(complex(p) for p in self.poles))
         object.__setattr__(self, "weights", tuple(complex(w) for w in self.weights))
-
-    @property
-    def n_poles(self) -> int:
-        return len(self.poles)
 
     def expanded(self) -> tuple[np.ndarray, np.ndarray]:
         """Conjugate-closed (c_r, eta_r) pairs of f(x) = sum c_r / (x - eta_r).
@@ -74,13 +70,19 @@ class ResolventTestFunction:
         )
 
     def scaled_argument(self, factor: float) -> "ResolventTestFunction":
-        """The test function x -> f(factor * x) for factor > 0."""
-        if factor <= 0:
-            raise InvalidParams("scale factor must be positive")
+        """The test function x -> f(factor * x) for finite factor > 0."""
+        if not (cmath.isfinite(factor) and factor > 0):
+            raise InvalidParams(f"scale factor must be finite and positive, got {factor!r}")
         return ResolventTestFunction(
             poles=tuple(p / factor for p in self.poles),
             weights=tuple(w / factor for w in self.weights),
         )
+
+
+def _rational(f, route: str) -> None:
+    """Refuse an f that is not a ResolventTestFunction, as Unsupported naming ``route``."""
+    if not isinstance(f, ResolventTestFunction):
+        raise Unsupported(f"{route} needs a rational test function, got {type(f).__name__}")
 
 
 _TERM_RE = re.compile(r"^(im|re):([^/]+)/\(x-(.+)\)$")
@@ -137,10 +139,7 @@ def parse_test_function(text: str) -> ResolventTestFunction:
             coef = float(coef_text)
         except ValueError:
             raise InvalidParams(f"bad coefficient {coef_text!r}") from None
-        lam = _parse_complex(pole_text)
-        if lam.imag <= 0:
-            raise InvalidParams(f"pole {lam} must have positive imaginary part")
-        poles.append(lam)
+        poles.append(_parse_complex(pole_text))
         # Re(d/(x-L)) = Im(i*d/(x-L))
         weights.append(coef if kind == "im" else 1j * coef)
     return ResolventTestFunction(tuple(poles), tuple(weights))

@@ -85,6 +85,13 @@ def _check_shift(J: TridiagonalMatrix) -> None:
         raise InvalidParams("resolvent operations need Im z != 0")
 
 
+def _check_rows(N: int, *rows: int) -> None:
+    """Refuse a 1-based index outside [1, N]; J^-1 is symmetric, so columns are rows too."""
+    for j in rows:
+        if not 1 <= j <= N:
+            raise InvalidParams(f"row index {j} must lie in [1, {N}]")
+
+
 def _semiseparable(u, v, U, V, j, k) -> np.ndarray:
     """Symmetric semiseparable entries u[lo] v[hi] exp(U[lo] + V[hi]).
 
@@ -209,16 +216,13 @@ class TridiagonalResolvent:
 
     def entry(self, j: int, k: int) -> complex:
         """(J^-1)_{j,k} with 1-based indices; symmetric by construction."""
-        N = self.J.N
-        if not (1 <= j <= N and 1 <= k <= N):
-            raise InvalidParams(f"indices must lie in [1, {N}]")
+        _check_rows(self.J.N, j, k)
         return self._assemble(j, k)
 
     def row(self, j: int) -> np.ndarray:
         """Full row (J^-1)_{j, 1..N} as a vector."""
         N = self.J.N
-        if not 1 <= j <= N:
-            raise InvalidParams(f"row index must lie in [1, {N}]")
+        _check_rows(N, j)
         return self._assemble(j, np.arange(1, N + 1))
 
     def dense(self) -> np.ndarray:
@@ -309,8 +313,8 @@ def free_resolvent_entry(
     eta = complex(eta)
     if eta.imag == 0:
         raise InvalidParams("free resolvent needs Im eta != 0")
-    if n_alpha <= 0:
-        raise InvalidParams("n^alpha must be positive")
+    if not (math.isfinite(n_alpha) and n_alpha > 0):
+        raise InvalidParams(f"n^alpha must be finite and positive, got {n_alpha!r}")
     if np.any(np.asarray(j) < 1) or np.any(np.asarray(k) < 1):
         raise InvalidParams("indices are 1-based")
     x0 = -2.0 if side is Side.LEFT else 2.0
@@ -511,8 +515,7 @@ def _resolvent_row(J: TridiagonalMatrix, ref_row: int) -> np.ndarray:
     """
     _check_shift(J)
     N = J.N
-    if not 1 <= ref_row <= N:
-        raise InvalidParams(f"row index must lie in [1, {N}]")
+    _check_rows(N, ref_row)
     e_ref = np.zeros(N, dtype=complex)
     e_ref[ref_row - 1] = 1.0
     # both arrays are temporaries, so LAPACK may factor and solve in them

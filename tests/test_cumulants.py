@@ -373,13 +373,17 @@ class TestSweepCut:
     [
         (lambda: om.build_F(om.chebyshev2(), 100, EDGE_R, IM_G, window=(0, 120)), "1 <= lo"),
         (lambda: om.build_F(om.chebyshev2(), 100, EDGE_R, IM_G, window=(1, 100)), "hi > n"),
+        # windows above row n once gave C_1 = C_2 = 0.0
+        (lambda: om.build_F(om.chebyshev2(), 100, EDGE_X0, IM_G, window=(150, 200)), "1 <= lo <= n"),
+        (lambda: om.build_F(om.chebyshev2(), 100, EDGE_X0, IM_G, window=(101, 200)), "1 <= lo <= n"),
         (lambda: om.cumulant(np.zeros((4, 5)), 2, 2), "square"),
         (lambda: om.build_F(om.chebyshev2(), 50, EDGE_X0, HUGE_NEAR_AXIS),
          "window operator at n = 50 overflows the float range"),
         (lambda: om.convergence_sweep(om.chebyshev2(), EDGE_X0, HUGE, [50]),
          "cumulant sweep at n = 50 overflows the float range"),
     ],
-    ids=["window-lo", "window-hi", "non-square", "window-overflow", "sweep-overflow"],
+    ids=["window-lo", "window-hi", "window-above-n", "window-from-n+1", "non-square",
+         "window-overflow", "sweep-overflow"],
 )
 def test_refusals(call, match):
     with pytest.raises(InvalidParams, match=match):

@@ -167,12 +167,19 @@ class TestParamValidation:
             lambda: om.krawtchouk(0.5, value),
             lambda: om.hahn(1.0, value, 1.0),
         ):
-            with pytest.raises(InvalidParams, match="must be a finite float"):
+            with pytest.raises(InvalidParams, match="must be a finite real number"):
                 build()
 
     def test_custom_requires_callback(self):
         with pytest.raises(InvalidParams):
             om.EnsembleSpec(Family.CUSTOM)
+
+    def test_spec_copies_its_params(self):
+        # a shared dict let a caller change a checked spec after the fact
+        params = {"gamma": 0.5}
+        spec = om.EnsembleSpec(Family.LAGUERRE, params)
+        params["gamma"] = -5.0
+        assert spec.params == {"gamma": 0.5}
 
 
 class TestJson:
@@ -250,7 +257,7 @@ class TestHypotheses:
         assert rep.scaled["max_db"] == 0.0
         assert rep.raw["rec1"] == 0.0
         assert rep.raw["rec2"] == 0.0
-        assert rep.all_pass
+        assert all(rep.flags.values())
 
     def test_laguerre_hard_edge_cancellation_exact_zero(self):
         # n = 2^10 keeps every gamma = 0 coefficient an exact dyadic
@@ -345,7 +352,7 @@ class TestHypotheses:
         assert rep.thresholds == {
             k: max(10.0 * rep.scaled[k.removesuffix("_scaled")], 1e-9) for k in keys
         }
-        assert rep.all_pass
+        assert all(rep.flags.values())
 
     def test_report_json(self):
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)

@@ -159,7 +159,7 @@ class TestTraceRoute:
         # must draw the models of its own stream indices
         n, count = 30, 10
         monkeypatch.setattr(sampling, "_MIN_SWEEP", 1)
-        monkeypatch.setattr(sampling, "_SWEEP_ENTRIES", 3 * n * f.n_poles)
+        monkeypatch.setattr(sampling, "_SWEEP_ENTRIES", 3 * n * len(f.poles))
         edge = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.4, epsilon=0.1)
         eig = om.spectra_statistic(om.sample_spectra(om.laguerre(0.5), n, count, seed=8), f, edge)
         trace = om.sample_statistic(om.laguerre(0.5), n, count, 8, f, edge)

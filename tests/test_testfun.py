@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import opemeso as om
-from opemeso.errors import InvalidParams
+from opemeso.errors import InvalidParams, Unsupported
 
 
 class TestResolventTestFunction:
@@ -120,7 +120,26 @@ def test_always_real_on_real_axis(pole_data, x):
     assert abs(val.imag) < 1e-12 * max(1.0, abs(val.real))
 
 
-@pytest.mark.parametrize("factor", [0.0, -2.0])
+@pytest.mark.parametrize("factor", [0.0, -2.0, math.nan, math.inf])
 def test_scaled_argument_refuses_non_positive_factors(factor):
     with pytest.raises(InvalidParams, match="positive"):
         om.ResolventTestFunction((1j,), (1.0,)).scaled_argument(factor)
+
+
+GAUSSIAN = lambda x: np.exp(-x ** 2)  # noqa: E731
+EDGE_R = om.EdgeSpec(side=om.Side.RIGHT, alpha=0.5, epsilon=0.1)
+
+
+@pytest.mark.parametrize(
+    "call, route",
+    [
+        (lambda: om.build_F(om.chebyshev2(), 50, EDGE_R, GAUSSIAN), "the window operator"),
+        (lambda: om.convergence_sweep(om.chebyshev2(), EDGE_R, GAUSSIAN, [50]), "the window operator"),
+        (lambda: om.sigma2_residue(GAUSSIAN, om.Side.RIGHT), "the residue sum"),
+        (lambda: om.sample_statistic(om.hermite(), 50, 2, 1, GAUSSIAN, EDGE_R), "the trace statistic"),
+    ],
+    ids=["build_F", "convergence_sweep", "sigma2_residue", "sample_statistic"],
+)
+def test_rational_routes_refuse_other_functions(call, route):
+    with pytest.raises(Unsupported, match=f"^{route} needs a rational test function"):
+        call()

@@ -205,6 +205,12 @@ class TestFreeResolvent:
         with pytest.raises(InvalidParams):
             om.free_resolvent_entry(1j, 10.0, om.Side.LEFT, np.arange(0, 3), 1)
 
+    @pytest.mark.parametrize("n_alpha", [math.nan, math.inf])
+    def test_non_finite_scale_refused(self, n_alpha):
+        # nan once gave nan+nanj and inf a raw ZeroDivisionError
+        with pytest.raises(InvalidParams, match="finite and positive"):
+            om.free_resolvent_entry(1j, n_alpha, om.Side.LEFT, 1, 1)
+
 
 def _split_T_by_matrix_products(J):
     """T of the almost-Toeplitz split with C, D and phi from explicit 2x2 products.

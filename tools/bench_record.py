@@ -37,10 +37,16 @@ TRACED = ("edge-sweep", "mc-batch", "variance-limit", "resolvent-decay")
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run: its machine record, JSON result and any absent sites."""
+    """One perfbench run: its machine record, JSON result and any absent sites.
+
+    A failed run ends the tool with exit status 1 and the run's stderr, and no record is written."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    lines = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout.splitlines()
+    run = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if run.returncode != 0:
+        sys.exit(f"perfbench run failed (exit {run.returncode}): workload {workload}, seed {seed}, "
+                 f"trace {trace}, checkout {root}\n{run.stderr.rstrip()}")
+    lines = run.stdout.splitlines()
     result = json.loads(lines[-1])
     result["machine"] = json.loads(next(x for x in lines if x.startswith("machine "))[len("machine "):])
     result["absent"] = [x for x in lines if x.startswith("not wrapped (absent)")]
