@@ -50,6 +50,11 @@ def default_margin(n: int, edge: EdgeSpec) -> int:
     return 4 * math.ceil(n ** (edge.alpha / 2 + edge.epsilon))
 
 
+# identity columns per banded solve in build_F; wider than the 66-row window
+# at n = 50, so small windows still take one solve per pole pair
+_F_PANEL = 128
+
+
 def build_F(
     spec: EnsembleSpec,
     n: int,
@@ -92,20 +97,26 @@ def build_F(
 
     c, eta = f.expanded()
     F = np.zeros((hi, hi))
+    rows = hi - lo + 1
     block = F[lo - 1 :, lo - 1 :]
-    # conjugate pairs: sum over the upper-half-plane poles of 2 Re(c_r R(z_r));
-    # each resolvent overwrites its own Fortran-ordered identity and is scaled
-    # in place, so one complex block is alive at a time
+    # conjugate pairs: sum over the upper-half-plane poles of 2 Re(c_r R(z_r)).
+    # Each resolvent is solved against one Fortran-ordered panel of identity
+    # columns at a time, scaled in place and added into its columns of F, so
+    # the memory is F plus one rows x _F_PANEL complex panel.  LAPACK's
+    # tridiagonal solve (zgtsv) treats each right-hand side column on its own,
+    # so F is bit-identical to one solve against the whole identity.
     with refuse_overflow(f"the window operator at n = {n}"):
         for r in range(len(c) // 2):
             ab = TridiagonalMatrix(diag, off, x0 + eta[r] / n_alpha).banded()
-            resolvent = solve_banded(
-                (1, 1), ab, np.eye(hi - lo + 1, dtype=complex, order="F"), overwrite_b=True
-            )
-            resolvent *= c[r]
-            resolvent.real *= 2.0
-            block += resolvent.real
-            del resolvent
+            for start in range(0, rows, _F_PANEL):
+                stop = min(start + _F_PANEL, rows)
+                panel = np.zeros((rows, stop - start), dtype=complex, order="F")
+                panel[start:stop, :] = np.eye(stop - start)
+                panel = solve_banded((1, 1), ab, panel, overwrite_b=True)
+                panel *= c[r]
+                panel.real *= 2.0
+                block[:, start:stop] += panel.real
+                del panel
     if lo > 1:
         # identity block below the window inverts to itself
         sigma = float(np.real(np.sum(c)))
@@ -276,7 +287,14 @@ def second_cumulant_three_ways(F: np.ndarray, n: int) -> tuple[float, float, flo
 
 
 def operator_norm_estimate(F: np.ndarray) -> float:
-    """Power iteration on F^T F; reported, never asserted exact."""
+    """Power iteration on F^T F; reported, never asserted exact.
+
+    The value is the square root of a Rayleigh quotient of F^T F, so it is a
+    lower bound on ||F||_2 up to rounding.  Its 50 steps converge slowly where
+    the top singular values cluster: at Chebyshev n = 200 with f = Im 1/(x-i)
+    it reads 14.1221 against ||F||_2 = 14.1420 (0.14 % low), at n = 2000
+    44.684 against 44.721 (0.08 % low).
+    """
     v = np.random.default_rng(_POWER_SEED).standard_normal(F.shape[0])
     return _power_norm(lambda x: F.T @ (F @ x), v)
 

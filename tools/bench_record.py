@@ -19,6 +19,10 @@ alternated parent/change pairs run back to back.
 checkout and ``--root`` back to back, the parent first in every other pair, likewise for the traced runs, and writes the
 parent's record (label ``before_<label>``) to ``--parent-output``.  Each
 record names the other in ``alternated_with``.
+
+A ``--root`` or ``--parent`` that is not a directory, or that is not a git
+checkout when its commit is read from git (always for the parent, for the
+root without ``--commit``), ends the tool with exit status 1 before any run.
 """
 
 from __future__ import annotations
@@ -59,9 +63,14 @@ def summary(values: list[float]) -> dict:
 
 
 def git_head(root: Path) -> str:
-    return subprocess.run(
+    """The root's short HEAD commit; a root that is not a git checkout ends the tool with exit status 1."""
+    run = subprocess.run(
         ["git", "rev-parse", "--short", "HEAD"], cwd=root, capture_output=True, text=True
-    ).stdout.strip()
+    )
+    if run.returncode != 0:
+        sys.exit(f"checkout {root} is not a git checkout, so its commit cannot be read\n"
+                 f"{run.stderr.rstrip()}")
+    return run.stdout.strip()
 
 
 def main(argv=None) -> int:
@@ -75,6 +84,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if (args.parent is None) != (args.parent_output is None):
         parser.error("--parent and --parent-output go together")
+    for root in (args.root, args.parent):
+        if root is not None and not root.is_dir():
+            sys.exit(f"checkout {root} is not a directory")
 
     # (root, record, output); with --parent the parent comes first
     sides = [(args.root, args.label, args.commit or git_head(args.root), args.output)]
