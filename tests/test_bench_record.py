@@ -1,5 +1,7 @@
-"""tools/bench_record.py refuses bad checkouts and failed runs with a message, not a traceback."""
+"""tools/bench_record.py runs the requested seeds and workloads alternated, and refuses bad
+input, bad checkouts and failed runs with a message, not a traceback."""
 
+import json
 import os
 import subprocess
 import sys
@@ -59,4 +61,67 @@ def test_failed_run_shows_its_stderr(tmp_path):
     assert "workload edge-sweep, seed 1" in done.stderr
     assert f"checkout {checkout}" in done.stderr
     assert "benchmark run failed: worker exited with 1" in done.stderr
+    assert not (tmp_path / "BENCH_x.json").exists()
+
+
+# a perfbench stand-in: logs "<checkout> <workload> <seed> <trace>" and prints a passing result
+FAKE_RUN = """\
+import json, sys
+from pathlib import Path
+opts = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+with open(Path.cwd().parent / "runs.log", "a") as log:
+    log.write(f"{Path.cwd().name} {opts['--workload']} {opts['--seed']} {opts['--trace']}\\n")
+print("machine " + json.dumps({"cpus": 1}))
+print(json.dumps({"attempted": 2, "failed": 0, "correct": True,
+                  "metrics": {"wall_s": {"value": float(opts["--seed"])}}}))
+"""
+
+
+def fake_checkout(tmp_path, name):
+    checkout = tmp_path / name
+    (checkout / "perfbench").mkdir(parents=True)
+    (checkout / "perfbench" / "run.py").write_text(FAKE_RUN)
+    return checkout
+
+
+def test_requested_seeds_and_workloads_run_alternated(tmp_path):
+    root, parent = fake_checkout(tmp_path, "change"), fake_checkout(tmp_path, "parent")
+    subprocess.run(["git", "init", "-q"], cwd=parent, check=True)
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", "commit",
+                    "-q", "--allow-empty", "-m", "parent"], cwd=parent, check=True)
+    done = record(tmp_path, "--root", str(root), "--commit", "abc1234", "--parent", str(parent),
+                  "--parent-output", str(tmp_path / "BENCH_before_x.json"),
+                  "--seeds", "11,12", "--workloads", "variance-limit,edge-sweep")
+    assert done.returncode == 0, done.stderr
+    # WORKLOADS order, each (workload, seed) pair alternating which side runs
+    # first, then one traced run per workload on the first seed
+    assert (tmp_path / "runs.log").read_text().splitlines() == [
+        "parent edge-sweep 11 0", "change edge-sweep 11 0",
+        "change edge-sweep 12 0", "parent edge-sweep 12 0",
+        "parent variance-limit 11 0", "change variance-limit 11 0",
+        "change variance-limit 12 0", "parent variance-limit 12 0",
+        "parent edge-sweep 11 1", "change edge-sweep 11 1",
+        "change variance-limit 11 1", "parent variance-limit 11 1",
+    ]
+    for name in ("BENCH_x.json", "BENCH_before_x.json"):
+        written = json.loads((tmp_path / name).read_text())
+        assert written["seeds"] == [11, 12]
+        assert list(written["workloads"]) == list(written["traced"]) == [
+            "edge-sweep", "variance-limit"]
+        assert written["workloads"]["edge-sweep"]["metrics"]["wall_s"]["values"] == [11.0, 12.0]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--workloads", "edge-sweep,warp-drive"], "unknown workload warp-drive"),
+    (["--seeds", "4"], "--seeds must be at least two distinct"),
+    (["--seeds", "4,x"], "--seeds must be at least two distinct"),
+    (["--seeds", "4,4"], "--seeds must be at least two distinct"),
+], ids=["unknown-workload", "one-seed", "not-an-integer", "repeated-seed"])
+def test_bad_workloads_or_seeds_refused_before_any_run(tmp_path, flags, message):
+    checkout = fake_checkout(tmp_path, "change")
+    done = record(tmp_path, "--root", str(checkout), "--commit", "abc1234", *flags)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert message in done.stderr
+    assert not (tmp_path / "runs.log").exists()
     assert not (tmp_path / "BENCH_x.json").exists()

@@ -343,6 +343,10 @@ class TestSweep:
         "variance_left_residue.json": [
             "variance-limit", "--f", "im:1/(x-i)", "--side", "left", "--method", "residue",
         ],
+        # the quadrature's est_error holds the tail bound lw(f)^2, so this pins the norm
+        "variance_right_both.json": [
+            "variance-limit", "--f", "im:1/(x-i)", "--side", "right", "--method", "both",
+        ],
         "hypotheses_hermite_n1000.json": [
             "hypotheses", "--ensemble", "hermite", "--alpha", "0.5", "--n", "1000",
         ],

@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import opemeso as om
 from opemeso import limits
@@ -200,6 +203,28 @@ class TestWeightedLipschitzNorm:
             with pytest.raises(InvalidParams, match="at least 2 points"):
                 om.weighted_lipschitz_norm(IM_G, grid)
 
+    @pytest.mark.parametrize("grid", [2.5, 33.0, "3", None, True, False], ids=repr)
+    def test_grid_that_is_not_an_integer_refused(self, grid):
+        with pytest.raises(InvalidParams, match="must be an integer"):
+            om.weighted_lipschitz_norm(IM_G, grid)
+
+    def test_numpy_integer_grid_accepted(self):
+        assert om.weighted_lipschitz_norm(IM_G, np.int64(33)) == om.weighted_lipschitz_norm(IM_G, 33)
+
+    def test_grid_above_the_cap_refused_before_allocating(self):
+        # O(grid^2) pairs; the refusal must come before the grid or f is touched
+        def f(x):
+            raise AssertionError("f evaluated on a refused grid")
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidParams, match=f"at most {limits._MAX_LIPSCHITZ_GRID}"):
+                om.weighted_lipschitz_norm(f, limits._MAX_LIPSCHITZ_GRID + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 10
+
     def test_not_scale_invariant(self):
         base = om.weighted_lipschitz_norm(IM_G)
         scaled = om.weighted_lipschitz_norm(IM_G.scaled_argument(4.0))
@@ -232,6 +257,27 @@ class TestWeightedLipschitzNorm:
             for grid in (2, 3, 31, 32, 33, 1001, 2001, 4001):
                 assert om.weighted_lipschitz_norm(f, grid) == self.dense_norm(f, grid), (pass_, grid)
             monkeypatch.setattr(limits, "_derivative", lambda f, x: np.zeros_like(x))
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-3, 3), st.floats(0.2, 3), st.floats(-2, 2), st.floats(-2, 2)),
+            min_size=1, max_size=3,
+        ),
+        st.integers(2, 700),
+    )
+    @settings(max_examples=40, deadline=None)
+    # with f' zeroed the sup is a pair's (q w_j) w_i, one ulp above its (q w_i) w_j
+    @example([(0.74, 1.86, -0.64, -0.79)], 272)
+    def test_half_pair_panels_are_the_dense_sup_for_random_pole_sums(self, poles, grid):
+        # the second comparison zeroes f' so the pairwise sup is compared
+        # also where the diagonal would win
+        f = om.ResolventTestFunction(
+            tuple(complex(re, im) for re, im, _, _ in poles),
+            tuple(complex(a, b) for _, _, a, b in poles),
+        )
+        assert om.weighted_lipschitz_norm(f, grid) == self.dense_norm(f, grid)
+        with mock.patch.object(limits, "_derivative", lambda f, x: np.zeros_like(x)):
+            assert om.weighted_lipschitz_norm(f, grid) == self.dense_norm(f, grid)
 
     def test_memory_is_linear_in_the_grid(self):
         # the dense formula peaked at 489 MB at this grid; two 32 x 4001 panels take 2 MB

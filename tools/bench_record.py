@@ -4,25 +4,32 @@
     python3 tools/bench_record.py --root ../other-checkout --commit abc1234 ...
     python3 tools/bench_record.py --label NAME --output BENCH_NAME.json \
         --parent ../parent-checkout --parent-output BENCH_before_NAME.json
+    python3 tools/bench_record.py ... --seeds 11,12,13,14,15 --workloads variance-limit
 
-Runs ``perfbench/run.py --trace 0`` of the checkout at ``--root`` for every
-workload and each of SEEDS, SECONDS each, one after another, then one
-``--trace 1`` run of each TRACED workload.  Each metric gets its per-seed
-values, median and quartiles (inclusive method); the machine record is the
-one the first run printed.  A record shows where one checkout stands; it does
-not back a claim against another record.  On a shared machine two records
-made half an hour apart drifted by 8-35 % on workloads neither change touched,
-while alternated runs of the two checkouts did not, so a speed claim needs
-alternated parent/change pairs run back to back.
+Runs ``perfbench/run.py --trace 0`` of the checkout at ``--root`` for each
+of ``--workloads`` (default all four, run in WORKLOADS order) and each of
+``--seeds`` (default 1,2,3), SECONDS each, one after another, then one
+``--trace 1`` run of each of those workloads on the first seed.  Each metric
+gets its per-seed values, median and quartiles (inclusive method); the
+machine record is the one the first run printed.  A record shows where one
+checkout stands; it does not back a claim against another record.  On a
+shared machine two records made half an hour apart drifted by 8-35 % on
+workloads neither change touched, while alternated runs of the two checkouts
+did not, so a speed claim needs alternated parent/change pairs run back to
+back.
 
 ``--parent`` makes those pairs: for each (workload, seed) it runs the parent
-checkout and ``--root`` back to back, the parent first in every other pair, likewise for the traced runs, and writes the
-parent's record (label ``before_<label>``) to ``--parent-output``.  Each
-record names the other in ``alternated_with``.
+checkout and ``--root`` back to back, the parent first in every other pair,
+likewise for the traced runs, and writes the parent's record (label
+``before_<label>``) to ``--parent-output``.  Each record names the other in
+``alternated_with``.  Further pairs on unused seeds come from the same flags
+with ``--seeds`` and ``--workloads``.
 
 A ``--root`` or ``--parent`` that is not a directory, or that is not a git
 checkout when its commit is read from git (always for the parent, for the
-root without ``--commit``), ends the tool with exit status 1 before any run.
+root without ``--commit``), ends the tool with exit status 1 before any run,
+as do an unknown workload and a seed list that is not two or more distinct
+comma-separated integers.
 """
 
 from __future__ import annotations
@@ -35,9 +42,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("edge-sweep", "mc-batch", "variance-limit", "resolvent-decay")
-SEEDS = (1, 2, 3)
+SEEDS = "1,2,3"
 SECONDS = 20.0
-TRACED = ("edge-sweep", "mc-batch", "variance-limit", "resolvent-decay")
 
 
 def bench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -81,9 +87,24 @@ def main(argv=None) -> int:
     parser.add_argument("--commit", help="recorded as is; defaults to the root's git HEAD")
     parser.add_argument("--parent", type=Path, help="checkout whose runs alternate with the root's")
     parser.add_argument("--parent-output", type=Path, help="where the parent's record goes")
+    parser.add_argument("--seeds", default=SEEDS, help=f"comma-separated (default {SEEDS})")
+    parser.add_argument("--workloads", default=",".join(WORKLOADS),
+                        help="comma-separated subset of " + ", ".join(WORKLOADS))
     args = parser.parse_args(argv)
     if (args.parent is None) != (args.parent_output is None):
         parser.error("--parent and --parent-output go together")
+    try:
+        seeds = [int(seed) for seed in args.seeds.split(",")]
+    except ValueError:
+        seeds = []
+    if len(set(seeds)) != len(seeds) or len(seeds) < 2:  # quartiles need two values
+        sys.exit(f"--seeds must be at least two distinct comma-separated integers, "
+                 f"got {args.seeds!r}")
+    asked = args.workloads.split(",")
+    unknown = [name for name in asked if name not in WORKLOADS]
+    if unknown:
+        sys.exit(f"unknown workload {', '.join(unknown)}; known: {', '.join(WORKLOADS)}")
+    workloads = [name for name in WORKLOADS if name in asked]
     for root in (args.root, args.parent):
         if root is not None and not root.is_dir():
             sys.exit(f"checkout {root} is not a directory")
@@ -93,7 +114,7 @@ def main(argv=None) -> int:
     if args.parent is not None:
         sides.insert(0, (args.parent, f"before_{args.label}", git_head(args.parent),
                          args.parent_output))
-    records = [{"schema": 1, "label": label, "commit": commit, "seeds": list(SEEDS),
+    records = [{"schema": 1, "label": label, "commit": commit, "seeds": seeds,
                 "seconds": SECONDS, "command": "python3 perfbench/run.py --trace 0",
                 "machine": None, "workloads": {}, "traced": {}}
                for _, label, commit, _ in sides]
@@ -107,9 +128,9 @@ def main(argv=None) -> int:
         return order if pair % 2 == 0 else order[::-1]
 
     pair = 0
-    for workload in WORKLOADS:
+    for workload in workloads:
         runs = [[] for _ in sides]
-        for seed in SEEDS:
+        for seed in seeds:
             for i in in_turn(pair):
                 runs[i].append(bench(sides[i][0], workload, seed, SECONDS, 0))
             pair += 1
@@ -121,11 +142,11 @@ def main(argv=None) -> int:
                 "metrics": {name: summary([r["metrics"][name]["value"] for r in side_runs])
                             for name in side_runs[0]["metrics"]},
             }
-    for workload in TRACED:
+    for workload in workloads:
         for i in in_turn(pair):
-            run = bench(sides[i][0], workload, SEEDS[0], SECONDS, 1)
+            run = bench(sides[i][0], workload, seeds[0], SECONDS, 1)
             records[i]["traced"][workload] = {
-                "seed": SEEDS[0], "correct": run["correct"], "absent": run["absent"],
+                "seed": seeds[0], "correct": run["correct"], "absent": run["absent"],
                 "metrics": {name: m["value"] for name, m in run["metrics"].items()},
             }
         pair += 1
