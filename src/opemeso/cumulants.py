@@ -28,7 +28,7 @@ from scipy.linalg import solve_banded
 from .ensembles import EdgeSpec, EnsembleSpec, jacobi_window
 from .errors import InvalidParams, WindowTooSmall, refuse_overflow
 from .testfun import ResolventTestFunction, _rational
-from .tridiagonal import _POWER_SEED, TridiagonalMatrix, _power_norm, _refuse_dense
+from .tridiagonal import TridiagonalMatrix, _refuse_dense
 
 __all__ = [
     "build_F",
@@ -287,7 +287,7 @@ def second_cumulant_three_ways(F: np.ndarray, n: int) -> tuple[float, float, flo
 
 
 def operator_norm_estimate(F: np.ndarray) -> float:
-    """Power iteration on F^T F; reported, never asserted exact.
+    """50 power steps on F^T F from a seed-0 start; reported, never asserted exact.
 
     The value is the square root of a Rayleigh quotient of F^T F, so it is a
     lower bound on ||F||_2 up to rounding.  Its 50 steps converge slowly where
@@ -295,8 +295,17 @@ def operator_norm_estimate(F: np.ndarray) -> float:
     it reads 14.1221 against ||F||_2 = 14.1420 (0.14 % low), at n = 2000
     44.684 against 44.721 (0.08 % low).
     """
-    v = np.random.default_rng(_POWER_SEED).standard_normal(F.shape[0])
-    return _power_norm(lambda x: F.T @ (F @ x), v)
+    v = np.random.default_rng(0).standard_normal(F.shape[0])
+    v = v / np.linalg.norm(v)
+    sigma2 = 0.0
+    for _ in range(50):
+        w = F.T @ (F @ v)
+        sigma2 = float(v @ w)
+        norm = np.linalg.norm(w)
+        if norm == 0:
+            return 0.0
+        v = w / norm
+    return math.sqrt(max(sigma2, 0.0))
 
 
 @dataclass(frozen=True)

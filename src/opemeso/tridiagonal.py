@@ -1,13 +1,13 @@
 """Exact finite tri-diagonal linear algebra; resolvents need Im z != 0.
 
-One resolvent row costs one banded LU solve against a unit vector, and a
-norm estimate factors J - z once and reuses the factors in every power
-iteration; neither builds an N x N matrix.  ``TridiagonalResolvent`` is
-the entry oracle: from the backward and forward continued-fraction pivots it
-builds each entry as a product of local ratios, summed in log space.  On top
-of that sit the transfer-matrix spectral data, the almost-Toeplitz split of
-the inverse, the closed-form resolvent of the free (constant-coefficient)
-matrix, and a least-squares decay fit.
+One resolvent row costs one banded LU solve against a unit vector, and the
+norm of (J - z)^-1 comes from the two eigenvalues of J around Re z, found by
+a pivot count and bisection; neither builds an N x N matrix.
+``TridiagonalResolvent`` is the entry oracle: from the backward and forward
+continued-fraction pivots it builds each entry as a product of local ratios,
+summed in log space.  On top of that sit the transfer-matrix spectral data,
+the almost-Toeplitz split of the inverse, the closed-form resolvent of the
+free (constant-coefficient) matrix, and a least-squares decay fit.
 """
 
 from __future__ import annotations
@@ -17,18 +17,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import zgbtrf, zgbtrs
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .ensembles import Side
 from .errors import InvalidParams, Singular, refuse_overflow
 
 _EPS = np.finfo(float).eps
+_TINY = float(np.finfo(float).tiny)   # a Python float, so the pivot sweep overflows silently
 _COND_LIMIT = 1.0 / _EPS
 _DENSE_MAX_ROWS = 5000      # largest matrix any dense (N x N) routine will build
 _DECAY_FLOOR = 1e-13       # decay fits ignore entries this far below the row maximum
-_POWER_ITERS = 50
-_POWER_SEED = 0
 _TURN = np.array([1, 1j, -1, -1j])   # _TURN[k] = i^k, exact in every component
 
 
@@ -553,43 +551,31 @@ def decay_profile(J: TridiagonalMatrix, ref_row: int) -> DecayFit:
     )
 
 
-def _power_norm(gram, v: np.ndarray) -> float:
-    """Largest singular value of A by power iteration from v; gram(x) = A^H A x.
+def _count_below(J: TridiagonalMatrix, x: float) -> int:
+    """Number of eigenvalues of J below x: the negative pivots of the LDL^T sweep of J - x.
 
-    Callers draw v from default_rng(_POWER_SEED), so estimates are reproducible.
-    """
-    v = v / np.linalg.norm(v)
-    sigma2 = 0.0
-    for _ in range(_POWER_ITERS):
-        w = gram(v)
-        sigma2 = float(np.real(np.conj(v) @ w))
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 0.0
-        v = w / norm
-    return math.sqrt(max(sigma2, 0.0))
+    A zero pivot is replaced by -tiny, as LAPACK's dlaneg does, so the sweep
+    never divides by zero; an eigenvalue at exactly x then counts as below."""
+    count = 0
+    p = 1.0
+    for b, a2 in zip((J.diag - x).tolist(), [0.0, *(J.offdiag ** 2).tolist()]):
+        p = b - a2 / p
+        if p == 0.0:
+            p = -_TINY
+        count += p < 0.0
+    return count
 
 
 def resolvent_norm_estimate(J: TridiagonalMatrix) -> float:
-    """Power-iteration estimate of the l2 operator norm of J^-1.
+    """The l2 operator norm of J^-1, exact up to rounding, in O(N).
 
-    Iterates R^H R from one band LU factorization of J - z (LAPACK zgbtrf
-    with one sub- and one super-diagonal, which takes every N >= 1): each
-    iteration applies R and then R^H as two triangular solve pairs (zgbtrs
-    with trans 'N', then 'C') against the stored factors.  Singular when the
-    factorization meets an exactly zero pivot.
+    J is real symmetric, so J - z is normal and ||(J - z)^-1||_2 is
+    1 / min_k |lambda_k - z|.  The nearest eigenvalue is lambda_k or
+    lambda_{k+1}, where k eigenvalues lie below Re z (``_count_below``); LAPACK
+    dstebz finds those two (one at either end of the spectrum) by bisection.
     """
     _check_shift(J)
-    ab = np.zeros((4, J.N), dtype=complex)       # row 0: room for the pivoting fill-in
-    ab[1:] = J.banded()
-    lu, piv, info = zgbtrf(ab, 1, 1, overwrite_ab=True)
-    if info != 0:
-        raise Singular(f"band LU of J - z failed (LAPACK info = {info})")
-
-    def gram(x):
-        y = zgbtrs(lu, 1, 1, x, piv, trans=0)[0]
-        return zgbtrs(lu, 1, 1, y, piv, trans=2, overwrite_b=True)[0]
-
-    rng = np.random.default_rng(_POWER_SEED)
-    v = rng.standard_normal(J.N) + 1j * rng.standard_normal(J.N)
-    return _power_norm(gram, v)
+    k = _count_below(J, J.shift.real)
+    lam = eigvalsh_tridiagonal(J.diag, J.offdiag, select="i", check_finite=False,
+                               select_range=(max(k, 1) - 1, min(k + 1, J.N) - 1))
+    return float(1.0 / np.min(np.abs(lam - J.shift)))

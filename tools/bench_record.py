@@ -22,8 +22,11 @@ back.
 checkout and ``--root`` back to back, the parent first in every other pair,
 likewise for the traced runs, and writes the parent's record (label
 ``before_<label>``) to ``--parent-output``.  Each record names the other in
-``alternated_with``.  Further pairs on unused seeds come from the same flags
-with ``--seeds`` and ``--workloads``.
+``alternated_with``.  For each workload and metric the root's record also
+counts, in ``pairs``, the seeds on which the root read lower, higher or equal
+than the parent, and the tool prints one line per count, so a verdict needs no
+hand count.  Further pairs on unused seeds come from the same flags with
+``--seeds`` and ``--workloads``.
 
 A ``--root`` or ``--parent`` that is not a directory, or that is not a git
 checkout when its commit is read from git (always for the parent, for the
@@ -150,6 +153,20 @@ def main(argv=None) -> int:
                 "metrics": {name: m["value"] for name, m in run["metrics"].items()},
             }
         pair += 1
+    if len(sides) == 2:
+        parent, root = records
+        for workload in workloads:
+            pairs = root["workloads"][workload]["pairs"] = {}
+            for name, metric in root["workloads"][workload]["metrics"].items():
+                # both value lists are in seed order, so zip pairs the runs of one seed
+                by_seed = list(zip(metric["values"],
+                                   parent["workloads"][workload]["metrics"][name]["values"]))
+                count = pairs[name] = {"lower": sum(r < p for r, p in by_seed),
+                                       "higher": sum(r > p for r, p in by_seed),
+                                       "equal": sum(r == p for r, p in by_seed)}
+                print(f"{workload} {name}: {root['label']} lower in {count['lower']}, "
+                      f"higher in {count['higher']}, equal in {count['equal']} "
+                      f"of {len(by_seed)} pairs")
     for (_, _, _, output), record in zip(sides, records):
         output.write_text(json.dumps(record, indent=1) + "\n")
     return 0
