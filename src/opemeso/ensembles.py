@@ -174,6 +174,11 @@ def _finite_real(value) -> bool:
     return real and abs(value) <= sys.float_info.max
 
 
+def _integer(value) -> bool:
+    """A Python or numpy integer, not a bool: 2.0, "2", None and True fail."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
     """An ensemble family plus its parameters.

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import Side
+from .ensembles import Side, _integer
 from .errors import IllConditioned, InvalidParams, NoConvergence, refuse_overflow
 from .testfun import ResolventTestFunction, _rational
 
@@ -160,7 +160,7 @@ def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2
     the sup is the dense formula's to the bit.  InvalidParams when ``grid`` is
     not an integer in range, or when f has a NaN or infinite value on the grid.
     """
-    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)):
+    if not _integer(grid):
         raise InvalidParams(f"the Lipschitz grid must be an integer, got {grid!r}")
     if not 2 <= grid <= _MAX_LIPSCHITZ_GRID:
         raise InvalidParams(
@@ -337,6 +337,8 @@ def fit_resolvent_approximation(
     Raises IllConditioned when the design matrix condition exceeds 1e12
     (reduce M or raise pole_height).
     """
+    if not _integer(M):
+        raise InvalidParams(f"the pole count must be an integer, got {M!r}")
     if M < 1:
         raise InvalidParams("need at least one pole")
     if M > _MAX_POLES:
@@ -377,10 +379,9 @@ def fit_resolvent_approximation(
     y = np.concatenate([target * w_val, np.diff(target) / dx * w_diff])
 
     weights, _, _, sv = np.linalg.lstsq(A, y, rcond=None)
-    if sv[-1] == 0 or sv[0] / sv[-1] > 1e12:
-        raise IllConditioned(
-            f"design matrix condition {sv[0] / max(sv[-1], 1e-300):.3g} exceeds 1e12"
-        )
+    condition = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
+    if condition > 1e12:
+        raise IllConditioned(f"design matrix condition {condition:.3g} exceeds 1e12")
     fitted = ResolventTestFunction(tuple(poles), tuple(weights))
     achieved = weighted_lipschitz_norm(lambda x: np.asarray(f(x)) - fitted(x))
     return fitted, achieved

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
-from .ensembles import Side
+from .ensembles import Side, _integer
 from .errors import InvalidParams, Singular, refuse_overflow
 
 _EPS = np.finfo(float).eps
@@ -84,10 +84,11 @@ def _check_shift(J: TridiagonalMatrix) -> None:
 
 
 def _check_rows(N: int, *rows: int) -> None:
-    """Refuse a 1-based index outside [1, N]; J^-1 is symmetric, so columns are rows too."""
+    """Refuse a 1-based index that is not an integer in [1, N]; J^-1 is symmetric, so columns
+    are rows too."""
     for j in rows:
-        if not 1 <= j <= N:
-            raise InvalidParams(f"row index {j} must lie in [1, {N}]")
+        if not (_integer(j) and 1 <= j <= N):
+            raise InvalidParams(f"row index {j!r} must be an integer in [1, {N}]")
 
 
 def _semiseparable(u, v, U, V, j, k) -> np.ndarray:

@@ -1,6 +1,8 @@
-"""tools/bench_record.py runs the requested seeds and workloads alternated, and refuses bad
-input, bad checkouts and failed runs with a message, not a traceback."""
+"""tools/bench_record.py runs seeds 1-10 of every workload alternated, writes the records its
+label names, and refuses bad input, bad checkouts and failed runs with a message, not a
+traceback."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -16,15 +18,14 @@ def record(tmp_path, *args):
     """Run the tool with git unable to find a repository above tmp_path."""
     env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(tmp_path)}
     return subprocess.run(
-        [sys.executable, str(TOOL), "--label", "x", "--output", str(tmp_path / "BENCH_x.json"),
-         *args],
+        [sys.executable, str(TOOL), "--label", "x", *args],
         capture_output=True, text=True, env=env,
     )
 
 
 @pytest.mark.parametrize("flags", [
     ["--root", "{missing}", "--commit", "abc1234"],
-    ["--parent", "{missing}", "--parent-output", "{tmp}/BENCH_before_x.json"],
+    ["--root", "{tmp}", "--parent", "{missing}"],
 ], ids=["root", "parent"])
 def test_missing_checkout_is_named(tmp_path, flags):
     missing = tmp_path / "no-such-checkout"
@@ -32,7 +33,7 @@ def test_missing_checkout_is_named(tmp_path, flags):
     assert done.returncode == 1
     assert "Traceback" not in done.stderr
     assert f"checkout {missing} is not a directory" in done.stderr
-    assert not (tmp_path / "BENCH_x.json").exists()
+    assert not list(tmp_path.glob("BENCH_*.json"))
 
 
 def test_root_outside_git_needs_a_commit(tmp_path):
@@ -44,7 +45,7 @@ def test_root_outside_git_needs_a_commit(tmp_path):
     assert "Traceback" not in done.stderr
     assert f"checkout {checkout} is not a git checkout" in done.stderr
     assert "must not run" not in done.stderr
-    assert not (tmp_path / "BENCH_x.json").exists()
+    assert not (checkout / "BENCH_x.json").exists()
 
 
 def test_failed_run_shows_its_stderr(tmp_path):
@@ -61,93 +62,106 @@ def test_failed_run_shows_its_stderr(tmp_path):
     assert "workload edge-sweep, seed 1" in done.stderr
     assert f"checkout {checkout}" in done.stderr
     assert "benchmark run failed: worker exited with 1" in done.stderr
-    assert not (tmp_path / "BENCH_x.json").exists()
+    assert not (checkout / "BENCH_x.json").exists()
 
 
-# a perfbench stand-in: logs "<checkout> <workload> <seed> <trace>" and prints a passing
-# result; wall_s is the seed on the parent and half a unit below it on odd seeds and
-# above it on even seeds elsewhere, peak_rss_mb is 1 on both
-FAKE_RUN = """\
-import json, sys
-from pathlib import Path
-opts = dict(zip(sys.argv[1::2], sys.argv[2::2]))
-with open(Path.cwd().parent / "runs.log", "a") as log:
-    log.write(f"{Path.cwd().name} {opts['--workload']} {opts['--seed']} {opts['--trace']}\\n")
-seed = int(opts["--seed"])
-wall = float(seed) if Path.cwd().name == "parent" else seed + (0.5 if seed % 2 == 0 else -0.5)
-print("machine " + json.dumps({"cpus": 1}))
-print(json.dumps({"attempted": 2, "failed": 0, "correct": True,
-                  "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": 1.0}}}))
-"""
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
-def fake_checkout(tmp_path, name):
-    checkout = tmp_path / name
-    (checkout / "perfbench").mkdir(parents=True)
-    (checkout / "perfbench" / "run.py").write_text(FAKE_RUN)
-    return checkout
+@pytest.fixture
+def tool(monkeypatch):
+    """The tool in process, with a perfbench stand-in and a git stand-in.
+
+    The stand-in logs "<checkout> <workload> <seed> <trace>" in ``tool.runs`` and returns a
+    passing result: wall_s is the seed on the parent and half a unit below it elsewhere,
+    except half a unit above on seeds 4 and 8; peak_rss_mb is 1 on both."""
+    tool = load_tool()
+    tool.runs = []
+
+    def bench(root, workload, seed, seconds, trace):
+        tool.runs.append(f"{root.name} {workload} {seed} {trace}")
+        wall = float(seed) if root.name == "parent" else seed + (0.5 if seed in (4, 8) else -0.5)
+        return {"attempted": 2, "failed": 0, "correct": True, "machine": {"cpus": 1},
+                "absent": [], "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": 1.0}}}
+
+    monkeypatch.setattr(tool, "bench", bench)
+    monkeypatch.setattr(tool, "git_head", lambda root: f"{root.name}-head")
+    return tool
 
 
-def record_pairs(tmp_path, seeds, workloads):
-    """Run the tool on fake change and parent checkouts, the parent a git checkout."""
-    root, parent = fake_checkout(tmp_path, "change"), fake_checkout(tmp_path, "parent")
-    subprocess.run(["git", "init", "-q"], cwd=parent, check=True)
-    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", "commit",
-                    "-q", "--allow-empty", "-m", "parent"], cwd=parent, check=True)
-    return record(tmp_path, "--root", str(root), "--commit", "abc1234", "--parent", str(parent),
-                  "--parent-output", str(tmp_path / "BENCH_before_x.json"),
-                  "--seeds", seeds, "--workloads", workloads)
+def record_pairs(tool, tmp_path, *flags):
+    """Run the tool in process on change and parent checkouts under tmp_path."""
+    root, parent = tmp_path / "change", tmp_path / "parent"
+    root.mkdir()
+    parent.mkdir()
+    return tool.main(["--root", str(root), "--parent", str(parent), *flags])
 
 
-def test_requested_seeds_and_workloads_run_alternated(tmp_path):
-    done = record_pairs(tmp_path, "11,12", "variance-limit,edge-sweep")
-    assert done.returncode == 0, done.stderr
-    # WORKLOADS order, each (workload, seed) pair alternating which side runs
-    # first, then one traced run per workload on the first seed
-    assert (tmp_path / "runs.log").read_text().splitlines() == [
-        "parent edge-sweep 11 0", "change edge-sweep 11 0",
-        "change edge-sweep 12 0", "parent edge-sweep 12 0",
-        "parent variance-limit 11 0", "change variance-limit 11 0",
-        "change variance-limit 12 0", "parent variance-limit 12 0",
-        "parent edge-sweep 11 1", "change edge-sweep 11 1",
-        "change variance-limit 11 1", "parent variance-limit 11 1",
+def test_requested_seeds_and_workloads_run_alternated(tool, tmp_path):
+    assert record_pairs(tool, tmp_path, "--label", "x") == 0
+    # WORKLOADS order, seeds 1-10 of each, each (workload, seed) pair alternating which
+    # side runs first, then one traced run per workload on seed 1, still alternating
+    assert tool.runs[:4] == ["parent edge-sweep 1 0", "change edge-sweep 1 0",
+                             "change edge-sweep 2 0", "parent edge-sweep 2 0"]
+    first = {True: ("parent", "change"), False: ("change", "parent")}
+    assert tool.runs == [
+        f"{side} {workload} {seed} 0" for workload in tool.WORKLOADS for seed in range(1, 11)
+        for side in first[seed % 2 == 1]
+    ] + [
+        f"{side} {workload} 1 1" for k, workload in enumerate(tool.WORKLOADS)
+        for side in first[k % 2 == 0]
     ]
-    for name, walls in (("BENCH_x.json", [10.5, 12.5]), ("BENCH_before_x.json", [11.0, 12.0])):
-        written = json.loads((tmp_path / name).read_text())
-        assert written["seeds"] == [11, 12]
-        assert list(written["workloads"]) == list(written["traced"]) == [
-            "edge-sweep", "variance-limit"]
-        assert written["workloads"]["edge-sweep"]["metrics"]["wall_s"]["values"] == walls
+    for name, label, walls in (
+        ("BENCH_x.json", "x", [0.5, 1.5, 2.5, 4.5, 4.5, 5.5, 6.5, 8.5, 8.5, 9.5]),
+        ("BENCH_before_x.json", "before_x", [float(seed) for seed in range(1, 11)]),
+    ):
+        written = json.loads((tmp_path / "change" / name).read_text())
+        assert written["label"] == label
+        assert written["seeds"] == list(range(1, 11))
+        assert list(written["workloads"]) == list(written["traced"]) == list(tool.WORKLOADS)
+        assert written["workloads"]["mc-batch"]["metrics"]["wall_s"]["values"] == walls
+    assert sorted(p.name for p in tmp_path.rglob("BENCH_*.json")) == [
+        "BENCH_before_x.json", "BENCH_x.json"]
 
 
-def test_pairs_counted_by_seed_in_the_root_record(tmp_path):
-    done = record_pairs(tmp_path, "11,12,13", "resolvent-decay")
-    assert done.returncode == 0, done.stderr
-    # seeds 11 and 13 read lower on the change, 12 higher, whichever side ran first
-    assert done.stdout.splitlines() == [
-        "resolvent-decay wall_s: x lower in 2, higher in 1, equal in 0 of 3 pairs",
-        "resolvent-decay peak_rss_mb: x lower in 0, higher in 0, equal in 3 of 3 pairs",
+def test_pairs_counted_by_seed_in_the_root_record(tool, tmp_path, capsys):
+    assert record_pairs(tool, tmp_path, "--label", "x") == 0
+    # eight seeds read lower on the change, seeds 4 and 8 higher, whichever side ran first;
+    # medians 5.0 and 5.5, the parent's inclusive quartiles 3.25 and 7.75
+    assert capsys.readouterr().out.splitlines() == [
+        line for workload in tool.WORKLOADS for line in (
+            f"{workload} wall_s: x lower in 8, higher in 2, equal in 0 of 10 pairs; "
+            "median 5 against 5.5, before_x IQR 4.5",
+            f"{workload} peak_rss_mb: x lower in 0, higher in 0, equal in 10 of 10 pairs; "
+            "median 1 against 1, before_x IQR 0",
+        )
     ]
-    root = json.loads((tmp_path / "BENCH_x.json").read_text())
-    assert root["workloads"]["resolvent-decay"]["pairs"] == {
-        "wall_s": {"lower": 2, "higher": 1, "equal": 0},
-        "peak_rss_mb": {"lower": 0, "higher": 0, "equal": 3},
-    }
-    parent = json.loads((tmp_path / "BENCH_before_x.json").read_text())
-    assert "pairs" not in parent["workloads"]["resolvent-decay"]
+    root = json.loads((tmp_path / "change" / "BENCH_x.json").read_text())
+    parent = json.loads((tmp_path / "change" / "BENCH_before_x.json").read_text())
+    assert root["alternated_with"] == {"label": "before_x", "commit": "parent-head"}
+    assert parent["alternated_with"] == {"label": "x", "commit": "change-head"}
+    for workload in tool.WORKLOADS:
+        assert root["workloads"][workload]["pairs"] == {
+            "wall_s": {"lower": 8, "higher": 2, "equal": 0},
+            "peak_rss_mb": {"lower": 0, "higher": 0, "equal": 10},
+        }
+        assert "pairs" not in parent["workloads"][workload]
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--workloads", "edge-sweep,warp-drive"], "unknown workload warp-drive"),
-    (["--seeds", "4"], "--seeds must be at least two distinct"),
-    (["--seeds", "4,x"], "--seeds must be at least two distinct"),
-    (["--seeds", "4,4"], "--seeds must be at least two distinct"),
-], ids=["unknown-workload", "one-seed", "not-an-integer", "repeated-seed"])
-def test_bad_workloads_or_seeds_refused_before_any_run(tmp_path, flags, message):
-    checkout = fake_checkout(tmp_path, "change")
-    done = record(tmp_path, "--root", str(checkout), "--commit", "abc1234", *flags)
-    assert done.returncode == 1
-    assert "Traceback" not in done.stderr
-    assert message in done.stderr
-    assert not (tmp_path / "runs.log").exists()
-    assert not (tmp_path / "BENCH_x.json").exists()
+    (["--label", "x", "--commit", "abc1234"], "--commit and --parent do not go together"),
+    (["--label", ""], "must be non-empty with no path separator"),
+    (["--label", "sub/x"], "must be non-empty with no path separator"),
+], ids=["commit-with-parent", "empty-label", "label-with-separator"])
+def test_commit_with_parent_or_bad_label_refused_before_any_run(tool, tmp_path, capsys, flags,
+                                                                message):
+    with pytest.raises(SystemExit) as refused:
+        record_pairs(tool, tmp_path, *flags)
+    assert refused.value.code == 2
+    assert message in capsys.readouterr().err
+    assert tool.runs == []
+    assert not list(tmp_path.rglob("BENCH_*.json"))

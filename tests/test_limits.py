@@ -208,6 +208,11 @@ class TestWeightedLipschitzNorm:
         with pytest.raises(InvalidParams, match="must be an integer"):
             om.weighted_lipschitz_norm(IM_G, grid)
 
+    @pytest.mark.parametrize("M", [2.5, 3.0, "3", None, True], ids=repr)
+    def test_pole_count_that_is_not_an_integer_refused(self, M):
+        with pytest.raises(InvalidParams, match="pole count must be an integer"):
+            om.fit_resolvent_approximation(IM_G, M)
+
     def test_numpy_integer_grid_accepted(self):
         assert om.weighted_lipschitz_norm(IM_G, np.int64(33)) == om.weighted_lipschitz_norm(IM_G, 33)
 
@@ -351,6 +356,9 @@ class TestFit:
             om.fit_resolvent_approximation(
                 smooth_bump, 50, 10.0, support=(-1.0, 1.0)
             )
+        # at this height the smallest singular value is 0: the condition is infinite
+        with pytest.raises(IllConditioned, match="condition inf exceeds"):
+            om.fit_resolvent_approximation(smooth_bump, 10, 1e308, support=(-1.0, 1.0))
 
     def test_validation(self):
         with pytest.raises(InvalidParams):

@@ -379,6 +379,14 @@ def _tri(diag, off, z=1j):
         (lambda: om.invert_dense_oracle(_tri([0, 0], [1], 1 - 1e-16)), Singular, "condition"),
         (lambda: om.TridiagonalResolvent(_tri([1, 1, 1], [1, 0])), InvalidParams, "nonzero"),
         (lambda: om.TridiagonalResolvent(_tri([1, 1, 1], [1, 1])).row(4), InvalidParams, "row"),
+        (lambda: om.TridiagonalResolvent(_tri([1, 1, 1], [1, 1])).row(True), InvalidParams,
+         "must be an integer"),
+        (lambda: om.TridiagonalResolvent(_tri([1, 1, 1], [1, 1])).entry(1.5, 2), InvalidParams,
+         "must be an integer"),
+        (lambda: om.decay_profile(_tri(np.zeros(10), np.ones(9)), 5.0), InvalidParams,
+         "must be an integer"),
+        (lambda: tridiagonal._resolvent_row(_tri([1, 1, 1], [1, 1]), True), InvalidParams,
+         "must be an integer"),
         (lambda: om.transfer_spectrum(_tri([1, 1], [1])), InvalidParams, "N >= 3"),
         (lambda: om.transfer_spectrum(_tri([1, 1, 1], [0, 1])), InvalidParams, "nonzero"),
         (lambda: om.almost_toeplitz_decompose(_tri([2, 2, 2], [1, 1])), InvalidParams, "N >= 4"),
@@ -389,7 +397,8 @@ def _tri(diag, off, z=1j):
         (lambda: om.almost_toeplitz_decompose(_tri(np.zeros(10 ** 5), np.ones(10 ** 5 - 1))),
          InvalidParams, "split capped at N = 5000"),
     ],
-    ids=["ill-conditioned", "oracle-zero-off", "row-index", "transfer-N", "transfer-zero-off",
+    ids=["ill-conditioned", "oracle-zero-off", "row-index", "row-bool", "entry-float",
+         "decay-row-float", "resolvent-row-bool", "transfer-N", "transfer-zero-off",
          "split-N", "split-zero-off", "dense-cap", "split-cap"],
 )
 def test_refusals(call, error, match):
