@@ -107,13 +107,15 @@ def test_requested_seeds_and_workloads_run_alternated(tool, tmp_path):
     # side runs first, then one traced run per workload on seed 1, still alternating
     assert tool.runs[:4] == ["parent edge-sweep 1 0", "change edge-sweep 1 0",
                              "change edge-sweep 2 0", "parent edge-sweep 2 0"]
-    first = {True: ("parent", "change"), False: ("change", "parent")}
+    def in_turn(pair):
+        return ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+
     assert tool.runs == [
         f"{side} {workload} {seed} 0" for workload in tool.WORKLOADS for seed in range(1, 11)
-        for side in first[seed % 2 == 1]
+        for side in in_turn(seed - 1)
     ] + [
         f"{side} {workload} 1 1" for k, workload in enumerate(tool.WORKLOADS)
-        for side in first[k % 2 == 0]
+        for side in in_turn(k)
     ]
     for name, label, walls in (
         ("BENCH_x.json", "x", [0.5, 1.5, 2.5, 4.5, 4.5, 5.5, 6.5, 8.5, 8.5, 9.5]),
