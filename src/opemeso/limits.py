@@ -40,11 +40,15 @@ _MAX_LEVEL = 9             # panel refinement stops at 2^9 panels per axis
 _PI_SQUARED_TOL = 1e-7
 _FIT_GRID_POINTS = 2000
 _MAX_POLES = 1000          # the fit's design matrix is ~4800 x M float64: 38 MB at the cap
-# rows per panel of the Lipschitz pair loop.  A panel takes one quotient per
-# unordered pair (columns at and right of its first row), keeps both weight
-# orders, needs abs only in its own square block and gives the dense formula's
-# bits.  Two 32 x 2001 float64 buffers (1 MB) fit in L2; the panels timed
-# 16.3 / 16.9 / 19.4 / 26.9 ms per norm at grid 2001 with 16 / 32 / 64 / 128 rows
+# rows per panel of the Lipschitz pair loop, and points per column block it
+# may skip.  A panel takes one quotient per unordered pair (columns at and
+# right of its first row), keeps both weight orders, needs abs only in its own
+# square block and gives the dense formula's bits.  Two 32 x 2001 float64
+# buffers (1 MB) fit in L2.  Smaller blocks bound tighter but pay more calls
+# per pair: at grid 2001, im:1/(x-i) / a two-pole f / the 20-pole fit residuals
+# of bump and hat took 10.1/8.3/8.1/7.7 ms per norm with 16 rows, 8.0/6.7/5.3/5.2
+# with 32, 8.3/7.4/4.9/4.7 with 64 and 11.8/10.9/6.1/6.1 with 128 (medians of 15
+# interleaved rounds, 2-core Xeon); computing every pair took 14-16 ms with 32
 _LIPSCHITZ_PANEL_ROWS = 32
 _MAX_LIPSCHITZ_GRID = 20001  # 2e8 pairs, 1.1-1.3 s per norm at the cap (2-core Xeon)
 _MIN_POLE_HEIGHT = math.sqrt(np.finfo(float).tiny)  # 1.5e-154: (Im lambda)^2 stays a normal float
@@ -140,6 +144,37 @@ def _derivative(f, x):
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
 
 
+def _values_on(f, xs: np.ndarray, name: str, where: str) -> np.ndarray:
+    """f(xs) as floats: one finite real number per point of ``xs``, else InvalidParams.
+
+    ``name`` names f in the messages and ``where`` names the grid."""
+    values = np.asarray(f(xs))
+    if values.shape != xs.shape or values.dtype.kind not in "biuf":
+        raise InvalidParams(
+            f"{name} must give one real number per point of {where}: got {values.dtype} "
+            f"values of shape {values.shape} for {xs.size} points"
+        )
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise InvalidParams(f"{name} has a NaN or infinite value on {where}")
+    return values
+
+
+def _later_block_bounds(b: int, first, last, xs, w, fmin, fmax) -> np.ndarray:
+    """For each block after block b, a bound on every computed quotient of a pair
+    with one point in block b and one in that block.
+
+    Block k holds the ascending grid points first[k] .. last[k], and f ranges
+    over [fmin[k], fmax[k]] there; ``weighted_lipschitz_norm`` gives the argument.
+    """
+    later = slice(b + 1, None)
+    with np.errstate(over="ignore"):  # an inf bound only keeps its block
+        gap = np.maximum(fmax[later] - fmin[b], fmax[b] - fmin[later])
+        near = w[last[b]] * w[first[later]] / (xs[first[later]] - xs[last[b]])
+        far = w[first[b]] * w[last[later]] / (xs[last[later]] - xs[first[b]])
+        return gap * np.maximum(near, far) * (1 + 2 ** -40) + 2.0 ** -1070 * max(w[0], w[-1]) ** 2
+
+
 def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2001) -> float:
     """sup over pairs of sqrt(1+x^2) sqrt(1+y^2) |f(x)-f(y)| / |x-y| on a grid.
 
@@ -156,9 +191,22 @@ def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2
     (rows * grid) buffers: memory is O(rows * grid), not O(grid^2).  The grid
     ascends, so x_j - x_i is |x_i - x_j| to the bit and only the panel's own
     square block needs ``abs``.  The dense grid x grid formula meets each pair
-    from both rows, as (q w_i) w_j and (q w_j) w_i; both products are kept, so
-    the sup is the dense formula's to the bit.  InvalidParams when ``grid`` is
-    not an integer in range, or when f has a NaN or infinite value on the grid.
+    from both rows, as (q w_i) w_j and (q w_j) w_i; both products are kept.
+
+    The diagonal's sup seeds the running sup, and a panel skips every later
+    column block that cannot reach it.  With x = tan(theta) the pair's weight
+    factor w_i w_j / (x_j - x_i) is 1 / sin(theta_j - theta_i); sine is
+    concave on (0, pi), so over a row block I and a later column block J the
+    factor is largest at a corner pair, (last of I, first of J) or (first of
+    I, last of J), and |f_i - f_j| is at most max(fmax_J - fmin_I, fmax_I -
+    fmin_J).  Their product times 1 + 2^-40, which covers the few ulps by which
+    either side is rounded, plus 2^-1070 max(w)^2, which covers the rounding of
+    quotients below the normal range, bounds every computed quotient of the
+    block pair.  A block whose bound is below the running sup is skipped; the
+    others are computed by the same operations in the same order, so the sup
+    is the dense formula's to the bit.  InvalidParams when ``grid`` is not an
+    integer in range, when f does not give one real number per grid point,
+    when f has a NaN or infinite value on the grid, or when f' has a NaN value.
     """
     if not _integer(grid):
         raise InvalidParams(f"the Lipschitz grid must be an integer, got {grid!r}")
@@ -168,34 +216,44 @@ def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2
             f"got {grid}"
         )
     xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, grid))
-    fx = np.asarray(f(xs), dtype=float)
-    if not np.isfinite(fx).all():
-        raise InvalidParams("f has a NaN or infinite value on the Lipschitz grid")
+    fx = _values_on(f, xs, "f", "the Lipschitz grid")
+    diag = (1 + xs ** 2) * np.abs(_derivative(f, xs))
+    if np.isnan(diag).any():
+        raise InvalidParams("f' has a NaN value on the Lipschitz grid")
+    sup = float(np.max(diag))
     w = np.sqrt(1 + xs ** 2)
     rows = min(_LIPSCHITZ_PANEL_ROWS, grid)
+    first = np.arange(0, grid, rows)  # block b is points first[b] .. last[b]
+    last = np.minimum(first + rows, grid) - 1
+    fmin = np.minimum.reduceat(fx, first)
+    fmax = np.maximum.reduceat(fx, first)
     q_buf = np.empty(rows * grid)
     d_buf = np.empty(rows * grid)
-    off_sup = 0.0
-    for s in range(0, grid, rows):
-        e = min(s + rows, grid)
-        shape = (e - s, grid - s)  # rows s..e-1 against columns s..grid-1
-        q = q_buf[: shape[0] * shape[1]].reshape(shape)
-        d = d_buf[: shape[0] * shape[1]].reshape(shape)
-        local = np.arange(e - s)
-        np.subtract(fx[s:e, None], fx[None, s:], out=q)
-        np.abs(q, out=q)
-        np.subtract(xs[None, s:], xs[s:e, None], out=d)
-        np.abs(d[:, : e - s], out=d[:, : e - s])  # j < i only inside the panel's own block
-        d[local, local] = 1.0  # q's diagonal is then |f_i - f_i| / 1 * w_i^2 = 0 exactly
-        q /= d
-        np.multiply(q, w[None, s:], out=d)  # (q w_j) w_i, the pair as row j meets it
-        d *= w[s:e, None]
-        q *= w[s:e, None]  # (q w_i) w_j, the pair as row i meets it
-        q *= w[None, s:]
-        off_sup = max(off_sup, q.max(), d.max())
-
-    diag_sup = float(np.max((1 + xs ** 2) * np.abs(_derivative(f, xs))))
-    return max(float(off_sup), diag_sup)
+    for b, s in enumerate(first.tolist()):
+        e = int(last[b]) + 1
+        bound = _later_block_bounds(b, first, last, xs, w, fmin, fmax)
+        # runs of kept blocks, the panel's own block always among them
+        keep = np.concatenate(([0, 1], bound >= sup, [0])).astype(np.int8)
+        steps = np.diff(keep)
+        for r0, r1 in zip(np.flatnonzero(steps == 1).tolist(), np.flatnonzero(steps == -1).tolist()):
+            c0, c1 = int(first[b + r0]), int(last[b + r1 - 1]) + 1
+            shape = (e - s, c1 - c0)  # rows s..e-1 against columns c0..c1-1
+            q = q_buf[: shape[0] * shape[1]].reshape(shape)
+            d = d_buf[: shape[0] * shape[1]].reshape(shape)
+            np.subtract(fx[s:e, None], fx[None, c0:c1], out=q)
+            np.abs(q, out=q)
+            np.subtract(xs[None, c0:c1], xs[s:e, None], out=d)
+            if c0 == s:
+                local = np.arange(e - s)
+                np.abs(d[:, : e - s], out=d[:, : e - s])  # j < i only inside the own block
+                d[local, local] = 1.0  # q's diagonal is then |f_i - f_i| / 1 * w_i^2 = 0 exactly
+            q /= d
+            np.multiply(q, w[None, c0:c1], out=d)  # (q w_j) w_i, the pair as row j meets it
+            d *= w[s:e, None]
+            q *= w[s:e, None]  # (q w_i) w_j, the pair as row i meets it
+            q *= w[None, c0:c1]
+            sup = max(sup, float(q.max()), float(d.max()))
+    return sup
 
 
 def _dominating_integrand(X, Y):
@@ -335,7 +393,9 @@ def fit_resolvent_approximation(
     fitted test function and its achieved weighted-Lipschitz distance to f.
 
     Raises IllConditioned when the design matrix condition exceeds 1e12
-    (reduce M or raise pole_height).
+    (reduce M or raise pole_height), and InvalidParams, before any solve, when
+    the target does not give one finite real number per point of the support
+    scan or of the fit grid.
     """
     if not _integer(M):
         raise InvalidParams(f"the pole count must be an integer, got {M!r}")
@@ -347,7 +407,7 @@ def fit_resolvent_approximation(
         raise InvalidParams(f"pole height must be finite and positive, got {pole_height}")
     if support is None:
         scan = np.linspace(-100, 100, 20001)
-        vals = np.abs(np.asarray(f(scan), dtype=float))
+        vals = np.abs(_values_on(f, scan, "the target f", "the support scan grid"))
         big = scan[vals > 1e-12 * vals.max()]
         if big.size == 0:
             raise InvalidParams("cannot detect support: f vanishes on the scan grid")
@@ -368,8 +428,8 @@ def fit_resolvent_approximation(
     far = 3 * half * np.tan(theta)
     xs = np.sort(np.concatenate([xs_core, center + far, center - far]))
 
+    target = _values_on(f, xs, "the target f", "the fit grid")
     basis = np.imag(1.0 / (xs[:, None] - poles[None, :]))
-    target = np.asarray(f(xs), dtype=float)
     w_val = np.sqrt(1 + xs ** 2)
     dx = np.diff(xs)
     w_diff = np.sqrt(1 + xs[:-1] ** 2) * np.sqrt(1 + xs[1:] ** 2)

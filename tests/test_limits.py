@@ -236,8 +236,8 @@ class TestWeightedLipschitzNorm:
         assert abs(scaled - base) > 0.1
 
     @staticmethod
-    def dense_norm(f, grid):
-        """The dense grid x grid formula the streamed norm replaced."""
+    def dense_pairs(f, grid):
+        """The dense grid x grid quotients, diagonal 0, and the diagonal's sup."""
         xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, grid))
         fx = np.asarray(f(xs), dtype=float)
         w = np.sqrt(1 + xs ** 2)
@@ -247,6 +247,12 @@ class TestWeightedLipschitzNorm:
         quot = diff / dist * w[:, None] * w[None, :]
         np.fill_diagonal(quot, 0.0)
         diag_sup = float(np.max((1 + xs ** 2) * np.abs(limits._derivative(f, xs))))
+        return quot, diag_sup
+
+    @classmethod
+    def dense_norm(cls, f, grid):
+        """The dense grid x grid formula the streamed norm replaced."""
+        quot, diag_sup = cls.dense_pairs(f, grid)
         return max(float(quot.max()), diag_sup)
 
     @pytest.mark.parametrize(
@@ -306,6 +312,115 @@ class TestWeightedLipschitzNorm:
 
         with pytest.raises(InvalidParams, match="NaN or infinite"):
             om.weighted_lipschitz_norm(f)
+
+    def test_far_apart_blocks_hold_the_sup(self, monkeypatch):
+        # with f' zeroed the sup of re:1/(x-i) is its pairs-at-infinity limit,
+        # reached by a pair whose 32-point blocks are neither equal nor adjacent
+        monkeypatch.setattr(limits, "_derivative", lambda f, x: np.zeros_like(x))
+        quot, _ = self.dense_pairs(RE_G, 2001)
+        i, j = np.unravel_index(np.argmax(quot), quot.shape)
+        assert abs(i // 32 - j // 32) >= 2
+        assert om.weighted_lipschitz_norm(RE_G, 2001) == self.dense_norm(RE_G, 2001)
+
+    @pytest.mark.parametrize("split", [1983, 1990, 1999])
+    def test_ragged_last_block(self, split, monkeypatch):
+        # 2001 = 62 * 32 + 17: a step after grid point ``split`` puts the sup
+        # on a pair with a point in the 17-point last block
+        monkeypatch.setattr(limits, "_derivative", lambda f, x: np.zeros_like(x))
+        xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 2001))
+        edge = 0.5 * (xs[split] + xs[split + 1])
+
+        def step(x):
+            return np.where(np.asarray(x) > edge, 1.0, 0.0) + 0.1 * IM_G(x)
+
+        quot, _ = self.dense_pairs(step, 2001)
+        assert max(np.unravel_index(np.argmax(quot), quot.shape)) >= 62 * 32
+        assert om.weighted_lipschitz_norm(step, 2001) == self.dense_norm(step, 2001)
+
+    @pytest.mark.parametrize("value", [0.0, 3.7, -1e300])
+    def test_constant_f_has_every_gap_zero(self, value):
+        # the pairs all give 0; the sup is the diagonal's rounding of f' = 0
+        def const(x):
+            return np.full_like(np.asarray(x, dtype=float), value)
+
+        for grid in (2, 33, 2001):
+            assert om.weighted_lipschitz_norm(const, grid) == self.dense_norm(const, grid)
+
+    @pytest.mark.parametrize(
+        "f",
+        [IM_G, RE_G, TWO_POLE, lambda x: TWO_POLE(-x * x), _make_target("hat:0,1"),
+         lambda x: np.where(np.asarray(x) < -20.2, 5e-324, 0.0)],
+        ids=["im", "re", "two-pole", "two-pole-edge-form", "hat", "subnormal-step"],
+    )
+    def test_block_bounds_hold_every_dense_quotient(self, f):
+        # each later block's bound is at least the dense max over the block
+        # pair, in both weight orders; the far corner holds for re, whose sup
+        # joins the two end blocks, the subnormal slack for the step
+        grid, rows = 2001, 32
+        xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, grid))
+        fx = np.asarray(f(xs), dtype=float)
+        w = np.sqrt(1 + xs ** 2)
+        first = np.arange(0, grid, rows)
+        last = np.minimum(first + rows, grid) - 1
+        fmin, fmax = np.minimum.reduceat(fx, first), np.maximum.reduceat(fx, first)
+        quot, _ = self.dense_pairs(f, grid)
+        both = np.maximum(quot, quot.T)
+        block_max = np.maximum.reduceat(np.maximum.reduceat(both, first, axis=0), first, axis=1)
+        for b in range(len(first)):
+            bound = limits._later_block_bounds(b, first, last, xs, w, fmin, fmax)
+            assert (block_max[b, b + 1 :] <= bound).all(), b
+
+    def test_quotients_below_the_normal_range_are_not_skipped(self, monkeypatch):
+        # f = 5e-324 left of grid point 31: the pair (31, 32) rounds 29 % above
+        # its exact quotient, the diagonal's sup lies between the two, so a
+        # bound without its subnormal slack would skip the block that holds
+        # the dense sup
+        xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 2001))
+        edge = 0.5 * (xs[31] + xs[32])
+
+        def tiny(x):
+            return np.where(np.asarray(x) < edge, 5e-324, 0.0)
+
+        w = np.sqrt(1 + xs ** 2)
+        exact = 5e-324 * (w[31] * w[32] / (xs[32] - xs[31]))
+        monkeypatch.setattr(limits, "_derivative", lambda f, x: np.zeros_like(x))
+        rounded = self.dense_norm(tiny, 2001)
+        assert rounded > 1.2 * exact
+        diag = 0.5 * (exact + rounded)
+        monkeypatch.setattr(
+            limits, "_derivative", lambda f, x: np.where(np.arange(x.size) == x.size // 2, diag, 0.0)
+        )
+        assert om.weighted_lipschitz_norm(tiny, 2001) == self.dense_norm(tiny, 2001) == rounded
+
+    def test_nan_derivative_refused(self):
+        # finite on the grid, NaN beyond its last node, where the 5-point
+        # difference of f' reaches
+        xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 2001))
+
+        def f(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x <= xs[-1], 1 / (1 + x * x), np.nan)
+
+        with pytest.raises(InvalidParams, match="f' has a NaN value"):
+            om.weighted_lipschitz_norm(f)
+
+    @pytest.mark.parametrize(
+        "f, got",
+        [
+            (lambda x: 1.0, "shape ()"),
+            (lambda x: np.zeros(len(x) - 1), r"shape \(2000,\)"),
+            (lambda x: 1 / (np.asarray(x) - 1j), "complex128"),
+            (lambda x: np.array(["0"] * len(x)), "<U1"),
+        ],
+        ids=["scalar", "wrong-length", "complex", "strings"],
+    )
+    @pytest.mark.parametrize("route", ["norm", "quadrature"])
+    def test_values_that_are_not_one_real_number_per_point_refused(self, f, got, route):
+        with pytest.raises(InvalidParams, match=f"one real number per point.*{got}"):
+            if route == "norm":
+                om.weighted_lipschitz_norm(f)
+            else:
+                om.sigma2_quadrature(f, om.Side.LEFT)
 
 
 class TestVarianceApproximationChain:
@@ -382,6 +497,17 @@ class TestFit:
     def test_refuses_targets_without_detectable_support(self, f):
         with pytest.raises(InvalidParams, match="cannot detect support"):
             om.fit_resolvent_approximation(f, 5, 0.25)
+
+    @pytest.mark.parametrize(
+        "support, where", [(None, "support scan grid"), ((-1.0, 1.0), "fit grid")]
+    )
+    def test_nan_target_refused_before_the_solve(self, support, where):
+        def nan_target(x):
+            return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+        with mock.patch.object(np.linalg, "lstsq", side_effect=AssertionError("solved")):
+            with pytest.raises(InvalidParams, match=f"target f has a NaN or infinite value on the {where}"):
+                om.fit_resolvent_approximation(nan_target, 5, 0.25, support=support)
 
     def test_support_detection(self):
         fitted, achieved = om.fit_resolvent_approximation(smooth_bump, 20, 0.25)
