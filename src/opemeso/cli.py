@@ -39,6 +39,7 @@ from . import (
     sigma2_residue,
 )
 from ._files import write_in_place
+from .ensembles import _positive_real, _whole
 from .errors import InvalidParams, OpemesoError
 from .sampling import SampleBatch, load_batch, save_batch, standardized_skewness
 from .testfun import _parse_complex
@@ -258,14 +259,10 @@ def cmd_variance_limit(args) -> list[Path]:
 
 def cmd_decay(args) -> list[Path]:
     eta = _parse_complex(args.eta)
-    N = args.size
-    if not (math.isfinite(args.n_alpha) and args.n_alpha > 0):
-        raise InvalidParams(f"n^alpha must be finite and positive, got {args.n_alpha!r}")
-    if N < 3:
-        raise InvalidParams(f"decay size must be at least 3 rows, got {N}")
-    if N > _DECAY_MAX_ROWS:
-        raise InvalidParams(f"decay size {N} exceeds the cap of {_DECAY_MAX_ROWS} rows")
-    J = TridiagonalMatrix(np.zeros(N), np.ones(N - 1), args.x0 + eta / args.n_alpha)
+    n_alpha = _positive_real(args.n_alpha, "n^alpha")
+    N = _whole(args.size, f"decay size must be an integer from 3 to {_DECAY_MAX_ROWS} rows",
+               3, _DECAY_MAX_ROWS)
+    J = TridiagonalMatrix(np.zeros(N), np.ones(N - 1), args.x0 + eta / n_alpha)
     ref = args.ref_row if args.ref_row is not None else N // 2
     fit = decay_profile(J, ref_row=ref)
     summary = {

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .ensembles import EdgeSpec, EnsembleSpec, jacobi_window
+from .ensembles import EdgeSpec, EnsembleSpec, _whole, jacobi_window
 from .errors import InvalidParams, WindowTooSmall, refuse_overflow
 from .testfun import ResolventTestFunction, _rational
 from .tridiagonal import TridiagonalMatrix, _refuse_dense
@@ -45,8 +45,7 @@ __all__ = [
 
 def default_margin(n: int, edge: EdgeSpec) -> int:
     """Default truncation margin 4 * ceil(n^(alpha/2 + eps))."""
-    if n < 1:
-        raise InvalidParams(f"margin needs n >= 1, got {n}")
+    n = _whole(n, "margin needs an integer n >= 1")
     return 4 * math.ceil(n ** (edge.alpha / 2 + edge.epsilon))
 
 
@@ -73,19 +72,19 @@ def build_F(
     ``two_sided=True`` defaults the lower end to n - margin instead.
 
     The result has real symmetric entries (conjugate closure of the poles).
-    Raises InvalidParams, before allocating anything, when n < 1, the window
-    does not contain row n or ``hi`` exceeds the dense cap of
-    ``tridiagonal._refuse_dense``; Unsupported when f is not rational.
+    Raises InvalidParams, before allocating anything, when n or an end of
+    the window is not an integer, n < 1, the window does not contain row n or
+    ``hi`` exceeds the dense cap of ``tridiagonal._refuse_dense``; Unsupported
+    when f is not rational.
     """
-    if n < 1:
-        raise InvalidParams(f"cumulants need n >= 1, got {n}")
+    n = _whole(n, "cumulants need an integer n >= 1")
     _rational(f, "the window operator")
     if window is None:
         margin = default_margin(n, edge)
         window = (max(1, n - margin) if two_sided else 1, n + margin)
     lo, hi = window
-    if not 1 <= lo <= n < hi:
-        raise InvalidParams(f"window {window} must satisfy 1 <= lo <= n, hi > n")
+    rule = f"window {window} must satisfy 1 <= lo <= n, hi > n"
+    lo, hi = _whole(lo, rule, 1, n), _whole(hi, rule, n + 1)
     _refuse_dense("window operator", hi)
     if hi - n < n ** (edge.alpha / 2):
         raise WindowTooSmall(
@@ -180,21 +179,21 @@ def _trace_dot(A: np.ndarray, B: np.ndarray) -> float:
     return math.fsum(np.sum(A * B, axis=1))
 
 
-def _check_window(F: np.ndarray, n: int) -> None:
-    """F must be a square window operator with at least n rows, and n >= 1."""
-    if n < 1:
-        raise InvalidParams(f"cumulants need n >= 1, got {n}")
-    if F.shape[0] != F.shape[1]:
-        raise InvalidParams("F must be square")
+def _check_window(F: np.ndarray, n: int) -> int:
+    """n as a Python int: F must be a square 2-D array with at least n rows, and n >= 1."""
+    n = _whole(n, "cumulants need an integer n >= 1")
+    if not (isinstance(F, np.ndarray) and F.ndim == 2 and F.shape[0] == F.shape[1]):
+        raise InvalidParams(f"F must be a square 2-D array, got shape {np.shape(F)}")
     if F.shape[0] < n:
         raise InvalidParams(f"window {F.shape[0]} smaller than n = {n}")
+    return n
 
 
 class _PowerBlocks:
     """Corner (P-side) and off-diagonal (Q-side) blocks of powers of F."""
 
     def __init__(self, F: np.ndarray, n: int, max_power: int):
-        _check_window(F, n)
+        n = _check_window(F, n)
         slab = F[:, :n].copy()
         self.K = {1: slab[:n, :]}
         self.B = {1: slab[n:, :]}
@@ -236,9 +235,8 @@ def cumulant(F: np.ndarray, n: int, m: int) -> float:
     large-trace cancellation happens.  m = 1 returns Tr(F P_n).  m is capped
     at 6.
     """
-    if not 1 <= m <= 6:
-        raise InvalidParams("cumulant order limited to 1..6")
-    _check_window(F, n)
+    m = _whole(m, "cumulant order limited to 1..6", 1, 6)
+    n = _check_window(F, n)
     if m == 1:
         return math.fsum(np.diagonal(F)[:n])
     return _PowerBlocks(F, n, max_power=m - 1).cumulant(m)
@@ -249,7 +247,7 @@ def _cumulant_raw(F: np.ndarray, n: int, m: int) -> float:
 
     An independent oracle for ``cumulant``; large traces cancel in each bracket.
     """
-    _check_window(F, n)
+    n = _check_window(F, n)
     K = {1: F[:n, :n].copy()}
     slab = F[:, :n].copy()
     for power in range(2, m + 1):
@@ -329,8 +327,7 @@ class BoundReport:
 
 def cumulant_bound_check(F: np.ndarray, n: int, m: int) -> BoundReport:
     """Check |C_m| <= sqrt(2/pi) m! m^(3/2) ||F||^(m-2) e^m C_2 numerically."""
-    if not 3 <= m <= 6:
-        raise InvalidParams("bound check applies to 3 <= m <= 6")
+    m = _whole(m, "bound check applies to 3 <= m <= 6", 3, 6)
     blocks = _PowerBlocks(F, n, max_power=m - 1)
     lhs = abs(blocks.cumulant(m))
     c2 = blocks.cumulant(2)
@@ -384,10 +381,10 @@ def convergence_sweep(
     rows that couple to n (see _first_coupled_row), a small corner of F at
     large n.
     """
-    if list(n_list) != sorted(n_list) or len(n_list) == 0:
+    n_list = [_whole(n, "cumulants need an integer n >= 1") for n in n_list]
+    if n_list != sorted(n_list) or not n_list:
         raise InvalidParams("n_list must be nonempty and ascending")
-    if not 2 <= m_max <= 6:
-        raise InvalidParams("m_max must lie in [2, 6]")
+    m_max = _whole(m_max, "m_max must lie in [2, 6]", 2, 6)
     reports = []
     for n in n_list:
         with refuse_overflow(f"the cumulant sweep at n = {n}"):

@@ -174,9 +174,28 @@ def _finite_real(value) -> bool:
     return real and abs(value) <= sys.float_info.max
 
 
-def _integer(value) -> bool:
-    """A Python or numpy integer, not a bool: 2.0, "2", None and True fail."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _whole(value, refusal: str, least: int = 1, most=math.inf, error=InvalidParams) -> int:
+    """value as a Python int: an int or numpy integer, not a bool, in [least, most].  Anything
+    else (2.0, "2", None, True, out of range) raises ``error(f"{refusal}, got {value!r}")``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        whole = int(value)
+        if least <= whole <= most:
+            return whole
+    raise error(f"{refusal}, got {value!r}")
+
+
+def _side(side) -> Side:
+    """side when it is a Side; anything else, "left" included, raises InvalidParams."""
+    if not isinstance(side, Side):
+        raise InvalidParams(f"side must be Side.LEFT or Side.RIGHT, got {side!r}")
+    return side
+
+
+def _positive_real(value, name: str):
+    """value when ``_finite_real`` holds and value > 0; else InvalidParams naming it."""
+    if not (_finite_real(value) and value > 0):
+        raise InvalidParams(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -328,8 +347,7 @@ def recurrence(spec: EnsembleSpec, j: int, n: int) -> tuple[float, float]:
     result does not depend on n.  Raises OutOfDomain when j leaves the
     support of a discrete family.
     """
-    if j < 1:
-        raise OutOfDomain(f"recurrence index must be >= 1, got {j}")
+    j = _whole(j, "recurrence index must be >= 1", error=OutOfDomain)
     diag, offdiag = jacobi_window(spec, n, j, j + 1)
     return float(offdiag[0]), float(diag[1])
 
@@ -345,10 +363,9 @@ def jacobi_window(spec: EnsembleSpec, n: int, lo: int, hi: int):
     once; then b_{lo-1..hi-1} and a_{lo..hi-1} are read from ``spec.record``,
     and a coefficient that overflows, or is not finite, raises InvalidParams.
     """
-    if not 1 <= lo <= hi:
-        raise OutOfDomain(f"window ({lo}, {hi}) must satisfy 1 <= lo <= hi")
-    if n < 1:
-        raise OutOfDomain(f"ensemble size must be >= 1, got {n}")
+    lo = _whole(lo, "window lo must be an integer with 1 <= lo <= hi", error=OutOfDomain)
+    hi = _whole(hi, "window hi must be an integer with 1 <= lo <= hi", lo, error=OutOfDomain)
+    n = _whole(n, "ensemble size must be >= 1", error=OutOfDomain)
     record, p = spec.record, spec.params
     if record.support is not None:
         label, end = record.support
@@ -376,6 +393,7 @@ def modified_jacobi_expansion(spec: EnsembleSpec, j: int) -> tuple[float, float]
     """
     if spec.family is not Family.MODIFIED_JACOBI:
         raise InvalidParams("expansion only defined for modified_jacobi")
+    j = _whole(j, "the expansion needs an integer j >= 1")
     g1, g2 = spec.params["gamma1"], spec.params["gamma2"]
     a = 1.0 + (1 - 2 * g1 ** 2 - 2 * g2 ** 2) / (8 * j * j)
     b = (g2 ** 2 - g1 ** 2) / (2 * j * j)
@@ -389,8 +407,8 @@ def edge_location(spec: EnsembleSpec, n: int, side: Side) -> float:
     coefficient callbacks with negative off-diagonals; catalog families all
     have positive a.
     """
-    if n < 2:
-        raise OutOfDomain("edge location needs n >= 2")
+    n = _whole(n, "edge location needs an integer n >= 2", 2, error=OutOfDomain)
+    side = _side(side)
     a_n, _ = recurrence(spec, n, n)
     a_nm1, b_nm1 = recurrence(spec, n - 1, n)
     half_width = 2.0 * math.sqrt(abs(a_n * a_nm1))
@@ -413,17 +431,18 @@ class EdgeSpec:
     epsilon: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.alpha < 2:
-            raise InvalidParams(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.x0 is not None and not math.isfinite(self.x0):
-            raise InvalidParams(f"x0 must be finite, got {self.x0}")
+        _side(self.side)
+        if not (_finite_real(self.alpha) and 0 < self.alpha < 2):
+            raise InvalidParams(f"alpha must lie in (0, 2), got {self.alpha!r}")
+        if self.x0 is not None and not _finite_real(self.x0):
+            raise InvalidParams(f"x0 must be finite, got {self.x0!r}")
         eps = self.epsilon
         if eps is None:
             eps = min(0.1, 0.5 * (1 - self.alpha / 2))
             object.__setattr__(self, "epsilon", eps)
-        if not 0 < eps < 1 - self.alpha / 2:
+        if not (_finite_real(eps) and 0 < eps < 1 - self.alpha / 2):
             raise InvalidParams(
-                f"epsilon must lie in (0, 1 - alpha/2) = (0, {1 - self.alpha / 2:g}), got {eps}"
+                f"epsilon must lie in (0, 1 - alpha/2) = (0, {1 - self.alpha / 2:g}), got {eps!r}"
             )
 
     def center(self, spec: EnsembleSpec, n: int) -> float:
@@ -432,8 +451,7 @@ class EdgeSpec:
 
 def hypothesis_window(n: int, alpha: float, epsilon: float) -> tuple[int, int]:
     """Index window [n - n^(alpha/2+eps), n + n^(alpha/2+eps)], clipped at 1."""
-    if n < 1:
-        raise InvalidParams(f"hypothesis window needs n >= 1, got {n}")
+    n = _whole(n, "hypothesis window needs an integer n >= 1")
     half = n ** (alpha / 2 + epsilon)
     return max(1, math.ceil(n - half)), math.floor(n + half)
 
@@ -544,8 +562,7 @@ def check_hypotheses(
     are finite real numbers; anything else raises InvalidParams.
     Raises OutOfDomain when the window leaves the family's support.
     """
-    if n < 1:
-        raise InvalidParams(f"hypotheses need n >= 1, got {n}")
+    n = _whole(n, "hypotheses need an integer n >= 1")
     x0 = edge.center(spec, n)
     q = _hypothesis_quantities(spec, n, edge.alpha, edge.epsilon, x0)
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensembles import Side, _integer
+from .ensembles import Side, _positive_real, _side, _whole
 from .errors import IllConditioned, InvalidParams, NoConvergence, refuse_overflow
 from .testfun import ResolventTestFunction, _rational
 
@@ -141,7 +141,7 @@ def _derivative(f, x):
     if isinstance(f, ResolventTestFunction):
         return f.derivative(x)
     h = _DERIV_STEP * (1 + np.abs(x))
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+    return (8 * (f(x + h) - f(x - h)) - (f(x + 2 * h) - f(x - 2 * h))) / (12 * h)
 
 
 def _values_on(f, xs: np.ndarray, name: str, where: str) -> np.ndarray:
@@ -208,13 +208,8 @@ def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2
     integer in range, when f does not give one real number per grid point,
     when f has a NaN or infinite value on the grid, or when f' has a NaN value.
     """
-    if not _integer(grid):
-        raise InvalidParams(f"the Lipschitz grid must be an integer, got {grid!r}")
-    if not 2 <= grid <= _MAX_LIPSCHITZ_GRID:
-        raise InvalidParams(
-            f"the Lipschitz grid needs at least 2 points and at most {_MAX_LIPSCHITZ_GRID}, "
-            f"got {grid}"
-        )
+    grid = _whole(grid, "the Lipschitz grid must be an integer with at least 2 points "
+                  f"and at most {_MAX_LIPSCHITZ_GRID}", 2, _MAX_LIPSCHITZ_GRID)
     xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, grid))
     fx = _values_on(f, xs, "f", "the Lipschitz grid")
     diag = (1 + xs ** 2) * np.abs(_derivative(f, xs))
@@ -320,10 +315,9 @@ def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
     norm or the integral overflows the float range, or when a pole of a
     rational f lies closer than 1.5e-154 to the real axis.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParams(f"quadrature tolerance must be finite and positive, got {tol!r}")
+    _positive_real(tol, "quadrature tolerance")
+    s = 1.0 if _side(side) is Side.LEFT else -1.0
     _refuse_poles_near_axis(f)
-    s = 1.0 if side is Side.LEFT else -1.0
     with refuse_overflow("the variance quadrature of f"):
         bound = weighted_lipschitz_norm(f) ** 2
         value, est = _truncated_square(_variance_integrand(f, s), bound, 8 * math.pi ** 2, tol)
@@ -350,6 +344,7 @@ def sigma2_residue(f: ResolventTestFunction, side: Side) -> LimitVariance:
     denominator underflows to 0.  Unsupported when f is not rational.
     """
     _rational(f, "the residue sum")
+    side = _side(side)
     c, eta = f.expanded()
     rho = np.sqrt(-eta) if side is Side.LEFT else np.sqrt(eta)
     pair_sum = rho[:, None] + rho[None, :]
@@ -397,14 +392,8 @@ def fit_resolvent_approximation(
     the target does not give one finite real number per point of the support
     scan or of the fit grid.
     """
-    if not _integer(M):
-        raise InvalidParams(f"the pole count must be an integer, got {M!r}")
-    if M < 1:
-        raise InvalidParams("need at least one pole")
-    if M > _MAX_POLES:
-        raise InvalidParams(f"fit supports at most {_MAX_POLES} poles, got {M}")
-    if not 0 < pole_height < math.inf:
-        raise InvalidParams(f"pole height must be finite and positive, got {pole_height}")
+    M = _whole(M, f"the pole count must be an integer from 1 to {_MAX_POLES}", 1, _MAX_POLES)
+    _positive_real(pole_height, "pole height")
     if support is None:
         scan = np.linspace(-100, 100, 20001)
         vals = np.abs(_values_on(f, scan, "the target f", "the support scan grid"))

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import cython_lapack
 
 from ._files import write_in_place
-from .ensembles import EdgeSpec, EnsembleSpec, Family
+from .ensembles import EdgeSpec, EnsembleSpec, Family, _whole
 from .errors import InvalidParams, NoConvergence, Unsupported, refuse_overflow
 from .testfun import ResolventTestFunction, _rational
 
@@ -120,22 +120,21 @@ def _model(family: Family, n: int, gamma: float, rng: np.random.Generator):
     return diag / (2.0 * n), off / (2.0 * n)
 
 
-def _checked_gamma(ensemble: EnsembleSpec, n: int, count: int, seed: int) -> float:
-    """Refuse a request no matrix model or size cap allows; the Laguerre gamma."""
+def _checked_request(
+    ensemble: EnsembleSpec, n: int, count: int, seed: int, max_n: int = _MAX_ENTRIES
+) -> tuple[int, int, int, float]:
+    """(n, count, seed, the Laguerre gamma) of a request that a matrix model and the size
+    caps allow, the integers as Python ints; anything else is refused."""
     if ensemble.family not in (Family.HERMITE, Family.LAGUERRE):
         raise Unsupported(f"no matrix model for family {ensemble.family.value}")
-    if n < 1:
-        raise InvalidParams(f"sampler needs n >= 1, got {n}")
-    if not 1 <= count <= 10 ** 6:
-        raise InvalidParams("sampler supports 1 <= count <= 1e6")
-    if count * n > _MAX_ENTRIES:
-        raise InvalidParams(f"sampler supports count * n <= 1e7, got {count} * {n}")
-    if seed < 0 or seed >= 2 ** 64:
-        raise InvalidParams("seed must fit in 64 unsigned bits")
+    n = _whole(n, f"sampler needs an integer n >= 1 and n <= {max_n}", 1, max_n)
+    count = _whole(count, f"sampler supports 1 <= count <= 1e6 and count * n <= 1e7 at n = {n}",
+                   1, min(10 ** 6, _MAX_ENTRIES // n))
+    seed = _whole(seed, "seed must be an integer that fits in 64 unsigned bits", 0, 2 ** 64 - 1)
     gamma = ensemble.params.get("gamma", 0.0)
     if ensemble.family is Family.LAGUERRE and gamma < 0:
         raise Unsupported("laguerre sampler requires gamma >= 0")
-    return gamma
+    return n, count, seed, gamma
 
 
 @cache
@@ -203,9 +202,9 @@ def sample_spectra(
     draws and solves every k-th sample; each spectrum depends on its (seed,
     index) alone, so the bytes are the same on any number of CPUs.
     """
-    if n > _MAX_SPECTRUM:
-        raise InvalidParams(f"sampler supports 1 <= n <= {_MAX_SPECTRUM} for spectra")
-    gamma = _checked_gamma(ensemble, n, count, seed)
+    n, count, seed, gamma = _checked_request(ensemble, n, count, seed, _MAX_SPECTRUM)
+    start_index = _whole(start_index, "start_index + count must fit in 64 unsigned bits",
+                         0, 2 ** 64 - count)
     spectra = np.empty((count, n))
     workers = min(_cpus(), count) if n >= _THREADED_N else 1
     stop = False
@@ -272,7 +271,7 @@ def sample_statistic(
     through count * n.
     """
     _rational(f, "the trace statistic")
-    gamma = _checked_gamma(ensemble, n, count, seed)
+    n, count, seed, gamma = _checked_request(ensemble, n, count, seed)
     scale = float(n) ** -edge.alpha
     w = edge.center(ensemble, n) + scale * np.asarray(f.poles)
     c = scale * np.asarray(f.weights)

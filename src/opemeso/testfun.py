@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import _positive_real
 from .errors import InvalidParams, Unsupported
 
 
@@ -71,8 +72,7 @@ class ResolventTestFunction:
 
     def scaled_argument(self, factor: float) -> "ResolventTestFunction":
         """The test function x -> f(factor * x) for finite factor > 0."""
-        if not (cmath.isfinite(factor) and factor > 0):
-            raise InvalidParams(f"scale factor must be finite and positive, got {factor!r}")
+        _positive_real(factor, "scale factor")
         return ResolventTestFunction(
             poles=tuple(p / factor for p in self.poles),
             weights=tuple(w / factor for w in self.weights),

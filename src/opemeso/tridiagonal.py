@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
-from .ensembles import Side, _integer
+from .ensembles import Side, _positive_real, _side, _whole
 from .errors import InvalidParams, Singular, refuse_overflow
 
 _EPS = np.finfo(float).eps
@@ -83,12 +83,10 @@ def _check_shift(J: TridiagonalMatrix) -> None:
         raise InvalidParams("resolvent operations need Im z != 0")
 
 
-def _check_rows(N: int, *rows: int) -> None:
-    """Refuse a 1-based index that is not an integer in [1, N]; J^-1 is symmetric, so columns
-    are rows too."""
-    for j in rows:
-        if not (_integer(j) and 1 <= j <= N):
-            raise InvalidParams(f"row index {j!r} must be an integer in [1, {N}]")
+def _check_rows(N: int, *rows: int) -> list[int]:
+    """The 1-based indices as Python ints, each an integer in [1, N]; J^-1 is symmetric, so
+    columns are rows too."""
+    return [_whole(j, f"row index must be an integer in [1, {N}]", 1, N) for j in rows]
 
 
 def _semiseparable(u, v, U, V, j, k) -> np.ndarray:
@@ -215,13 +213,13 @@ class TridiagonalResolvent:
 
     def entry(self, j: int, k: int) -> complex:
         """(J^-1)_{j,k} with 1-based indices; symmetric by construction."""
-        _check_rows(self.J.N, j, k)
+        j, k = _check_rows(self.J.N, j, k)
         return self._assemble(j, k)
 
     def row(self, j: int) -> np.ndarray:
         """Full row (J^-1)_{j, 1..N} as a vector."""
         N = self.J.N
-        _check_rows(N, j)
+        [j] = _check_rows(N, j)
         return self._assemble(j, np.arange(1, N + 1))
 
     def dense(self) -> np.ndarray:
@@ -312,11 +310,10 @@ def free_resolvent_entry(
     eta = complex(eta)
     if eta.imag == 0:
         raise InvalidParams("free resolvent needs Im eta != 0")
-    if not (math.isfinite(n_alpha) and n_alpha > 0):
-        raise InvalidParams(f"n^alpha must be finite and positive, got {n_alpha!r}")
+    _positive_real(n_alpha, "n^alpha")
+    x0 = -2.0 if _side(side) is Side.LEFT else 2.0
     if np.any(np.asarray(j) < 1) or np.any(np.asarray(k) < 1):
         raise InvalidParams("indices are 1-based")
-    x0 = -2.0 if side is Side.LEFT else 2.0
     zp = x0 + eta / n_alpha
     u = (zp - cmath.sqrt(zp * zp - 4)) / 2
     if abs(u) > 1:
@@ -514,7 +511,7 @@ def _resolvent_row(J: TridiagonalMatrix, ref_row: int) -> np.ndarray:
     """
     _check_shift(J)
     N = J.N
-    _check_rows(N, ref_row)
+    [ref_row] = _check_rows(N, ref_row)
     e_ref = np.zeros(N, dtype=complex)
     e_ref[ref_row - 1] = 1.0
     # both arrays are temporaries, so LAPACK may factor and solve in them
@@ -528,6 +525,7 @@ def decay_profile(J: TridiagonalMatrix, ref_row: int) -> DecayFit:
     floor does not bias the slope; a fit needs entries at two distinct
     distances above it.
     """
+    [ref_row] = _check_rows(J.N, ref_row)
     row = _resolvent_row(J, ref_row)
     ks = np.arange(1, J.N + 1)
     dist = np.abs(ks - ref_row)

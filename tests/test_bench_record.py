@@ -167,3 +167,16 @@ def test_commit_with_parent_or_bad_label_refused_before_any_run(tool, tmp_path, 
     assert message in capsys.readouterr().err
     assert tool.runs == []
     assert not list(tmp_path.rglob("BENCH_*.json"))
+
+
+def test_parent_that_is_the_root_refused_before_any_run(tool, tmp_path, capsys):
+    root = tmp_path / "change"
+    root.mkdir()
+    (tmp_path / "link").symlink_to(root)
+    for parent in (root, tmp_path / "change" / ".." / "change", tmp_path / "link"):
+        with pytest.raises(SystemExit) as refused:
+            tool.main(["--label", "x", "--root", str(root), "--parent", str(parent)])
+        assert refused.value.code == 2
+        assert f"--parent {parent} is the --root checkout" in capsys.readouterr().err
+    assert tool.runs == []
+    assert not list(tmp_path.rglob("BENCH_*.json"))

@@ -339,12 +339,13 @@ class TestWeightedLipschitzNorm:
 
     @pytest.mark.parametrize("value", [0.0, 3.7, -1e300])
     def test_constant_f_has_every_gap_zero(self, value):
-        # the pairs all give 0; the sup is the diagonal's rounding of f' = 0
+        # the pairs all give 0, and so does the difference stencil's f' on the diagonal
         def const(x):
             return np.full_like(np.asarray(x, dtype=float), value)
 
         for grid in (2, 33, 2001):
             assert om.weighted_lipschitz_norm(const, grid) == self.dense_norm(const, grid)
+            assert om.weighted_lipschitz_norm(const, grid) == 0.0
 
     @pytest.mark.parametrize(
         "f",

@@ -28,8 +28,9 @@ rule: at least 9 of 10 pairs, and a median gap wider than the parent's IQR.
 The parent's commit is read from git, and both trees of a pair must be the
 same kind of checkout, so ``--commit`` (for a root outside git) and
 ``--parent`` do not go together.  An empty ``--label``, or one with a path
-separator, is refused, since it names the files.  Those two end the tool with
-exit status 2; a ``--root`` or ``--parent`` that is not a directory, or that
+separator, is refused, since it names the files, and so is a ``--parent``
+that resolves to the ``--root`` checkout, whose pairs would time one tree
+against itself.  Those three end the tool with exit status 2; a ``--root`` or ``--parent`` that is not a directory, or that
 is not a git checkout when its commit is read from git, ends it with exit
 status 1.  All of these come before any run, and no record is written.
 """
@@ -94,6 +95,9 @@ def main(argv=None) -> int:
                      f"got {args.label!r}")
     if args.commit is not None and args.parent is not None:
         parser.error("--commit and --parent do not go together: both commits come from git")
+    if args.parent is not None and args.parent.resolve() == args.root.resolve():
+        parser.error(f"--parent {args.parent} is the --root checkout, so no pair would compare "
+                     "two trees")
     for root in (args.root, args.parent):
         if root is not None and not root.is_dir():
             sys.exit(f"checkout {root} is not a directory")
