@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .ensembles import EdgeSpec, EnsembleSpec, _whole, jacobi_window
+from .ensembles import EdgeSpec, EnsembleSpec, _edge, _whole, jacobi_window
 from .errors import InvalidParams, WindowTooSmall, refuse_overflow
 from .testfun import ResolventTestFunction, _rational
 from .tridiagonal import TridiagonalMatrix, _refuse_dense
@@ -46,7 +46,7 @@ __all__ = [
 def default_margin(n: int, edge: EdgeSpec) -> int:
     """Default truncation margin 4 * ceil(n^(alpha/2 + eps))."""
     n = _whole(n, "margin needs an integer n >= 1")
-    return 4 * math.ceil(n ** (edge.alpha / 2 + edge.epsilon))
+    return 4 * math.ceil(n ** (_edge(edge).alpha / 2 + edge.epsilon))
 
 
 # identity columns per banded solve in build_F; wider than the 66-row window
@@ -78,10 +78,13 @@ def build_F(
     when f is not rational.
     """
     n = _whole(n, "cumulants need an integer n >= 1")
+    edge = _edge(edge)
     _rational(f, "the window operator")
     if window is None:
         margin = default_margin(n, edge)
         window = (max(1, n - margin) if two_sided else 1, n + margin)
+    if not (isinstance(window, (tuple, list)) and len(window) == 2):
+        raise InvalidParams(f"window must be a pair (lo, hi), got {window!r}")
     lo, hi = window
     rule = f"window {window} must satisfy 1 <= lo <= n, hi > n"
     lo, hi = _whole(lo, rule, 1, n), _whole(hi, rule, n + 1)
@@ -381,6 +384,8 @@ def convergence_sweep(
     rows that couple to n (see _first_coupled_row), a small corner of F at
     large n.
     """
+    if not np.iterable(n_list):
+        raise InvalidParams(f"n_list must be a list of integers, got {n_list!r}")
     n_list = [_whole(n, "cumulants need an integer n >= 1") for n in n_list]
     if n_list != sorted(n_list) or not n_list:
         raise InvalidParams("n_list must be nonempty and ascending")

@@ -191,6 +191,13 @@ def _side(side) -> Side:
     return side
 
 
+def _edge(edge) -> "EdgeSpec":
+    """edge when it is an EdgeSpec; anything else, "right" included, raises InvalidParams."""
+    if not isinstance(edge, EdgeSpec):
+        raise InvalidParams(f"edge must be an EdgeSpec, got {edge!r}")
+    return edge
+
+
 def _positive_real(value, name: str):
     """value when ``_finite_real`` holds and value > 0; else InvalidParams naming it."""
     if not (_finite_real(value) and value > 0):
@@ -563,7 +570,7 @@ def check_hypotheses(
     Raises OutOfDomain when the window leaves the family's support.
     """
     n = _whole(n, "hypotheses need an integer n >= 1")
-    x0 = edge.center(spec, n)
+    x0 = _edge(edge).center(spec, n)
     q = _hypothesis_quantities(spec, n, edge.alpha, edge.epsilon, x0)
 
     if thresholds is None:

@@ -7,9 +7,11 @@ The limiting edge variance of a mesoscopic linear statistic is
 with s = +1 at the left edge and s = -1 at the right edge.  Two independent
 routes are provided: adaptive double quadrature for arbitrary decaying f, and
 the exact residue sum for rational test functions.  The quadrature integrates
-over a truncated square [-L, L]^2 whose half-width follows from a rigorous
-tail bound of the integrand by the weighted Lipschitz norm; a tangent change
-of variables makes composite Gauss-Legendre panels efficient on that square.
+over a truncated square [-L, L]^2 whose half-width follows from a tail bound
+of the integrand by the weighted Lipschitz norm; a tangent change of
+variables makes composite Gauss-Legendre panels efficient on that square.
+The bound is rigorous for a pole sum, whose norm has a closed form; for any
+other f the norm, like the fit's achieved norm, is a grid sup that can read low.
 """
 
 from __future__ import annotations
@@ -40,17 +42,13 @@ _MAX_LEVEL = 9             # panel refinement stops at 2^9 panels per axis
 _PI_SQUARED_TOL = 1e-7
 _FIT_GRID_POINTS = 2000
 _MAX_POLES = 1000          # the fit's design matrix is ~4800 x M float64: 38 MB at the cap
-# rows per panel of the Lipschitz pair loop, and points per column block it
-# may skip.  A panel takes one quotient per unordered pair (columns at and
-# right of its first row), keeps both weight orders, needs abs only in its own
-# square block and gives the dense formula's bits.  Two 32 x 2001 float64
-# buffers (1 MB) fit in L2.  Smaller blocks bound tighter but pay more calls
-# per pair: at grid 2001, im:1/(x-i) / a two-pole f / the 20-pole fit residuals
-# of bump and hat took 10.1/8.3/8.1/7.7 ms per norm with 16 rows, 8.0/6.7/5.3/5.2
-# with 32, 8.3/7.4/4.9/4.7 with 64 and 11.8/10.9/6.1/6.1 with 128 (medians of 15
-# interleaved rounds, 2-core Xeon); computing every pair took 14-16 ms with 32
+# rows per panel of the Lipschitz pair loop.  A panel takes one quotient per
+# unordered pair (columns at and right of its first row), keeps both weight
+# orders, needs abs only in its own square block and gives the dense formula's
+# bits.  Two 32 x 2001 float64 buffers (1 MB) fit in L2; at grid 2001 a norm of
+# im:1/(x-i) took 14.4 / 13.1 / 14.2 / 15.7 ms with 16 / 32 / 64 / 128 rows (2-core Xeon)
 _LIPSCHITZ_PANEL_ROWS = 32
-_MAX_LIPSCHITZ_GRID = 20001  # 2e8 pairs, 1.1-1.3 s per norm at the cap (2-core Xeon)
+_MAX_LIPSCHITZ_GRID = 20001  # 2e8 pairs, 1.0-1.1 s per norm at the cap (2-core Xeon)
 _MIN_POLE_HEIGHT = math.sqrt(np.finfo(float).tiny)  # 1.5e-154: (Im lambda)^2 stays a normal float
 
 
@@ -105,7 +103,8 @@ def _double_integral_tan(
         chunk = max(1, 2 ** 22 // len(x))
         for start in range(0, len(x), chunk):
             block = integrand(x[start : start + chunk, None], x[None, :])
-            value += float(wx[start : start + chunk] @ block @ wx)
+            block *= wx[None, :]  # row sums and fsum, not BLAS, whose kernel sets the order
+            value += math.fsum(np.sum(block, axis=1) * wx[start : start + chunk])
         rounding = math.sqrt(len(x)) * np.finfo(float).eps * abs(value)
         if rounding > 0.4 * raw_tol:
             raise NoConvergence(
@@ -160,21 +159,6 @@ def _values_on(f, xs: np.ndarray, name: str, where: str) -> np.ndarray:
     return values
 
 
-def _later_block_bounds(b: int, first, last, xs, w, fmin, fmax) -> np.ndarray:
-    """For each block after block b, a bound on every computed quotient of a pair
-    with one point in block b and one in that block.
-
-    Block k holds the ascending grid points first[k] .. last[k], and f ranges
-    over [fmin[k], fmax[k]] there; ``weighted_lipschitz_norm`` gives the argument.
-    """
-    later = slice(b + 1, None)
-    with np.errstate(over="ignore"):  # an inf bound only keeps its block
-        gap = np.maximum(fmax[later] - fmin[b], fmax[b] - fmin[later])
-        near = w[last[b]] * w[first[later]] / (xs[first[later]] - xs[last[b]])
-        far = w[first[b]] * w[last[later]] / (xs[last[later]] - xs[first[b]])
-        return gap * np.maximum(near, far) * (1 + 2 ** -40) + 2.0 ** -1070 * max(w[0], w[-1]) ** 2
-
-
 def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2001) -> float:
     """sup over pairs of sqrt(1+x^2) sqrt(1+y^2) |f(x)-f(y)| / |x-y| on a grid.
 
@@ -191,22 +175,13 @@ def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2
     (rows * grid) buffers: memory is O(rows * grid), not O(grid^2).  The grid
     ascends, so x_j - x_i is |x_i - x_j| to the bit and only the panel's own
     square block needs ``abs``.  The dense grid x grid formula meets each pair
-    from both rows, as (q w_i) w_j and (q w_j) w_i; both products are kept.
-
-    The diagonal's sup seeds the running sup, and a panel skips every later
-    column block that cannot reach it.  With x = tan(theta) the pair's weight
-    factor w_i w_j / (x_j - x_i) is 1 / sin(theta_j - theta_i); sine is
-    concave on (0, pi), so over a row block I and a later column block J the
-    factor is largest at a corner pair, (last of I, first of J) or (first of
-    I, last of J), and |f_i - f_j| is at most max(fmax_J - fmin_I, fmax_I -
-    fmin_J).  Their product times 1 + 2^-40, which covers the few ulps by which
-    either side is rounded, plus 2^-1070 max(w)^2, which covers the rounding of
-    quotients below the normal range, bounds every computed quotient of the
-    block pair.  A block whose bound is below the running sup is skipped; the
-    others are computed by the same operations in the same order, so the sup
-    is the dense formula's to the bit.  InvalidParams when ``grid`` is not an
-    integer in range, when f does not give one real number per grid point,
-    when f has a NaN or infinite value on the grid, or when f' has a NaN value.
+    from both rows, as (q w_i) w_j and (q w_j) w_i; both products are kept, so
+    the sup is the dense formula's to the bit.  A grid sup reads at or below
+    the true sup, far below it near a pole close to the real axis: it is an
+    estimate, not a bound (``_pole_sum_norm`` bounds a pole sum).  InvalidParams
+    when ``grid`` is not an integer in range, when f does not give one real
+    number per grid point, when f has a NaN or infinite value on the grid, or
+    when f' has a NaN value.
     """
     grid = _whole(grid, "the Lipschitz grid must be an integer with at least 2 points "
                   f"and at most {_MAX_LIPSCHITZ_GRID}", 2, _MAX_LIPSCHITZ_GRID)
@@ -218,37 +193,38 @@ def weighted_lipschitz_norm(f: Callable[[np.ndarray], np.ndarray], grid: int = 2
     sup = float(np.max(diag))
     w = np.sqrt(1 + xs ** 2)
     rows = min(_LIPSCHITZ_PANEL_ROWS, grid)
-    first = np.arange(0, grid, rows)  # block b is points first[b] .. last[b]
-    last = np.minimum(first + rows, grid) - 1
-    fmin = np.minimum.reduceat(fx, first)
-    fmax = np.maximum.reduceat(fx, first)
-    q_buf = np.empty(rows * grid)
-    d_buf = np.empty(rows * grid)
-    for b, s in enumerate(first.tolist()):
-        e = int(last[b]) + 1
-        bound = _later_block_bounds(b, first, last, xs, w, fmin, fmax)
-        # runs of kept blocks, the panel's own block always among them
-        keep = np.concatenate(([0, 1], bound >= sup, [0])).astype(np.int8)
-        steps = np.diff(keep)
-        for r0, r1 in zip(np.flatnonzero(steps == 1).tolist(), np.flatnonzero(steps == -1).tolist()):
-            c0, c1 = int(first[b + r0]), int(last[b + r1 - 1]) + 1
-            shape = (e - s, c1 - c0)  # rows s..e-1 against columns c0..c1-1
-            q = q_buf[: shape[0] * shape[1]].reshape(shape)
-            d = d_buf[: shape[0] * shape[1]].reshape(shape)
-            np.subtract(fx[s:e, None], fx[None, c0:c1], out=q)
-            np.abs(q, out=q)
-            np.subtract(xs[None, c0:c1], xs[s:e, None], out=d)
-            if c0 == s:
-                local = np.arange(e - s)
-                np.abs(d[:, : e - s], out=d[:, : e - s])  # j < i only inside the own block
-                d[local, local] = 1.0  # q's diagonal is then |f_i - f_i| / 1 * w_i^2 = 0 exactly
-            q /= d
-            np.multiply(q, w[None, c0:c1], out=d)  # (q w_j) w_i, the pair as row j meets it
-            d *= w[s:e, None]
-            q *= w[s:e, None]  # (q w_i) w_j, the pair as row i meets it
-            q *= w[None, c0:c1]
-            sup = max(sup, float(q.max()), float(d.max()))
+    q_buf, d_buf = np.empty(rows * grid), np.empty(rows * grid)
+    for s in range(0, grid, rows):
+        e = min(s + rows, grid)
+        shape = (e - s, grid - s)  # rows s..e-1 against columns s..grid-1
+        q = q_buf[: shape[0] * shape[1]].reshape(shape)
+        d = d_buf[: shape[0] * shape[1]].reshape(shape)
+        local = np.arange(e - s)
+        np.subtract(fx[s:e, None], fx[None, s:], out=q)
+        np.abs(q, out=q)
+        np.subtract(xs[None, s:], xs[s:e, None], out=d)
+        np.abs(d[:, : e - s], out=d[:, : e - s])  # j < i only inside the panel's own block
+        d[local, local] = 1.0  # q's diagonal is then |f_i - f_i| / 1 * w_i^2 = 0 exactly
+        q /= d
+        np.multiply(q, w[None, s:], out=d)  # (q w_j) w_i, the pair as row j meets it
+        d *= w[s:e, None]
+        q *= w[s:e, None]  # (q w_i) w_j, the pair as row i meets it
+        q *= w[None, s:]
+        sup = max(sup, float(q.max()), float(d.max()))
     return sup
+
+
+def _pole_sum_norm(f: ResolventTestFunction) -> float:
+    """An upper bound on the weighted Lipschitz norm of f = sum_r Im(d_r / (x - lambda_r)).
+
+    (f(x) - f(y)) / (x - y) = -sum_r Im(d_r / ((x - lambda_r)(y - lambda_r))), so the pairs,
+    the diagonal (1+x^2)|f'| and the pairs at infinity are at most sum_r |d_r| G_r^2, where
+    G^2 = sup_x (1+x^2) / |x - lambda|^2 = (1 + |lambda|^2 + sqrt(D)) / (2 (Im lambda)^2) and
+    D = (1 + |lambda|^2)^2 - 4 (Im lambda)^2 = |lambda - i|^2 |lambda + i|^2, the product not
+    cancelling near lambda = i.  1 + 2^-40 covers the rounding of these O(r) flops."""
+    lam = np.asarray(f.poles)
+    g2 = (1 + np.abs(lam) ** 2 + np.abs(lam - 1j) * np.abs(lam + 1j)) / (2 * lam.imag ** 2)
+    return float(np.sum(np.abs(f.weights) * g2) * (1 + 2 ** -40))
 
 
 def _dominating_integrand(X, Y):
@@ -308,19 +284,20 @@ def _variance_integrand(f, s: float):
 def sigma2_quadrature(f, side: Side, tol: float = 1e-7) -> LimitVariance:
     """Limiting edge variance of f by adaptive double quadrature.
 
-    ``f`` is any real function decaying at infinity (rational or compactly
-    supported).  est_error is the last refinement step plus the rounding term
-    plus the weighted-Lipschitz tail bound; NoConvergence when tol lies below
-    the rounding floor, InvalidParams when f is so large that a value, its
-    norm or the integral overflows the float range, or when a pole of a
-    rational f lies closer than 1.5e-154 to the real axis.
+    ``f`` is any real function decaying at infinity (rational or compactly supported).
+    est_error is the last refinement step plus the rounding term plus the tail bound, which
+    is rigorous for a pole sum (closed-form norm ``_pole_sum_norm``) and else built on the
+    grid estimate ``weighted_lipschitz_norm``, which can read low.  NoConvergence when tol
+    lies below the rounding floor, InvalidParams when f is so large that a value, its norm
+    or the integral overflows the float range, or when a pole of a rational f lies closer
+    than 1.5e-154 to the real axis.
     """
     _positive_real(tol, "quadrature tolerance")
     s = 1.0 if _side(side) is Side.LEFT else -1.0
     _refuse_poles_near_axis(f)
     with refuse_overflow("the variance quadrature of f"):
-        bound = weighted_lipschitz_norm(f) ** 2
-        value, est = _truncated_square(_variance_integrand(f, s), bound, 8 * math.pi ** 2, tol)
+        lw = _pole_sum_norm if isinstance(f, ResolventTestFunction) else weighted_lipschitz_norm
+        value, est = _truncated_square(_variance_integrand(f, s), lw(f) ** 2, 8 * math.pi ** 2, tol)
     return LimitVariance(value=value, method="quadrature", side=side, est_error=est)
 
 
@@ -384,8 +361,8 @@ def fit_resolvent_approximation(
     weighted linear least-squares problem combining value rows (weight
     sqrt(1+x^2), which controls the pairs-at-infinity part of the weighted
     Lipschitz norm) and consecutive difference-quotient rows (weight
-    sqrt(1+x_i^2) sqrt(1+x_{i+1}^2), the norm's seminorm part).  Returns the
-    fitted test function and its achieved weighted-Lipschitz distance to f.
+    sqrt(1+x_i^2) sqrt(1+x_{i+1}^2), the norm's seminorm part).  Returns the fitted test
+    function and its weighted-Lipschitz distance to f, a grid estimate that can read low.
 
     Raises IllConditioned when the design matrix condition exceeds 1e12
     (reduce M or raise pole_height), and InvalidParams, before any solve, when

@@ -293,6 +293,15 @@ def transfer_spectrum(J: TridiagonalMatrix) -> TransferSpectrum:
     )
 
 
+def _indices(idx):
+    """idx as a Python int or int64 array when its values are whole numbers >= 1."""
+    if isinstance(idx, np.ndarray) and idx.dtype.kind in "iu":
+        idx = idx.astype(np.int64)  # an unsigned value above the int64 range wraps below 1
+        if (idx >= 1).all():
+            return idx
+    return _whole(idx, "indices are 1-based integers")
+
+
 def free_resolvent_entry(
     eta: complex, n_alpha: float, side: Side, j: int | np.ndarray, k: int | np.ndarray
 ) -> complex | np.ndarray:
@@ -305,15 +314,15 @@ def free_resolvent_entry(
 
     where u is the root of u + 1/u = x0 + eta/n^alpha with |u| < 1.  Finite
     truncations converge to this exponentially fast.  ``j`` and ``k`` may be
-    integer arrays; they broadcast against each other.
+    integer arrays; they broadcast against each other.  InvalidParams when an
+    index is not a whole number >= 1: a bool, a float or a float array.
     """
     eta = complex(eta)
     if eta.imag == 0:
         raise InvalidParams("free resolvent needs Im eta != 0")
     _positive_real(n_alpha, "n^alpha")
     x0 = -2.0 if _side(side) is Side.LEFT else 2.0
-    if np.any(np.asarray(j) < 1) or np.any(np.asarray(k) < 1):
-        raise InvalidParams("indices are 1-based")
+    j, k = _indices(j), _indices(k)
     zp = x0 + eta / n_alpha
     u = (zp - cmath.sqrt(zp * zp - 4)) / 2
     if abs(u) > 1:

@@ -5,7 +5,9 @@ range, handed on as a Python int; an edge side (``_side``) is a ``Side``; a
 positive real (``_positive_real``) is a finite real number above 0, not a bool.
 Each bad input raises its site's ``OpemesoError`` class before any coefficient
 is read, any resolvent is solved, any power block is formed or any sample is
-drawn: the stand-ins below raise ``AssertionError`` when reached.
+drawn: the stand-ins below raise ``AssertionError`` when reached.  So does an
+argument of the wrong container or class: a window that is not a pair, an
+edge that is not an ``EdgeSpec``, an index that is not a whole number.
 """
 
 import json
@@ -154,6 +156,39 @@ def test_real_refused(call, value):
         call(value)
 
 
+# (site, call): each call passes an argument of the wrong container or class
+CONTAINERS = [
+    ("sweep-n_list-None", lambda: om.convergence_sweep(BOOM_SPEC, EDGE_X0, IM_G, None)),
+    ("build_F-window-int", lambda: om.build_F(BOOM_SPEC, 20, EDGE_X0, IM_G, window=5)),
+    ("build_F-window-triple", lambda: om.build_F(BOOM_SPEC, 20, EDGE_X0, IM_G, window=(1, 2, 3))),
+    ("build_F-edge-str", lambda: om.build_F(BOOM_SPEC, 100, "right", IM_G)),
+    ("build_F-edge-str-window", lambda: om.build_F(BOOM_SPEC, 20, "right", IM_G, window=(1, 40))),
+    ("check_hypotheses-edge-str", lambda: om.check_hypotheses(BOOM_SPEC, 20, "right")),
+    ("default_margin-edge-str", lambda: om.default_margin(100, "right")),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in CONTAINERS],
+                         ids=[site for site, _ in CONTAINERS])
+def test_wrong_container_refused(call):
+    with pytest.raises(InvalidParams):
+        call()
+
+
+@pytest.mark.parametrize("where", ["j", "k"])
+@pytest.mark.parametrize(
+    "index",
+    [1.5, 2.0, True, 0, -1, None, "1", [1, 2], np.array([1.0, 2.5]), np.array([1.0, 2.0]),
+     np.array([1, 0]), np.array([True, True]), np.array([2 ** 63], dtype=np.uint64)],
+    ids=repr,
+)
+def test_free_resolvent_index_refused(where, index):
+    # 1.5 once answered 0.234 - 0.675i from u^0.5 terms
+    j, k = (index, 1) if where == "j" else (1, index)
+    with pytest.raises(InvalidParams, match="indices are 1-based integers"):
+        om.free_resolvent_entry(1j, 10.0, om.Side.LEFT, j, k)
+
+
 def test_left_edge_residue_differs_from_the_right():
     # "left" once gave the right edge's value
     f = om.parse_test_function("re:1/(x-i)+im:0.5/(x-0.3+2i)")
@@ -185,6 +220,9 @@ SAME_BYTES = [
         om.TridiagonalMatrix(np.zeros(400), np.ones(399), 2.0 + 0.01j), to(200))),
     ("lipschitz", lambda to: om.weighted_lipschitz_norm(IM_G, to(65))),
     ("fit", lambda to: om.fit_resolvent_approximation(cli._make_target("hat:0,1"), to(6))),
+    ("free_resolvent_entry", lambda to: (
+        om.free_resolvent_entry(1j, 30.0, om.Side.RIGHT, to(3), to(5)),
+        om.free_resolvent_entry(1j, 30.0, om.Side.RIGHT, np.array([to(1), to(7)]), to(3)))),
 ]
 
 

@@ -347,35 +347,10 @@ class TestWeightedLipschitzNorm:
             assert om.weighted_lipschitz_norm(const, grid) == self.dense_norm(const, grid)
             assert om.weighted_lipschitz_norm(const, grid) == 0.0
 
-    @pytest.mark.parametrize(
-        "f",
-        [IM_G, RE_G, TWO_POLE, lambda x: TWO_POLE(-x * x), _make_target("hat:0,1"),
-         lambda x: np.where(np.asarray(x) < -20.2, 5e-324, 0.0)],
-        ids=["im", "re", "two-pole", "two-pole-edge-form", "hat", "subnormal-step"],
-    )
-    def test_block_bounds_hold_every_dense_quotient(self, f):
-        # each later block's bound is at least the dense max over the block
-        # pair, in both weight orders; the far corner holds for re, whose sup
-        # joins the two end blocks, the subnormal slack for the step
-        grid, rows = 2001, 32
-        xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, grid))
-        fx = np.asarray(f(xs), dtype=float)
-        w = np.sqrt(1 + xs ** 2)
-        first = np.arange(0, grid, rows)
-        last = np.minimum(first + rows, grid) - 1
-        fmin, fmax = np.minimum.reduceat(fx, first), np.maximum.reduceat(fx, first)
-        quot, _ = self.dense_pairs(f, grid)
-        both = np.maximum(quot, quot.T)
-        block_max = np.maximum.reduceat(np.maximum.reduceat(both, first, axis=0), first, axis=1)
-        for b in range(len(first)):
-            bound = limits._later_block_bounds(b, first, last, xs, w, fmin, fmax)
-            assert (block_max[b, b + 1 :] <= bound).all(), b
-
     def test_quotients_below_the_normal_range_are_not_skipped(self, monkeypatch):
         # f = 5e-324 left of grid point 31: the pair (31, 32) rounds 29 % above
-        # its exact quotient, the diagonal's sup lies between the two, so a
-        # bound without its subnormal slack would skip the block that holds
-        # the dense sup
+        # its exact quotient, and the diagonal's sup lies between the two; the
+        # sup is still the dense formula's rounded quotient
         xs = np.tan(np.linspace(-math.pi / 2 + 1e-6, math.pi / 2 - 1e-6, 2001))
         edge = 0.5 * (xs[31] + xs[32])
 
@@ -422,6 +397,55 @@ class TestWeightedLipschitzNorm:
                 om.weighted_lipschitz_norm(f)
             else:
                 om.sigma2_quadrature(f, om.Side.LEFT)
+
+
+class TestPoleSumNorm:
+    """The closed form sum_r |d_r| G_r^2, an upper bound on the weighted Lipschitz norm."""
+
+    def test_unit_pole_is_one(self):
+        # the sup of (1+x^2) / |x - i|^2 is 1, and the margin adds 2^-40
+        assert 1.0 <= limits._pole_sum_norm(IM_G) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize(
+        "pole, closed",
+        [(0.3 + 0.1j, 109.08), (0.3 + 1e-3j, 1.09e6), (0.37 + 1e-4j, 1.137e8),
+         (0.37 + 1e-5j, 1.137e10)],
+    )
+    def test_bounds_the_diagonal_near_a_low_pole(self, pole, closed):
+        # the 2001-point grid misses the peak of (1+x^2)|f'| at x = Re lambda,
+        # by up to 1e5x at height 1e-5; 2e6 points within 50 heights resolve it
+        f = om.ResolventTestFunction((pole,), (1.0,))
+        norm = limits._pole_sum_norm(f)
+        assert norm == pytest.approx(closed, rel=1e-3)
+        xs = pole.real + pole.imag * np.linspace(-50, 50, 2_000_001)
+        assert norm >= float(np.max((1 + xs ** 2) * np.abs(f.derivative(xs))))
+        assert norm > om.weighted_lipschitz_norm(f)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-3, 3), st.floats(0.05, 3), st.floats(-2, 2), st.floats(-2, 2)),
+            min_size=1, max_size=3,
+        ),
+        st.integers(2, 2001),
+    )
+    @settings(max_examples=60, deadline=None)
+    # re:1/(x-i): the grid reads 1.0000000000000004, above the unrounded closed form 1.0
+    @example([(0.0, 1.0, 0.0, 1.0)], 2001)
+    def test_at_least_the_grid_norm(self, poles, grid):
+        f = om.ResolventTestFunction(
+            tuple(complex(re, im) for re, im, _, _ in poles),
+            tuple(complex(a, b) for _, _, a, b in poles),
+        )
+        assert limits._pole_sum_norm(f) >= om.weighted_lipschitz_norm(f, grid)
+
+    @pytest.mark.parametrize("side", [om.Side.LEFT, om.Side.RIGHT])
+    def test_quadrature_of_a_pole_sum_takes_no_grid_norm(self, side, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid norm called for a pole sum")
+
+        monkeypatch.setattr(limits, "weighted_lipschitz_norm", refuse)
+        q = om.sigma2_quadrature(TWO_POLE, side)
+        assert abs(q.value - om.sigma2_residue(TWO_POLE, side).value) <= q.est_error
 
 
 class TestVarianceApproximationChain:
