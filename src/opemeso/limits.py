@@ -221,10 +221,11 @@ def _pole_sum_norm(f: ResolventTestFunction) -> float:
     the diagonal (1+x^2)|f'| and the pairs at infinity are at most sum_r |d_r| G_r^2, where
     G^2 = sup_x (1+x^2) / |x - lambda|^2 = (1 + |lambda|^2 + sqrt(D)) / (2 (Im lambda)^2) and
     D = (1 + |lambda|^2)^2 - 4 (Im lambda)^2 = |lambda - i|^2 |lambda + i|^2, the product not
-    cancelling near lambda = i.  1 + 2^-40 covers the rounding of these O(r) flops."""
+    cancelling near lambda = i.  1 + 2^-40 covers the rounding of these O(r) flops, and
+    2^-1072 added to each |d_r| (absorbed by a normal |d_r|) the rounding below the normal range."""
     lam = np.asarray(f.poles)
     g2 = (1 + np.abs(lam) ** 2 + np.abs(lam - 1j) * np.abs(lam + 1j)) / (2 * lam.imag ** 2)
-    return float(np.sum(np.abs(f.weights) * g2) * (1 + 2 ** -40))
+    return float(np.sum((np.abs(f.weights) + 2.0 ** -1072) * g2) * (1 + 2 ** -40))
 
 
 def _dominating_integrand(X, Y):

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import cython_lapack
 
 from ._files import write_in_place
-from .ensembles import EdgeSpec, EnsembleSpec, Family, _whole
+from .ensembles import EdgeSpec, EnsembleSpec, Family, _edge, _whole
 from .errors import InvalidParams, NoConvergence, Unsupported, refuse_overflow
 from .testfun import ResolventTestFunction, _rational
 
@@ -272,7 +272,7 @@ def sample_statistic(
     """
     _rational(f, "the trace statistic")
     n, count, seed, gamma = _checked_request(ensemble, n, count, seed)
-    scale = float(n) ** -edge.alpha
+    scale = float(n) ** -_edge(edge).alpha
     w = edge.center(ensemble, n) + scale * np.asarray(f.poles)
     c = scale * np.asarray(f.weights)
     width = max(_MIN_SWEEP, _SWEEP_ENTRIES // (n * len(w)))
@@ -296,7 +296,7 @@ def spectra_statistic(batch: SampleBatch, f, edge: EdgeSpec) -> np.ndarray:
     The eigenvalue route: any f, including the non-rational ones
     ``sample_statistic`` refuses.
     """
-    n_alpha = float(batch.n) ** edge.alpha
+    n_alpha = float(batch.n) ** _edge(edge).alpha
     x0 = edge.center(batch.ensemble, batch.n)
     return np.asarray(f(n_alpha * (batch.spectra - x0))).sum(axis=1)
 

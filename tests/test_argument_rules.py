@@ -165,6 +165,10 @@ CONTAINERS = [
     ("build_F-edge-str-window", lambda: om.build_F(BOOM_SPEC, 20, "right", IM_G, window=(1, 40))),
     ("check_hypotheses-edge-str", lambda: om.check_hypotheses(BOOM_SPEC, 20, "right")),
     ("default_margin-edge-str", lambda: om.default_margin(100, "right")),
+    ("sample_statistic-edge-str",
+     lambda: om.sample_statistic(om.hermite(), 10, 2, 1, IM_G, "right")),
+    ("spectra_statistic-edge-str", lambda: om.spectra_statistic(
+        SimpleNamespace(n=10, ensemble=BOOM_SPEC, spectra=None), IM_G, "right")),
 ]
 
 

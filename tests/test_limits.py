@@ -421,11 +421,30 @@ class TestPoleSumNorm:
         assert norm >= float(np.max((1 + xs ** 2) * np.abs(f.derivative(xs))))
         assert norm > om.weighted_lipschitz_norm(f)
 
+    @pytest.mark.parametrize(
+        "pole, weight",
+        [(1.00000001j, 1.0), (1e-8 + 1j, 1.0), (1e-9 + 1.00000001j, 1.0),
+         (1 + 1j, 5 * 2.0 ** -1074)],
+        ids=["above-i", "right-of-i", "near-i", "subnormal-weight"],
+    )
+    def test_at_least_the_exact_bound(self, pole, weight):
+        # (1 + |lambda|^2)^2 - 4 (Im lambda)^2 cancels near i: taken as that
+        # difference, G^2 reads 1e-8 low there, far below the 2^-40 margin; and
+        # 5 * 2^-1074 G^2 = 13.09 subnormal ulps rounds down to 13
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            a, b = mpmath.mpf(pole.real), mpmath.mpf(pole.imag)
+            m2 = a * a + b * b
+            exact = weight * (1 + m2 + mpmath.sqrt((1 + m2) ** 2 - 4 * b * b)) / (2 * b * b)
+        assert limits._pole_sum_norm(om.ResolventTestFunction((pole,), (weight,))) >= exact
+
+    # below |d| ~ 1e-300 the values of f underflow, and the grid norm of the rounded
+    # values is no reference: for d = 5e-324 at i it reads 3.1e-321, the true sup 5e-324
+    WEIGHT = st.floats(-2, 2).map(lambda v: v if abs(v) >= 1e-300 else 0.0)
+
     @given(
-        st.lists(
-            st.tuples(st.floats(-3, 3), st.floats(0.05, 3), st.floats(-2, 2), st.floats(-2, 2)),
-            min_size=1, max_size=3,
-        ),
+        st.lists(st.tuples(st.floats(-3, 3), st.floats(0.05, 3), WEIGHT, WEIGHT),
+                 min_size=1, max_size=3),
         st.integers(2, 2001),
     )
     @settings(max_examples=60, deadline=None)
