@@ -169,7 +169,7 @@ def criterion_7_dominated_bound() -> tuple[bool, str]:
 
 
 def criterion_8_oracle_equivalence() -> tuple[bool, str]:
-    """Recursion inverse vs dense LU on 200 random matrices; T+H vs oracle at N=300."""
+    """Recursion inverse vs dense LU on 200 random matrices; T+H and the split's H at N=300."""
     rng = np.random.default_rng(7321)
     worst = 0.0
     for _ in range(200):
@@ -181,15 +181,22 @@ def criterion_8_oracle_equivalence() -> tuple[bool, str]:
         oracle = invert_dense_oracle(J)
         dev = np.max(np.abs(TridiagonalResolvent(J).dense() - oracle))
         worst = max(worst, float(dev / np.max(np.abs(oracle))))
-    # almost-Toeplitz reconstruction against the oracle
+    # T+H vs oracle: H = R - T, so this checks the entry oracle at N = 300, not the split
     N = 300
     diag = 2.0 + 0.1 * np.arange(N) / N
     off = 1.0 + 0.05 * np.arange(N - 1) / N
     J = TridiagonalMatrix(diag, off, 0.05 + 0.02j)
     dec = almost_toeplitz_decompose(J)
     trec = np.max(np.abs(dec.T + dec.H - invert_dense_oracle(J)))
-    ok = worst <= 1e-10 and trec <= 1e-10
-    return ok, f"max rel dev {worst:.3e} (tol 1e-10); |T+H - oracle| {trec:.3e} (tol 1e-10)"
+    # the split: for b = 2, a = 1, z = 0.1i its H starts as the first row's reflection
+    # -(-w)^(j+k) / (1/w - w), w the root of w + 1/w = 2 - z inside the unit circle
+    root = np.sqrt((2 - 0.1j) ** 2 - 4)
+    w, jk = (2 - 0.1j - root) / 2, np.add.outer(np.arange(1, 41), np.arange(1, 41))
+    free = almost_toeplitz_decompose(TridiagonalMatrix(np.full(N, 2.0), np.ones(N - 1), 0.1j))
+    hdev = np.max(np.abs(free.H[:40, :40] + (-w) ** jk / root)) / np.max(np.abs(free.T))
+    ok = worst <= 1e-10 and trec <= 1e-10 and hdev <= 1e-12
+    return ok, (f"max rel dev {worst:.3e} (tol 1e-10); |T+H - oracle| {trec:.3e} (tol 1e-10); "
+                f"H corner vs reflection {hdev:.3e} max|T| (tol 1e-12)")
 
 
 def criterion_9_decay_rates() -> tuple[bool, str]:

@@ -153,20 +153,19 @@ def invert_dense_oracle(J: TridiagonalMatrix) -> np.ndarray:
     return inv
 
 
-def _pivot_sweep(b: np.ndarray, a: np.ndarray, backward: bool) -> np.ndarray:
-    """Continued-fraction pivots p_1 = b_1, p_i = b_i - a_{i-1}^2 / p_{i-1}.
+def _pivots(b, a2) -> list:
+    """LDL^T (continued-fraction) pivots p_1 = b_1, p_i = b_i - a_{i-1}^2 / p_{i-1}; a2 = a^2.
 
-    ``backward=True`` runs the same sweep on the reversed arrays, from the
-    last row up, and returns the pivots in row order.
-    """
-    N = len(b)
-    if backward:
-        b, a = b[::-1], a[::-1]
-    p = np.empty(N, dtype=complex)
-    p[0] = b[0]
-    for i in range(1, N):
-        p[i] = b[i] - a[i - 1] ** 2 / p[i - 1]
-    return p[::-1] if backward else p
+    A zero pivot is replaced by -tiny, as LAPACK's dlaneg does, so the sweep
+    never divides by zero; it cannot happen when Im b != 0.  The element types
+    are the caller's: reversed inputs give the backward sweep in reverse order."""
+    p, out = 1.0, []
+    for bi, ai2 in zip(b, [0.0, *a2]):
+        p = bi - ai2 / p
+        if p == 0:
+            p = -_TINY
+        out.append(p)
+    return out
 
 
 class TridiagonalResolvent:
@@ -198,8 +197,9 @@ class TridiagonalResolvent:
         a = J.offdiag
         if np.any(a == 0.0):
             raise InvalidParams("resolvent recursions require nonzero off-diagonals")
-        self._d = d = _pivot_sweep(b, a, backward=True)        # d[j-1] = d_j
-        self._delta = _pivot_sweep(b, a, backward=False)       # delta[j-1] = delta_j
+        a2 = [x ** 2 for x in a]      # np.float64 powers, not always a * a: keeps the bytes
+        self._d = d = np.array(_pivots(b[::-1], a2[::-1])[::-1])   # d[j-1] = d_j
+        self._delta = np.array(_pivots(b, a2))                     # delta[j-1] = delta_j
         inv_diag = self._delta - np.append(a ** 2 / d[1:], 0)  # 1/R_jj
         t = -a / d[1:]                                         # t[l-2] = t_l, l = 2..N
         m = np.rint(np.angle(t) / (np.pi / 2)).astype(int) % 4
@@ -248,15 +248,20 @@ class TransferSpectrum:
     E_norms: np.ndarray
 
 
-def _transfer_eigenvalues(bz, a_prev, a_curr):
-    """(omega+, omega-, lambda+, lambda-) of the steps with data b - z, a_{j-1}, a_j."""
+def _transfer_steps(J: TridiagonalMatrix):
+    """(omega+, omega-, lambda+, lambda-, a_{l-1}) of the transfer steps l = 1..N, at index l-1.
+
+    Step l takes b_{l-1} - z, a_{l-1} and a_l: omega+- = (b - z +- sqrt((b - z)^2
+    - 4 a_{l-1} a_l)) / (2 a_{l-1}), lambda+- the same over 2 a_l.  The first and
+    last steps reference a_0 and a_N, which the matrix does not carry; both are
+    set to their nearest neighbours (a_0 := a_1, a_N := a_{N-1})."""
+    bz = J.diag.astype(complex) - J.shift
+    a_prev = np.concatenate([J.offdiag[:1], J.offdiag])
+    a_curr = np.concatenate([J.offdiag, J.offdiag[-1:]])
     root = np.sqrt(bz ** 2 - 4 * a_curr * a_prev)
-    return (
-        (bz + root) / (2 * a_prev),
-        (bz - root) / (2 * a_prev),
-        (bz + root) / (2 * a_curr),
-        (bz - root) / (2 * a_curr),
-    )
+    plus, minus = bz + root, bz - root
+    return (plus / (2 * a_prev), minus / (2 * a_prev), plus / (2 * a_curr),
+            minus / (2 * a_curr), a_prev)
 
 
 def _mismatch_norms(plus, minus):
@@ -275,12 +280,9 @@ def transfer_spectrum(J: TridiagonalMatrix) -> TransferSpectrum:
     N = J.N
     if N < 3:
         raise InvalidParams("transfer spectrum needs N >= 3")
-    a = J.offdiag
-    if np.any(a == 0.0):
+    if np.any(J.offdiag == 0.0):
         raise InvalidParams("transfer spectrum requires nonzero off-diagonals")
-    bz = J.diag.astype(complex) - J.shift
-    # steps j = 2..N-1 take b_{j-1}, a_{j-1} and a_j
-    omp, omm, lap, lam = _transfer_eigenvalues(bz[1 : N - 1], a[: N - 2], a[1 : N - 1])
+    omp, omm, lap, lam = (s[1 : N - 1] for s in _transfer_steps(J)[:4])   # steps 2..N-1
     return TransferSpectrum(
         js=np.arange(2, N),
         omega_plus=omp,
@@ -366,10 +368,8 @@ class AlmostToeplitzDecomposition:
 def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecomposition:
     """Almost-Toeplitz split of the inverse of a shifted tri-diagonal matrix.
 
-    The first and last transfer steps reference a_0 and a_N, which the matrix
-    does not carry; both are set to their nearest neighbours (a_0 := a_1,
-    a_N := a_{N-1}).  The choice only rescales boundary bookkeeping and is
-    absorbed by H.
+    The boundary choice of ``_transfer_steps`` (a_0 := a_1, a_N := a_{N-1}) only
+    rescales boundary bookkeeping and is absorbed by H.
 
     The entry oracle's pivots are the only recurrence solved: with alternating
     signs they give the bottom and top solutions of (J - z) u = 0, v_j / v_{j+1}
@@ -390,11 +390,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     bz = J.diag.astype(complex) - J.shift        # b_{l-1} - z at python index l-1
     a = J.offdiag
     d = res._d
-
-    # transfer eigenvalues for steps l = 1..N (boundary conventions above)
-    a_prev = np.concatenate([[a[0]], a])          # a_{l-1}, l = 1..N
-    a_curr = np.concatenate([a, [a[-1]]])         # a_l,     l = 1..N
-    omp, omm, lap, lam = _transfer_eigenvalues(bz, a_prev, a_curr)  # index l-1 <-> step l
+    omp, omm, lap, lam, a_prev = _transfer_steps(J)   # index l-1 <-> step l
 
     opN1, omN1 = omp[N - 2], omm[N - 2]           # step N-1
     lpN1, lmN1 = lap[N - 2], lam[N - 2]
@@ -530,30 +526,32 @@ def _resolvent_row(J: TridiagonalMatrix, ref_row: int) -> np.ndarray:
 def decay_profile(J: TridiagonalMatrix, ref_row: int) -> DecayFit:
     """Fit log|(J^-1)_{ref_row, k}| ~ intercept - rate * |k - ref_row|.
 
-    Entries below 1e-13 times the row maximum are excluded so the noise
-    floor does not bias the slope; a fit needs entries at two distinct
-    distances above it.
+    Entries below 1e-13 times the row maximum are excluded so the noise floor
+    does not bias the slope; a fit needs entries at two distinct distances above
+    it.  The line is the exact least-squares fit of the kept doubles, rounded
+    once, from integer sums: no BLAS call, so no byte depends on the BLAS kernel.
     """
     [ref_row] = _check_rows(J.N, ref_row)
-    row = _resolvent_row(J, ref_row)
-    ks = np.arange(1, J.N + 1)
-    dist = np.abs(ks - ref_row)
-    mags = np.abs(row)
+    mags = np.abs(_resolvent_row(J, ref_row))
+    dist = np.abs(np.arange(1, J.N + 1) - ref_row)
     mask = (dist > 0) & (mags > _DECAY_FLOOR * mags.max())
     distinct = np.unique(dist[mask]).size
     if distinct < 2:
-        raise InvalidParams(
-            f"decay fit needs entries at two distinct distances above the "
-            f"{_DECAY_FLOOR:g} floor, found {distinct}"
-        )
-    x = dist[mask].astype(float)
+        raise InvalidParams(f"decay fit needs entries at two distinct distances above the "
+                            f"{_DECAY_FLOOR:g} floor, found {distinct}")
     y = np.log(mags[mask])
-    slope, intercept = np.polyfit(x, y, 1)
+    m, e = np.frexp(y)                      # y = m 2^e exactly, and m 2^53 is an integer
+    mants, shifts = (m * 2.0 ** 53).astype(np.int64).tolist(), (e - e.min()).tolist()
+    Y = [u << k for u, k in zip(mants, shifts)]      # y_i = Y_i / 2^(53 - min e)
+    xs = dist[mask].tolist()
+    n, sx, sxx = len(xs), sum(xs), sum(u * u for u in xs)
+    sy, sxy = sum(Y), sum(u * v for u, v in zip(xs, Y))
+    den = (n * sxx - sx * sx) << (53 - int(e.min()))      # > 0 at two distinct distances
     return DecayFit(
-        rate=-float(slope),
-        intercept=float(intercept),
+        rate=(sx * sy - n * sxy) / den,     # int / int: correctly rounded
+        intercept=(sxx * sy - sx * sxy) / den,
         ref_row=ref_row,
-        n_points=int(mask.sum()),
+        n_points=n,
         distances=dist[mask],
         log_abs=y,
     )
@@ -562,16 +560,9 @@ def decay_profile(J: TridiagonalMatrix, ref_row: int) -> DecayFit:
 def _count_below(J: TridiagonalMatrix, x: float) -> int:
     """Number of eigenvalues of J below x: the negative pivots of the LDL^T sweep of J - x.
 
-    A zero pivot is replaced by -tiny, as LAPACK's dlaneg does, so the sweep
-    never divides by zero; an eigenvalue at exactly x then counts as below."""
-    count = 0
-    p = 1.0
-    for b, a2 in zip((J.diag - x).tolist(), [0.0, *(J.offdiag ** 2).tolist()]):
-        p = b - a2 / p
-        if p == 0.0:
-            p = -_TINY
-        count += p < 0.0
-    return count
+    An eigenvalue at exactly x gives a zero pivot, taken as -tiny, so it counts
+    as below; the sweep runs in Python floats, which overflow silently."""
+    return sum(p < 0 for p in _pivots((J.diag - x).tolist(), (J.offdiag ** 2).tolist()))
 
 
 def resolvent_norm_estimate(J: TridiagonalMatrix) -> float:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import opemeso as om
@@ -498,6 +498,27 @@ class TestDecayProfile:
         fit = om.decay_profile(om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2 + 0.01j), 200)
         assert fit.n_points == N - 1
 
+    @pytest.mark.parametrize("N", [100, 400, 1000])
+    def test_fit_is_the_exact_least_squares_line(self, N, monkeypatch):
+        # N = 400 is the decay golden file's matrix; no BLAS solve may run
+        mpmath = pytest.importorskip("mpmath")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decay_profile called a least-squares solver")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        J = om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2 + 0.01j)
+        fit = om.decay_profile(J, N // 2)
+        with mpmath.workdps(50):
+            x = [mpmath.mpf(int(d)) for d in fit.distances]
+            y = [mpmath.mpf(float(v)) for v in fit.log_abs]
+            xbar, ybar = mpmath.fsum(x) / len(x), mpmath.fsum(y) / len(y)
+            slope = mpmath.fsum((u - xbar) * (v - ybar) for u, v in zip(x, y)) / mpmath.fsum(
+                (u - xbar) ** 2 for u in x)
+            for got, exact in ((fit.rate, -slope), (fit.intercept, ybar - slope * xbar)):
+                assert abs(got - exact) <= math.ulp(float(exact))
+
     def test_rejects_degenerate_fits(self):
         N = 400
         # at n^alpha = 1e-8 only the two neighbours of the row clear the floor:
@@ -513,6 +534,37 @@ class TestDecayProfile:
                 om.decay_profile(J, ref_row=ref)
         with pytest.raises(InvalidParams, match="Im z"):
             om.decay_profile(om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2.5), N // 2)
+
+
+def _plain_pivots(b, a2):
+    """p_1 = b_1, p_i = b_i - a2[i-2] / p_{i-1}: the recursion with no zero-pivot guard."""
+    p = [b[0]]
+    for i in range(1, len(b)):
+        p.append(b[i] - a2[i - 1] / p[i - 1])
+    return np.array(p)
+
+
+class TestPivots:
+    def test_match_a_plain_loop_bit_for_bit(self):
+        rng = np.random.default_rng(4242)
+        for _ in range(50):
+            J = _random_matrix(rng)
+            b, a2 = J.diag - J.shift, [x ** 2 for x in J.offdiag]
+            for bb, aa in ((b, a2), (b[::-1], a2[::-1])):
+                got = np.array(tridiagonal._pivots(bb, aa))
+                assert got.tobytes() == _plain_pivots(bb, aa).tobytes()
+            res = om.TridiagonalResolvent(J)
+            assert res._delta.tobytes() == _plain_pivots(b, a2).tobytes()
+            assert res._d.tobytes() == _plain_pivots(b[::-1], a2[::-1])[::-1].tobytes()
+
+    @given(st.integers(1, 60), st.integers(0, 2 ** 32 - 1), st.floats(-5.0, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_count_below_matches_dense_eigenvalues(self, N, seed, x):
+        rng = np.random.default_rng(seed)
+        J = om.TridiagonalMatrix(rng.uniform(-2, 2, size=N), rng.uniform(-2, 2, size=N - 1))
+        lam = np.linalg.eigvalsh(J.to_dense())
+        assume(np.min(np.abs(lam - x)) >= 1e-8)
+        assert tridiagonal._count_below(J, x) == int(np.sum(lam < x))
 
 
 def _broadcast_dense(u, v, U, V):
