@@ -537,7 +537,7 @@ class TestDecayProfile:
 
 
 def _plain_pivots(b, a2):
-    """p_1 = b_1, p_i = b_i - a2[i-2] / p_{i-1}: the recursion with no zero-pivot guard."""
+    """p_1 = b_1, p_i = b_i - a_{i-1}^2 / p_{i-1}: the recursion with no zero-pivot guard."""
     p = [b[0]]
     for i in range(1, len(b)):
         p.append(b[i] - a2[i - 1] / p[i - 1])
