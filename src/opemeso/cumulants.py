@@ -64,18 +64,19 @@ def build_F(
 ) -> np.ndarray:
     """Dense window operator sum_r c_r (J_window - x0 - eta_r/n^alpha)^{-1}.
 
-    ``window=(lo, hi)`` selects the truncation block; rows outside it are
-    replaced by identity rows, whose resolvent contribution (a multiple of
-    the identity) is written into the returned matrix so that every trace
-    against P_n can be read off the dense array directly.  Defaults to
-    (1, n + margin) with the one-sided margin of :func:`default_margin`;
-    ``two_sided=True`` defaults the lower end to n - margin instead.
+    ``window=(lo, hi)`` selects the truncation block, and F is the operator
+    of those rows alone: an (hi - lo + 1)-square array whose row i is row
+    lo + i of the truncated Jacobi matrix, so P_n is its first n - lo + 1
+    rows and C_1 of a local window is its own trace over rows lo..n.
+    Defaults to (1, n + margin) with the one-sided margin of
+    :func:`default_margin`; ``two_sided=True`` defaults the lower end to
+    n - margin instead.
 
     The result has real symmetric entries (conjugate closure of the poles).
     Raises InvalidParams, before allocating anything, when n or an end of
     the window is not an integer, n < 1, the window does not contain row n or
-    ``hi`` exceeds the dense cap of ``tridiagonal._refuse_dense``; Unsupported
-    when f is not rational.
+    its hi - lo + 1 rows exceed the dense cap of ``tridiagonal._refuse_dense``;
+    Unsupported when f is not rational.
     """
     n = _whole(n, "cumulants need an integer n >= 1")
     edge = _edge(edge)
@@ -88,7 +89,8 @@ def build_F(
     lo, hi = window
     rule = f"window {window} must satisfy 1 <= lo <= n, hi > n"
     lo, hi = _whole(lo, rule, 1, n), _whole(hi, rule, n + 1)
-    _refuse_dense("window operator", hi)
+    rows = hi - lo + 1
+    _refuse_dense("window operator", rows)
     if hi - n < n ** (edge.alpha / 2):
         raise WindowTooSmall(
             f"margin {hi - n} below n^(alpha/2) = {n ** (edge.alpha / 2):.1f}"
@@ -98,9 +100,7 @@ def build_F(
     diag, off = jacobi_window(spec, n, lo, hi)
 
     c, eta = f.expanded()
-    F = np.zeros((hi, hi))
-    rows = hi - lo + 1
-    block = F[lo - 1 :, lo - 1 :]
+    F = np.zeros((rows, rows))
     # conjugate pairs: sum over the upper-half-plane poles of 2 Re(c_r R(z_r)).
     # Each resolvent is solved against one Fortran-ordered panel of identity
     # columns at a time, scaled in place and added into its columns of F, so
@@ -117,12 +117,8 @@ def build_F(
                 panel = solve_banded((1, 1), ab, panel, overwrite_b=True)
                 panel *= c[r]
                 panel.real *= 2.0
-                block[:, start:stop] += panel.real
+                F[:, start:stop] += panel.real
                 del panel
-    if lo > 1:
-        # identity block below the window inverts to itself
-        sigma = float(np.real(np.sum(c)))
-        F[np.arange(lo - 1), np.arange(lo - 1)] = sigma
     return F
 
 

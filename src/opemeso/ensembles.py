@@ -507,8 +507,7 @@ def _hypothesis_quantities(spec, n, alpha, epsilon, x0):
     k = lo - first  # the window's rows are i >= k; np.diff(a)[i-1] = a[i] - a[i-1]
     max_da = _peak(np.abs(np.diff(a))[max(k - 1, 0):])
     max_db = _peak(np.abs(np.diff(b))[max(k - 1, 0):])
-    # float_power is libm pow, as in the scalar a_{j-1} ** 2 (x * x rounds differently)
-    rec1 = _peak(np.abs(a[2:] * a[:-2] - np.float_power(a[1:-1], 2)))
+    rec1 = _peak(np.abs(a[2:] * a[:-2] - a[1:-1] * a[1:-1]))
     rec2 = _peak(
         np.abs((b[1:-1] - x0 - a[2:]) * a[:-2] - (b[:-2] - x0 - a[1:-1]) * a[1:-1])
     )

@@ -197,10 +197,10 @@ class TridiagonalResolvent:
         a = J.offdiag
         if np.any(a == 0.0):
             raise InvalidParams("resolvent recursions require nonzero off-diagonals")
-        a2 = [x ** 2 for x in a]      # np.float64 powers, not always a * a: keeps the bytes
+        a2 = a * a
         self._d = d = np.array(_pivots(b[::-1], a2[::-1])[::-1])   # d[j-1] = d_j
         self._delta = np.array(_pivots(b, a2))                     # delta[j-1] = delta_j
-        inv_diag = self._delta - np.append(a ** 2 / d[1:], 0)  # 1/R_jj
+        inv_diag = self._delta - np.append(a2 / d[1:], 0)      # 1/R_jj
         t = -a / d[1:]                                         # t[l-2] = t_l, l = 2..N
         m = np.rint(np.angle(t) / (np.pi / 2)).astype(int) % 4
         self._V = np.concatenate([[0j], _kahan_cumsum(np.log(t * _TURN[-m]))])
@@ -562,7 +562,7 @@ def _count_below(J: TridiagonalMatrix, x: float) -> int:
 
     An eigenvalue at exactly x gives a zero pivot, taken as -tiny, so it counts
     as below; the sweep runs in Python floats, which overflow silently."""
-    return sum(p < 0 for p in _pivots((J.diag - x).tolist(), (J.offdiag ** 2).tolist()))
+    return sum(p < 0 for p in _pivots((J.diag - x).tolist(), (J.offdiag * J.offdiag).tolist()))
 
 
 def resolvent_norm_estimate(J: TridiagonalMatrix) -> float:

@@ -7,12 +7,12 @@ import pytest
 from scipy.linalg import solve_banded
 
 import opemeso as om
+from opemeso import cumulants
 from opemeso.cumulants import (
     _F_PANEL,
     _compositions,
     _cumulant_raw,
     _first_coupled_row,
-    _PowerBlocks,
 )
 from opemeso.ensembles import hypothesis_window
 from opemeso.errors import InvalidParams, WindowTooSmall
@@ -74,25 +74,56 @@ class TestBuildF:
         n = 120
         F1 = om.build_F(om.chebyshev2(), n, EDGE_R, IM_G)
         F2 = om.build_F(om.chebyshev2(), n, EDGE_R, IM_G, two_sided=True)
+        lo = n - om.default_margin(n, EDGE_R)
         # the two truncation styles agree up to the exponentially small
         # truncation scale exp(-2 rate margin) ~ 2e-4 at this size
         c1 = om.cumulant(F1, n, 2)
-        c2 = om.cumulant(F2, n, 2)
+        c2 = om.cumulant(F2, n - lo + 1, 2)
         assert c2 == pytest.approx(c1, rel=1e-3)
 
     def test_two_sided_identity_block_for_re_type(self):
-        # re-type test functions leave a nonzero multiple of the identity on
-        # the leading block of the two-sided truncation; second cumulants stay
-        # invariant (the mean does not: truncation replaces the resolvent
-        # diagonal below the window, which only centered statistics forgive)
+        # a re-type test function has a nonzero mean, but the two-sided window
+        # is its own 2 margin + 1 rows and the second cumulant stays invariant
+        # (the mean does not: the local window's C_1 is its trace over lo..n)
         f = om.parse_test_function("re:1/(x-i)")
         n = 100
+        m = om.default_margin(n, EDGE_R)
         F1 = om.build_F(om.chebyshev2(), n, EDGE_R, f)
         F2 = om.build_F(om.chebyshev2(), n, EDGE_R, f, two_sided=True)
-        lo = n - om.default_margin(n, EDGE_R)
-        sigma = float(np.real(np.sum(f.expanded()[0])))
-        assert np.allclose(np.diagonal(F2)[: lo - 1], sigma)
-        assert om.cumulant(F2, n, 2) == pytest.approx(om.cumulant(F1, n, 2), rel=1e-3)
+        assert F2.shape == (2 * m + 1, 2 * m + 1)
+        assert om.cumulant(F2, m + 1, 2) == pytest.approx(om.cumulant(F1, n, 2), rel=1e-3)
+
+    @pytest.mark.parametrize("spec", [
+        om.hermite(), om.laguerre(0.0), om.chebyshev2(), om.krawtchouk(0.3, 3.0),
+    ], ids=["hermite", "laguerre", "chebyshev2", "krawtchouk"])
+    @pytest.mark.parametrize("kind", ["im", "re"])
+    def test_two_sided_matches_one_sided_c2(self, spec, kind):
+        n = 1000
+        f = om.parse_test_function(f"{kind}:1/(x-i)")
+        m = om.default_margin(n, EDGE_R)
+        F1 = om.build_F(spec, n, EDGE_R, f)
+        F2 = om.build_F(spec, n, EDGE_R, f, two_sided=True)
+        assert F2.shape == (2 * m + 1, 2 * m + 1)
+        assert om.cumulant(F2, m + 1, 2) == pytest.approx(om.cumulant(F1, n, 2), rel=2e-4)
+
+    @pytest.mark.parametrize("spec", [om.hermite(), om.chebyshev2()], ids=["hermite", "chebyshev2"])
+    @pytest.mark.parametrize("n", [100_000, 1_000_000])
+    def test_two_sided_at_large_n(self, spec, n):
+        # the dense two-sided route past the one-sided cap: scaled C_2 of
+        # Im 1/(x-i) at the soft edge tends to 3/32
+        m = om.default_margin(n, EDGE_R)
+        F = om.build_F(spec, n, EDGE_R, IM_G, two_sided=True)
+        assert F.shape == (2 * m + 1, 2 * m + 1)
+        assert om.cumulant(F, m + 1, 2) / n == pytest.approx(3 / 32, rel=1e-3)
+
+    def test_wide_explicit_window_refused_before_allocating(self, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("the refused window was built")
+
+        n = 10_000
+        monkeypatch.setattr(cumulants, "jacobi_window", unreached)
+        with pytest.raises(InvalidParams, match="window operator capped at N = 5000, got N = 6001"):
+            om.build_F(om.hermite(), n, EDGE_R, IM_G, window=(n - 3000, n + 3000))
 
     def test_dense_oracle_route(self):
         # independent construction: dense solve on the same window
@@ -120,15 +151,14 @@ def whole_identity_F(spec, n, edge, f, lo, hi):
     diag, off = om.jacobi_window(spec, n, lo, hi)
     c, eta = f.expanded()
     x0, n_alpha = edge.center(spec, n), float(n) ** edge.alpha
-    F = np.zeros((hi, hi))
+    F = np.zeros((hi - lo + 1, hi - lo + 1))
     for r in range(len(c) // 2):
         ab = TridiagonalMatrix(diag, off, x0 + eta[r] / n_alpha).banded()
         eye = np.eye(hi - lo + 1, dtype=complex, order="F")
         resolvent = solve_banded((1, 1), ab, eye, overwrite_b=True)
         resolvent *= c[r]
         resolvent.real *= 2.0
-        F[lo - 1 :, lo - 1 :] += resolvent.real
-    F[np.arange(lo - 1), np.arange(lo - 1)] = float(np.real(np.sum(c)))
+        F += resolvent.real
     return F
 
 
@@ -140,7 +170,7 @@ class TestBuildFPanels:
     @pytest.mark.parametrize("spec, n, f, window", [
         # one-sided: 332 rows, two full panels and a ragged 76-column one
         (om.chebyshev2(), 300, IM_G, (1, 332)),
-        # two-sided: identity rows below lo, 364 window rows
+        # two-sided: the 364 window rows alone
         (om.chebyshev2(), 300, IM_G, (37, 400)),
         # two pole pairs, each summed panel by panel
         (om.hermite(), 250, TWO_PAIRS, (1, 400)),
@@ -426,21 +456,6 @@ class TestSweepCut:
         # a tridiagonal F couples only row n - 1 to the rows >= n
         F = np.eye(300) + np.diag(np.ones(299), 1) + np.diag(np.ones(299), -1)
         assert _first_coupled_row(F, 200) == 192
-
-    def test_two_sided_identity_rows_are_cut(self):
-        # the sigma * identity rows below a two-sided window couple to nothing:
-        # their off-diagonal entries are exact zeros.  Exact equality also
-        # needs the BLAS kernel to group the kept rows' sums as it does on the
-        # full window, which holds for whole 64-row panels on OpenBLAS
-        n = 1000
-        F = om.build_F(om.hermite(), n, EDGE_R, self.RE_G, two_sided=True)
-        window_lo = n - om.default_margin(n, EDGE_R)
-        assert F[0, 0] != 0.0
-        lo = _first_coupled_row(F, n)
-        assert window_lo - 1 - 64 < lo < window_lo
-        blocks = _PowerBlocks(F[lo:, lo:], n - lo, max_power=3)
-        for m in (2, 3, 4):
-            assert blocks.cumulant(m) == om.cumulant(F, n, m)
 
 
 @pytest.mark.parametrize(
