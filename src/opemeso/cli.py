@@ -5,11 +5,17 @@ Every file-writing run drops a ``<output>.manifest.json`` next to its output
 replays a manifest and reproduces the outputs bit-exactly.  Every output is
 overwritten in place.  Exit codes: 0 success, 1 numerical failure,
 2 configuration error.
+
+``main`` pays its fixed costs once per process, so in-process callers (a
+test suite, a replay, a scripted sweep) do not pay them per call: the parser
+is built on the first call, and the git describe is taken at the first
+manifest written, then reused; it describes the code already imported.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import platform
@@ -51,8 +57,13 @@ _RESUME_RTOL = 1e-12  # sample 0 of a resumed batch must match a fresh draw this
 _DECAY_MAX_ROWS = 10 ** 6
 
 
+@functools.cache
 def _git_describe() -> str:
-    """``git describe`` of the checkout this package runs from, whatever the cwd."""
+    """``git describe`` of the checkout this package runs from, whatever the cwd.
+
+    Taken once per process, at the first manifest written: the describe is of
+    the code already imported, so it does not go stale within a run, and each
+    ``git`` process costs milliseconds."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -79,12 +90,17 @@ def _versions() -> dict:
     }
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text: integers via ``str``, floats with full round-trip precision."""
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, int) else _FMT % v for v in row))
-    return "\n".join(lines) + "\n"
+# (header, row format) of each CSV report: one %-format per row tuple, with
+# integers as str() writes them and floats with full round-trip precision
+_CUMULANTS_CSV = ("n,alpha,m,value_re,value_im", f"%d,{_FMT},%d,{_FMT},{_FMT}")
+_DECAY_CSV = ("distance,log_abs", f"%d,{_FMT}")
+_FIT_CSV = ("pole_re,pole_im,weight_re,weight_im", ",".join([_FMT] * 4))
+
+
+def _csv(table: tuple[str, str], rows) -> str:
+    """CSV text of row tuples under one of the (header, row format) tables above."""
+    header, row_format = table
+    return "\n".join([header, *(row_format % row for row in rows)]) + "\n"
 
 
 def _json(payload: dict, **options) -> str:
@@ -130,7 +146,10 @@ def _add_edge_args(p: argparse.ArgumentParser):
     p.add_argument("--x0", type=float, default=None, help="override the exact finite-n edge")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use and shared by every ``main`` call
+    (a replay's too); parsing returns a fresh namespace and leaves the parser as it is."""
     parser = argparse.ArgumentParser(
         prog="opemeso",
         description="Mesoscopic edge statistics of orthogonal polynomial ensembles",
@@ -236,7 +255,7 @@ def cmd_cumulants(args) -> list[Path]:
     reports = convergence_sweep(spec, edge, f, n_list, m_max=args.m_max)
     if args.format == "csv":
         rows = (row for rep in reports for row in rep.csv_rows())
-        text = _csv("n,alpha,m,value_re,value_im", rows)
+        text = _csv(_CUMULANTS_CSV, rows)
     else:
         text = _json({"schema": 1, "reports": [r.to_json() for r in reports]})
     return _emit(text, args.output)
@@ -272,7 +291,7 @@ def cmd_decay(args) -> list[Path]:
         "ref_row": fit.ref_row,
         "n_points": fit.n_points,
     }
-    written = _emit(_csv("distance,log_abs", fit.csv_rows()), args.output)
+    written = _emit(_csv(_DECAY_CSV, fit.csv_rows()), args.output)
     return written + _emit(_json(summary), f"{written[0]}.fit.json")
 
 
@@ -360,7 +379,7 @@ def cmd_fit(args) -> list[Path]:
     fitted, achieved = fit_resolvent_approximation(target, args.poles, args.height)
     rows = ((p.real, p.imag, w.real, w.imag) for p, w in zip(fitted.poles, fitted.weights))
     meta = {"schema": 1, "achieved_lw_norm": achieved, "poles": args.poles}
-    written = _emit(_csv("pole_re,pole_im,weight_re,weight_im", rows), args.output)
+    written = _emit(_csv(_FIT_CSV, rows), args.output)
     return written + _emit(_json(meta), f"{written[0]}.fit.json")
 
 

@@ -16,6 +16,7 @@ other f the norm, like the fit's achieved norm, is a grid sup that can read low.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -65,9 +66,19 @@ class LimitVariance:
         return {"schema": 1, **asdict(self), "side": self.side.value}
 
 
+@functools.cache
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The _GL_DEGREE-node Gauss-Legendre rule on [-1, 1], computed once per
+    process on first use and read-only, since every caller shares it."""
+    x0, w0 = np.polynomial.legendre.leggauss(_GL_DEGREE)
+    x0.flags.writeable = False
+    w0.flags.writeable = False
+    return x0, w0
+
+
 def _gl_panels(a: float, b: float, n_panels: int):
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x0, w0 = np.polynomial.legendre.leggauss(_GL_DEGREE)
+    x0, w0 = _gl_rule()
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])

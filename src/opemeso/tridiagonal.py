@@ -504,8 +504,8 @@ class DecayFit:
     log_abs: np.ndarray
 
     def csv_rows(self):
-        for dist, val in zip(self.distances, self.log_abs):
-            yield int(dist), float(val)
+        """(distance, log_abs) rows as Python int and float tuples."""
+        return zip(self.distances.tolist(), self.log_abs.tolist())
 
 
 def _resolvent_row(J: TridiagonalMatrix, ref_row: int) -> np.ndarray:

@@ -78,14 +78,17 @@ def tool(monkeypatch):
 
     The stand-in logs "<checkout> <workload> <seed> <trace>" in ``tool.runs`` and returns a
     passing result: wall_s is the seed on the parent and half a unit below it elsewhere,
-    except half a unit above on seeds 4 and 8; peak_rss_mb is 1 on both."""
+    except half a unit above on seeds 4 and 8; peak_rss_mb is 1 on both.  ``tool.failing``
+    holds the (checkout, workload, seed) runs that report one failed operation."""
     tool = load_tool()
     tool.runs = []
+    tool.failing = set()
 
     def bench(root, workload, seed, seconds, trace):
         tool.runs.append(f"{root.name} {workload} {seed} {trace}")
         wall = float(seed) if root.name == "parent" else seed + (0.5 if seed in (4, 8) else -0.5)
-        return {"attempted": 2, "failed": 0, "correct": True, "machine": {"cpus": 1},
+        failed = int((root.name, workload, seed) in tool.failing)
+        return {"attempted": 2, "failed": failed, "correct": not failed, "machine": {"cpus": 1},
                 "absent": [], "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": 1.0}}}
 
     monkeypatch.setattr(tool, "bench", bench)
@@ -152,6 +155,23 @@ def test_pairs_counted_by_seed_in_the_root_record(tool, tmp_path, capsys):
             "peak_rss_mb": {"lower": 0, "higher": 0, "equal": 10},
         }
         assert "pairs" not in parent["workloads"][workload]
+
+
+def test_failed_operations_are_printed_per_workload_and_side(tool, tmp_path, capsys):
+    # one run of each side fails an operation on mc-batch, and the change fails one more
+    # on resolvent-decay seeds 3 and 7: each (workload, side) gets one line with its sum
+    tool.failing = {("parent", "mc-batch", 5), ("change", "mc-batch", 2),
+                    ("change", "resolvent-decay", 3), ("change", "resolvent-decay", 7)}
+    assert record_pairs(tool, tmp_path, "--label", "x") == 0
+    failures = [line for line in capsys.readouterr().out.splitlines() if "failed" in line]
+    assert failures == [
+        "mc-batch before_x: 1 of 20 operations failed; this record backs no claim",
+        "mc-batch x: 1 of 20 operations failed; this record backs no claim",
+        "resolvent-decay x: 2 of 20 operations failed; this record backs no claim",
+    ]
+    root = json.loads((tmp_path / "change" / "BENCH_x.json").read_text())
+    assert root["workloads"]["resolvent-decay"]["failed"] == 2
+    assert root["workloads"]["edge-sweep"]["failed"] == 0
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import opemeso
-from opemeso import sampling
+from opemeso import cli, sampling
 from opemeso.cli import main
 
 
@@ -170,7 +172,16 @@ def test_manifest_records_package_checkout_and_versions(tmp_path, monkeypatch):
     }
 
 
-def test_manifest_without_git(tmp_path, monkeypatch):
+@pytest.fixture
+def fresh_describe():
+    """An empty once-per-process describe cache, emptied again after the test, so the
+    test's describe comes from its own git stand-in and no later test reads that one."""
+    cli._git_describe.cache_clear()
+    yield
+    cli._git_describe.cache_clear()
+
+
+def test_manifest_without_git(tmp_path, monkeypatch, fresh_describe):
     # no git executable: the manifest reads "nogit" and the run goes on
     def no_git(*args, **kwargs):
         raise FileNotFoundError("git")
@@ -182,15 +193,98 @@ def test_manifest_without_git(tmp_path, monkeypatch):
     assert manifest["git_describe"] == "nogit"
 
 
+def test_one_git_describe_per_process(tmp_path, monkeypatch, fresh_describe):
+    # three output-writing calls in one process start git once, and all three
+    # manifests carry that describe
+    package_dir = Path(opemeso.__file__).resolve().parent
+    describe = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=package_dir,
+        capture_output=True, text=True, check=False,
+    ).stdout.strip() or "nogit"
+    started = []
+    real_run = subprocess.run
+
+    def counting_run(cmd, *args, **kwargs):
+        started.append(list(cmd))
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    for name in ("variance-limit", "decay", "fit"):
+        assert main(REPLAY_RUNS[name]) == 0
+    assert started == [["git", "describe", "--always", "--dirty"]]
+    manifests = sorted(tmp_path.glob("*.manifest.json"))
+    assert len(manifests) == 3
+    assert {json.loads(m.read_text())["git_describe"] for m in manifests} == {describe}
+
+
+def _entry_point(argv, cwd):
+    """``python -m opemeso.cli argv`` in a fresh process, run in cwd."""
+    src = str(Path(opemeso.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "opemeso.cli", *argv], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=False,
+    )
+
+
+def test_reused_parser_leaks_nothing_between_commands(tmp_path, monkeypatch):
+    # a sample run with --resume and --out-batch, then variance-limit on the same
+    # process's parser: the second config is the one a fresh process records
+    argv = REPLAY_RUNS["variance-limit"]
+    (tmp_path / "reused").mkdir()
+    (tmp_path / "fresh").mkdir()
+    monkeypatch.chdir(tmp_path / "reused")
+    assert main(REPLAY_RUNS["sample-resume"]) == 0
+    assert main(argv) == 0
+    done = _entry_point(argv, tmp_path / "fresh")
+    assert done.returncode == 0, done.stderr
+    reused, fresh = (json.loads((tmp_path / d / "var.json.manifest.json").read_text())
+                     for d in ("reused", "fresh"))
+    assert reused["command"] == fresh["command"] == "variance-limit"
+    assert reused["config"] == fresh["config"]
+
+
+def _per_value_csv(header, rows):
+    """The per-value rule the row formats replace: ints via str, the rest via %.17g."""
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(str(v) if isinstance(v, int) else "%.17g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_EXTREME_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1e-300, -1e300, 0.1, -2.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ints=st.lists(st.integers(), min_size=2, max_size=2),
+       floats=st.lists(st.one_of(st.floats(), st.sampled_from(_EXTREME_FLOATS)),
+                       min_size=4, max_size=4),
+       numpy_floats=st.booleans())
+@example(ints=[0, -1], floats=[-0.0, 5e-324, 1.7976931348623157e308, -1e-310],
+         numpy_floats=True)
+@example(ints=[10 ** 30, -(10 ** 30)], floats=[0.0, -0.0, -5e-324, -1.5e300],
+         numpy_floats=False)
+def test_row_formats_write_the_per_value_text(ints, floats, numpy_floats):
+    # floats reach _csv as Python floats (tolist) or numpy float64 scalars
+    if numpy_floats:
+        floats = [np.float64(v) for v in floats]
+    i, j = ints
+    a, b, c, d = floats
+    for table, rows in (
+        (cli._CUMULANTS_CSV, [(i, a, j, b, c), (j, d, i, a, 0.0)]),
+        (cli._DECAY_CSV, [(i, a), (j, b), (i, c)]),
+        (cli._FIT_CSV, [(a, b, c, d), (d, c, b, a)]),
+    ):
+        assert cli._csv(table, rows) == _per_value_csv(table[0], rows)
+        assert cli._csv(table, []) == table[0] + "\n"
+
+
 def test_module_entry_point(tmp_path, capsys):
     # python -m opemeso.cli prints what main() prints and exits with its code
     argv = ["variance-limit", "--f", "im:1/(x-i)", "--method", "residue"]
-    src = str(Path(opemeso.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "opemeso.cli", *argv], cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=False,
-    )
+    done = _entry_point(argv, tmp_path)
     assert done.returncode == 0, done.stderr
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out

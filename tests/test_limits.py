@@ -128,6 +128,18 @@ class TestQuadrature:
         with pytest.raises(NoConvergence, match=r"> tol/2 = 5e-14$"):
             om.sigma2_quadrature(triangle_hat, om.Side.LEFT, tol=1e-13)
 
+    def test_gauss_legendre_rule_computed_once_and_read_only(self):
+        # every panel and refinement level shares one rule, so no caller may write to it
+        x0, w0 = limits._gl_rule()
+        assert limits._gl_rule()[0] is x0
+        expected = np.polynomial.legendre.leggauss(limits._GL_DEGREE)
+        assert np.array_equal(x0, expected[0]) and np.array_equal(w0, expected[1])
+        assert not x0.flags.writeable and not w0.flags.writeable
+        nodes, weights = limits._gl_panels(-1.0, 1.0, 1)
+        assert np.array_equal(nodes, x0) and np.array_equal(weights, w0)
+        with pytest.raises(ValueError, match="read-only"):
+            x0[0] = 0.0
+
 
 @pytest.mark.parametrize("route", [om.sigma2_residue, om.sigma2_quadrature])
 @pytest.mark.parametrize("side", [om.Side.LEFT, om.Side.RIGHT])

@@ -25,6 +25,12 @@ higher or equal than the parent.  The tool prints one line per count with the
 two medians and the parent's interquartile range, the inputs of the claim
 rule: at least 9 of 10 pairs, and a median gap wider than the parent's IQR.
 
+A run whose operations fail still exits 0 and only counts them in ``failed``,
+so for each workload and side whose summed ``failed`` is not 0 the tool
+prints one line with the count, as soon as that workload's runs are done.
+Such a record backs no claim: its timings are of passes that did not give
+correct outputs.
+
 The parent's commit is read from git, and both trees of a pair must be the
 same kind of checkout, so ``--commit`` (for a root outside git) and
 ``--parent`` do not go together.  An empty ``--label``, or one with a path
@@ -128,12 +134,15 @@ def main(argv=None) -> int:
             pair += 1
         for record, side_runs in zip(records, runs):
             record["machine"] = record["machine"] or side_runs[0]["machine"]
-            record["workloads"][workload] = {
+            done = record["workloads"][workload] = {
                 "attempted": sum(r["attempted"] for r in side_runs),
                 "failed": sum(r["failed"] for r in side_runs),
                 "metrics": {name: summary([r["metrics"][name]["value"] for r in side_runs])
                             for name in side_runs[0]["metrics"]},
             }
+            if done["failed"]:
+                print(f"{workload} {record['label']}: {done['failed']} of {done['attempted']} "
+                      "operations failed; this record backs no claim", flush=True)
     for workload in WORKLOADS:
         for i in in_turn(pair):
             run = bench(sides[i][0], workload, SEEDS[0], SECONDS, 1)
