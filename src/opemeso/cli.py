@@ -6,10 +6,11 @@ replays a manifest and reproduces the outputs bit-exactly.  Every output is
 overwritten in place.  Exit codes: 0 success, 1 numerical failure,
 2 configuration error.
 
-``main`` pays its fixed costs once per process, so in-process callers (a
-test suite, a replay, a scripted sweep) do not pay them per call: the parser
-is built on the first call, and the git describe is taken at the first
-manifest written, then reused; it describes the code already imported.
+``main`` pays its fixed costs once per process, not once per call, which
+matters to in-process callers (a test suite, a replay, a scripted sweep):
+the parser is built on the first call, and the git describe is taken once
+per process, at its first output, then reused; it describes the code already
+imported.
 """
 
 from __future__ import annotations
