@@ -53,8 +53,10 @@ from .testfun import _parse_complex
 
 _FMT = "%.17g"  # full round-trip precision for golden-file stability
 _RESUME_RTOL = 1e-12  # sample 0 of a resumed batch must match a fresh draw this closely
-# largest decay --size: O(N) vectors and one in-place banded solve, 137 MB
-# process peak and 0.06 s at the cap (2-core AMD EPYC)
+# largest decay --size: O(N) vectors and in-place banded solves on a window that
+# doubles up to N.  At the cap (2-core AMD EPYC, in-process): 0.004 s and 84 MB
+# process peak at n^alpha = 1e2; 0.72 s and 297 MB for a row that never reaches
+# the window's cut (n^alpha = 1e8, all 10^6 entries kept and written)
 _DECAY_MAX_ROWS = 10 ** 6
 
 
@@ -101,7 +103,7 @@ _FIT_CSV = ("pole_re,pole_im,weight_re,weight_im", ",".join([_FMT] * 4))
 def _csv(table: tuple[str, str], rows) -> str:
     """CSV text of row tuples under one of the (header, row format) tables above."""
     header, row_format = table
-    return "\n".join([header, *(row_format % row for row in rows)]) + "\n"
+    return "\n".join([header, *map(row_format.__mod__, rows)]) + "\n"
 
 
 def _json(payload: dict, **options) -> str:

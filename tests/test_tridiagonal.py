@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 import opemeso as om
 from opemeso import tridiagonal
@@ -424,6 +425,14 @@ def _thomas_row(N, z, ref):
         return np.array([complex(v) for v in reversed(x)])
 
 
+def _padded_row(J, ref):
+    """The windowed row of ``_resolvent_row`` placed in an N-vector, zeros outside its window."""
+    lo, x = _resolvent_row(J, ref)
+    row = np.zeros(J.N, dtype=complex)
+    row[lo - 1 : lo - 1 + len(x)] = x
+    return row
+
+
 class TestDecayProfile:
     def test_edge_rate(self):
         N = 2000
@@ -460,7 +469,7 @@ class TestDecayProfile:
 
     @pytest.mark.parametrize(
         "route",
-        [_resolvent_row, lambda J, ref: om.TridiagonalResolvent(J).row(ref)],
+        [_padded_row, lambda J, ref: om.TridiagonalResolvent(J).row(ref)],
         ids=["banded", "oracle"],
     )
     @pytest.mark.parametrize(
@@ -486,7 +495,7 @@ class TestDecayProfile:
         )
         oracle = om.TridiagonalResolvent(J).row(700)
         keep = np.abs(oracle) > 1e-13 * np.max(np.abs(oracle))
-        rel = np.abs(_resolvent_row(J, 700)[keep] / oracle[keep] - 1)
+        rel = np.abs(_padded_row(J, 700)[keep] / oracle[keep] - 1)
         assert np.max(rel) <= 1e-10
 
     def test_fit_builds_no_entry_oracle(self, monkeypatch):
@@ -534,6 +543,112 @@ class TestDecayProfile:
                 om.decay_profile(J, ref_row=ref)
         with pytest.raises(InvalidParams, match="Im z"):
             om.decay_profile(om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), 2.5), N // 2)
+
+
+def _full_row(J, ref):
+    """Row ``ref`` of J^-1 from one scipy banded solve on all N rows."""
+    e_ref = np.zeros(J.N, dtype=complex)
+    e_ref[ref - 1] = 1.0
+    return solve_banded((1, 1), J.banded(), e_ref)
+
+
+def _free(N, z):
+    return om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), z)
+
+
+def _varying(N):
+    """The slowly varying matrix of ``test_row_matches_pivot_oracle``, at size N."""
+    return om.TridiagonalMatrix(
+        0.1 * np.sin(np.arange(N)), 1.0 + 0.05 * np.arange(N - 1) / N, 2.0 + 1j / 300
+    )
+
+
+_BIG = 10 ** 5
+_WINDOW_CASES = {
+    # (matrix, ref): each cut end, both ends, the bulk's bottom cut, and no cut at all
+    "ref-1": (lambda: _free(_BIG, 2 + 1j / 1e3), 1),
+    "ref-N": (lambda: _free(_BIG, 2 + 1j / 1e3), _BIG),
+    "varying": (lambda: _varying(2000), 700),
+    "varying-both-cuts": (lambda: _varying(_BIG), _BIG // 2),
+    "bulk-ref-1": (lambda: _free(_BIG, 0.01j), 1),
+    "never-cut": (lambda: _free(_BIG, 2 + 1e-8j), _BIG // 2),
+}
+
+
+class TestDecayWindow:
+    """``_resolvent_row`` solves a window around the row, not all N rows."""
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """Rows of each system that ``tridiagonal.solve_banded`` is asked to solve."""
+        seen, real = [], tridiagonal.solve_banded
+
+        def spy(l_and_u, ab, b, **kwargs):
+            seen.append(len(b))
+            return real(l_and_u, ab, b, **kwargs)
+
+        monkeypatch.setattr(tridiagonal, "solve_banded", spy)
+        return seen
+
+    def test_benchmark_row_solves_no_system_above_4097_rows(self, sizes):
+        om.decay_profile(_free(_BIG, 2 + 1j / 1e2), _BIG // 2)
+        assert sizes and max(sizes) <= 4097
+
+    def test_golden_row_never_reaches_the_cut(self, sizes):
+        # decay_n400's matrix: the first window already holds all 400 rows
+        om.decay_profile(_free(400, 2 + 1j / 1e2), 200)
+        assert sizes == [400]
+
+    @pytest.mark.parametrize("case", list(_WINDOW_CASES))
+    def test_kept_entries_are_the_full_solve_bits(self, case):
+        make, ref = _WINDOW_CASES[case]
+        J = make()
+        lo, x = _resolvent_row(J, ref)
+        full = _full_row(J, ref)
+        mags = np.abs(full)
+        keep = np.flatnonzero(mags > tridiagonal._DECAY_FLOOR * mags.max())
+        assert lo - 1 <= keep[0] and keep[-1] < lo - 1 + len(x)
+        assert x[keep - (lo - 1)].tobytes() == full[keep].tobytes()
+        if case == "never-cut":
+            assert (lo, x.tobytes()) == (1, full.tobytes())
+
+    def test_bulk_row_differs_from_the_full_solve_by_rounding_only(self):
+        # in the bulk the forward pivot recursion barely contracts, so the rounding
+        # of the rows above the window is never forgotten: at z = 0.01i the kept
+        # entries of the two solves read 1.2e-14 apart, and both 3.9e-13 from a
+        # 40-digit Thomas solve of the window (the rows left out are below 2^-53
+        # of every kept entry)
+        ref = _BIG // 2
+        J = _free(_BIG, 0.01j)
+        lo, x = _resolvent_row(J, ref)
+        assert lo > 1 and lo - 1 + len(x) < _BIG
+        full = _full_row(J, ref)[lo - 1 : lo - 1 + len(x)]
+        exact = _thomas_row(len(x), 0.01j, ref - lo + 1)
+        keep = np.abs(exact) > 1e-13 * np.max(np.abs(exact))
+        assert np.max(np.abs(x[keep] / full[keep] - 1)) <= 5e-14
+        for row in (x, full):
+            assert np.max(np.abs(row[keep] / exact[keep] - 1)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n_alpha, ref", [(1e2, _BIG // 2), (1e3, _BIG // 2), (1e4, _BIG // 2), (1e2, 1),
+                         (1e3, _BIG)],
+    )
+    def test_fit_is_the_full_row_fit(self, n_alpha, ref, monkeypatch):
+        # the benchmark's three decay matrices and both ends: the same bytes as a
+        # fit of the N-row solve
+        J = _free(_BIG, 2 + 1j / n_alpha)
+        windowed = om.decay_profile(J, ref)
+        mags = np.abs(_full_row(J, ref))
+        dist = np.abs(np.arange(1, _BIG + 1) - ref)
+        kept = (dist > 0) & (mags > tridiagonal._DECAY_FLOOR * mags.max())
+        assert windowed.distances.tobytes() == dist[kept].tobytes()
+        assert windowed.log_abs.tobytes() == np.log(mags[kept]).tobytes()
+        monkeypatch.setattr(tridiagonal, "_resolvent_row", lambda J, ref: (1, _full_row(J, ref)))
+        full = om.decay_profile(J, ref)
+        assert (windowed.rate, windowed.intercept, windowed.n_points) == (
+            full.rate, full.intercept, full.n_points)
+        assert windowed.distances.tobytes() == full.distances.tobytes()
+        assert windowed.log_abs.tobytes() == full.log_abs.tobytes()
 
 
 def _plain_pivots(b, a2):
