@@ -55,7 +55,7 @@ _FMT = "%.17g"  # full round-trip precision for golden-file stability
 _RESUME_RTOL = 1e-12  # sample 0 of a resumed batch must match a fresh draw this closely
 # largest decay --size: O(N) vectors and in-place banded solves on a window that
 # doubles up to N.  At the cap (2-core AMD EPYC, in-process): 0.004 s and 84 MB
-# process peak at n^alpha = 1e2; 0.72 s and 297 MB for a row that never reaches
+# process peak at n^alpha = 1e2; 0.5-0.7 s and 297 MB for a row that never reaches
 # the window's cut (n^alpha = 1e8, all 10^6 entries kept and written)
 _DECAY_MAX_ROWS = 10 ** 6
 

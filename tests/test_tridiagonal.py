@@ -433,6 +433,13 @@ def _padded_row(J, ref):
     return row
 
 
+def _varying(N):
+    """Slowly varying coefficients, z = 2 + i/300 near the right edge."""
+    return om.TridiagonalMatrix(
+        0.1 * np.sin(np.arange(N)), 1.0 + 0.05 * np.arange(N - 1) / N, 2.0 + 1j / 300
+    )
+
+
 class TestDecayProfile:
     def test_edge_rate(self):
         N = 2000
@@ -489,10 +496,7 @@ class TestDecayProfile:
         assert np.max(np.abs(row[keep] / exact[keep] - 1)) <= tol
 
     def test_row_matches_pivot_oracle(self):
-        N = 2000
-        J = om.TridiagonalMatrix(
-            0.1 * np.sin(np.arange(N)), 1.0 + 0.05 * np.arange(N - 1) / N, 2.0 + 1j / 300
-        )
+        J = _varying(2000)
         oracle = om.TridiagonalResolvent(J).row(700)
         keep = np.abs(oracle) > 1e-13 * np.max(np.abs(oracle))
         rel = np.abs(_padded_row(J, 700)[keep] / oracle[keep] - 1)
@@ -554,13 +558,6 @@ def _full_row(J, ref):
 
 def _free(N, z):
     return om.TridiagonalMatrix(np.zeros(N), np.ones(N - 1), z)
-
-
-def _varying(N):
-    """The slowly varying matrix of ``test_row_matches_pivot_oracle``, at size N."""
-    return om.TridiagonalMatrix(
-        0.1 * np.sin(np.arange(N)), 1.0 + 0.05 * np.arange(N - 1) / N, 2.0 + 1j / 300
-    )
 
 
 _BIG = 10 ** 5
