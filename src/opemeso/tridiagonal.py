@@ -7,9 +7,10 @@ of (J - z)^-1 comes from the two eigenvalues of J around Re z, found by a
 pivot count and bisection; neither builds an N x N matrix.
 ``TridiagonalResolvent`` is the entry oracle: from the backward and forward
 continued-fraction pivots it builds each entry as a product of local ratios,
-summed in log space.  On top of that sit the transfer-matrix spectral data,
-the almost-Toeplitz split of the inverse, the closed-form resolvent of the
-free (constant-coefficient) matrix, and a least-squares decay fit.
+summed in log space.  On top of that sit the transfer-matrix spectral data, the
+almost-Toeplitz split (T = R o top(lo) bottom(hi): the oracle's entries with
+their boundary reflections scaled out), the closed-form resolvent of the free
+(constant-coefficient) matrix, and a least-squares decay fit.
 """
 
 from __future__ import annotations
@@ -103,21 +104,6 @@ def _semiseparable(u, v, U, V, j, k) -> np.ndarray:
     lo = np.minimum(j, k)
     hi = np.maximum(j, k)
     return u[lo] * v[hi] * np.exp(U[lo] + V[hi])
-
-
-def _semiseparable_dense(u, v, U, V) -> np.ndarray:
-    """All N x N entries of ``_semiseparable``, each computed once.
-
-    Row j holds u[j] v[k] exp(U[j] + V[k]) for k >= j, the broadcast formula's
-    float operations in its order, so every entry is the same to the bit; the
-    row is written into column j too, and no N x N index array is built."""
-    N = len(u)
-    out = np.empty((N, N), dtype=complex)
-    for j in range(N):
-        row = u[j] * v[j:] * np.exp(U[j] + V[j:])
-        out[j, j:] = row
-        out[j:, j] = row
-    return out
 
 
 def _refuse_dense(what: str, N: int) -> None:
@@ -229,9 +215,16 @@ class TridiagonalResolvent:
         return self._assemble(j, np.arange(1, N + 1))
 
     def dense(self) -> np.ndarray:
-        """All N^2 entries, bit-identical to ``entry``; one triangle is computed."""
-        _refuse_dense("dense resolvent", self.J.N)
-        return _semiseparable_dense(self._S.conj(), self._S, self._U, self._V)
+        """All N^2 entries, bit-identical to ``entry``: row j, k >= j, mirrored into column j."""
+        N = self.J.N
+        _refuse_dense("dense resolvent", N)
+        S, U, V = self._S, self._U, self._V
+        out = np.empty((N, N), dtype=complex)
+        for j in range(N):
+            row = S[j].conj() * S[j:] * np.exp(U[j] + V[j:])
+            out[j, j:] = row
+            out[j:, j] = row
+        return out
 
 
 @dataclass(frozen=True)
@@ -255,7 +248,7 @@ class TransferSpectrum:
 
 
 def _transfer_steps(J: TridiagonalMatrix):
-    """(omega+, omega-, lambda+, lambda-, a_{l-1}) of the transfer steps l = 1..N, at index l-1.
+    """(omega+, omega-, lambda+, lambda-) of the transfer steps l = 1..N, at index l-1.
 
     Step l takes b_{l-1} - z, a_{l-1} and a_l: omega+- = (b - z +- sqrt((b - z)^2
     - 4 a_{l-1} a_l)) / (2 a_{l-1}), lambda+- the same over 2 a_l.  The first and
@@ -266,8 +259,7 @@ def _transfer_steps(J: TridiagonalMatrix):
     a_curr = np.concatenate([J.offdiag, J.offdiag[-1:]])
     root = np.sqrt(bz ** 2 - 4 * a_curr * a_prev)
     plus, minus = bz + root, bz - root
-    return (plus / (2 * a_prev), minus / (2 * a_prev), plus / (2 * a_curr),
-            minus / (2 * a_curr), a_prev)
+    return plus / (2 * a_prev), minus / (2 * a_prev), plus / (2 * a_curr), minus / (2 * a_curr)
 
 
 def _mismatch_norms(plus, minus):
@@ -288,7 +280,7 @@ def transfer_spectrum(J: TridiagonalMatrix) -> TransferSpectrum:
         raise InvalidParams("transfer spectrum needs N >= 3")
     if np.any(J.offdiag == 0.0):
         raise InvalidParams("transfer spectrum requires nonzero off-diagonals")
-    omp, omm, lap, lam = (s[1 : N - 1] for s in _transfer_steps(J)[:4])   # steps 2..N-1
+    omp, omm, lap, lam = (s[1 : N - 1] for s in _transfer_steps(J))   # steps 2..N-1
     return TransferSpectrum(
         js=np.arange(2, N),
         omega_plus=omp,
@@ -380,8 +372,14 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     The entry oracle's pivots are the only recurrence solved: with alternating
     signs they give the bottom and top solutions of (J - z) u = 0, v_j / v_{j+1}
     = d_{j+1} / a_j and u_{j+1} / u_j = delta_j / a_j.  As (1, 1) V^-1 = (1, 0)
-    for every eigenbasis V = [[1, 1], [w+, w-]], C, D and T's normalization
+    for every eigenbasis V = [[1, 1], [w+, w-]], C, D and phi's normalization
     are cumulative log sums of these ratios over transfer eigenvalues.
+
+    T is R with the boundary reflections scaled out of its two solutions:
+    T_jk = R_jk top(lo) bottom(hi), lo = min(j, k), hi = max(j, k), top = kappa_T
+    (1 + D) / U and bottom = (1 + C) / V, where U = 1 + D + r_gamma prefix and
+    V = 1 + C + r_beta suffix, and one scalar kappa_T gives phi's normalization.
+    So |T/R| and |H/T| = |1 / (top(lo) bottom(hi)) - 1| come from two N-vectors.
 
     Where Re(b - z) <= 0, C and D cancel terms growing like |omega-/omega+|^N
     (~1e76 at N = 200), so T is noise there by any route; ``applicable`` is
@@ -396,7 +394,7 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
     bz = J.diag.astype(complex) - J.shift        # b_{l-1} - z at python index l-1
     a = J.offdiag
     d = res._d
-    omp, omm, lap, lam, a_prev = _transfer_steps(J)   # index l-1 <-> step l
+    omp, omm, lap, lam = _transfer_steps(J)   # index l-1 <-> step l
 
     opN1, omN1 = omp[N - 2], omm[N - 2]           # step N-1
     lpN1, lmN1 = lap[N - 2], lam[N - 2]
@@ -422,11 +420,12 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
         prefix = np.ones(N + 1, dtype=complex)
         prefix[2:] = np.exp(np.cumsum(log_ratio[1:]))
 
-        # 1 + C(k) + r_beta suffix[k] = (1 + r_beta) prod_{m=k}^{N-1} d_{m+1} / (a_m omega+_m),
-        # k = 1..N-1 (C(N) = 0): the bottom solution from (v_N, v_{N-1}) = V_{N-1} (1, r_beta)
-        C = np.zeros(N + 1, dtype=complex)
+        # V(k) = 1 + C(k) + r_beta suffix[k] = (1 + r_beta) prod_{m=k}^{N-1} d_{m+1} / (a_m w+_m),
+        # k = 1..N (C(N) = 0): the bottom solution from (v_N, v_{N-1}) = V_{N-1} (1, r_beta)
         log_v = np.cumsum(np.log(d[1:] / (a * omp[: N - 1]))[::-1])[::-1]
-        C[1:N] = (1 + r_beta) * np.exp(log_v) - 1 - r_beta * suffix[1:N]
+        V = (1 + r_beta) * np.append(np.exp(log_v), 1)
+        C = np.zeros(N + 1, dtype=complex)
+        C[1:N] = V[:-1] - 1 - r_beta * suffix[1:N]
         # U(j) = 1 + D(j) + r_gamma prefix[j] = (1 + r_gamma) prod_{m=1}^{j-1} delta_m /
         # (a_m lambda+_{m+1}), j = 1..N (D(1) = 0): the top solution from W_2 (1, r_gamma)
         U = (1 + r_gamma) * np.exp(np.cumsum(np.log(res._delta[:-1] / (a * lap[1:]))))  # j = 2..N
@@ -446,19 +445,19 @@ def almost_toeplitz_decompose(J: TridiagonalMatrix) -> AlmostToeplitzDecompositi
         phi_denom = U[N - 3] * (1 + r_shift * alpha) + r_shift * beta_tilde
         dtilde = phi_denom - 1 - r_delta * prefix[N - 1]
 
-        # T entries: for lo = min(j, k) <= hi = max(j, k) (1-based),
-        #   T = (-1)^{hi-lo} pref (1+D(lo)) (1+C(hi)) / a_{hi-1} * exp(LW(hi-1) - LW(lo))
-        # with LW(i) = sum_{l=1}^{i} log omega_l^-; the unified exponent covers
-        # the diagonal (hi = lo gives the 1/omega_lo^- of the exact formula, also at
-        # lo = 1), and the sign splits as (-1)^hi (-1)^lo into the per-index factors.
-        LW = np.zeros(N + 1, dtype=complex)           # LW[i], i = 0..N
-        LW[1:] = np.cumsum(np.log(omm))
-        alt = (-1.0) ** np.arange(1, N + 1)
+        # T_jk = R_jk top(lo) bottom(hi); kappa_T puts T_NN at phi's pref (1 + D(N)) /
+        # (a_{N-1} omega-_N), with R_NN = 1 / delta_N and bottom(N) = 1 / (1 + r_beta)
         pref = omN1 / ((opN1 - omN1) * phi_denom)
-        rowfac = pref * alt * (1.0 + D[1:])
-        colfac = alt * (1.0 + C[1:]) / a_prev
-        T = _semiseparable_dense(rowfac, colfac, -LW[1:], LW[:N])
-    H = res.dense() - T
+        kappa_T = pref * U[-1] * (1 + r_beta) * res._delta[-1] / (a[-1] * omm[N - 1])
+        top = kappa_T * (1 + D[1:]) / np.append(1 + r_gamma, U)   # U(1) = 1 + r_gamma
+        bottom = (1 + C[1:]) / V
+        H = res.dense()
+        T = np.empty_like(H)
+        for j in range(N):
+            row = top[j] * bottom[j:] * H[j, j:]
+            T[j, j:] = row
+            T[j:, j] = row
+        H -= T
 
     # smallness certificates
     c0 = float(np.min(np.abs(a)))

@@ -76,13 +76,16 @@ def load_tool():
 def tool(monkeypatch):
     """The tool in process, with a perfbench stand-in and a git stand-in.
 
-    The stand-in logs "<checkout> <workload> <seed> <trace>" in ``tool.runs`` and returns a
-    passing result: wall_s is the seed on the parent and half a unit below it elsewhere,
-    except half a unit above on seeds 4 and 8; peak_rss_mb is 1 on both.  ``tool.failing``
-    holds the (checkout, workload, seed) runs that report one failed operation."""
+    The perfbench stand-in logs "<checkout> <workload> <seed> <trace>" in ``tool.runs`` and
+    returns a passing result: wall_s is the seed on the parent and half a unit below it
+    elsewhere, except half a unit above on seeds 4 and 8; peak_rss_mb is 1 on both.
+    ``tool.failing`` holds the (checkout, workload, seed) runs that report one failed
+    operation.  The git stand-in gives each checkout the HEAD "<checkout>-head", and the
+    checkouts named in ``tool.dirty`` a modified tracked file."""
     tool = load_tool()
     tool.runs = []
     tool.failing = set()
+    tool.dirty = set()
 
     def bench(root, workload, seed, seconds, trace):
         tool.runs.append(f"{root.name} {workload} {seed} {trace}")
@@ -91,8 +94,14 @@ def tool(monkeypatch):
         return {"attempted": 2, "failed": failed, "correct": not failed, "machine": {"cpus": 1},
                 "absent": [], "metrics": {"wall_s": {"value": wall}, "peak_rss_mb": {"value": 1.0}}}
 
+    def git(root, *args):
+        out = {("rev-parse", "--short", "HEAD"): f"{root.name}-head\n",
+               ("status", "--porcelain", "--untracked-files=no"):
+                   " M src/opemeso/tridiagonal.py\n" if root.name in tool.dirty else ""}[args]
+        return subprocess.CompletedProcess(["git", *args], 0, out, "")
+
     monkeypatch.setattr(tool, "bench", bench)
-    monkeypatch.setattr(tool, "git_head", lambda root: f"{root.name}-head")
+    monkeypatch.setattr(tool, "git", git)
     return tool
 
 
@@ -200,3 +209,39 @@ def test_parent_that_is_the_root_refused_before_any_run(tool, tmp_path, capsys):
         assert f"--parent {parent} is the --root checkout" in capsys.readouterr().err
     assert tool.runs == []
     assert not list(tmp_path.rglob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("dirty", ["change", "parent"], ids=["root", "parent"])
+def test_dirty_checkout_refused_before_any_run(tool, tmp_path, dirty):
+    # a record names its checkout's HEAD, which is not the tree that runs while a tracked
+    # file differs from it
+    tool.dirty = {dirty}
+    with pytest.raises(SystemExit) as refused:
+        record_pairs(tool, tmp_path, "--label", "x")
+    # a message, not a number: exit status 1
+    assert f"checkout {tmp_path / dirty} has uncommitted changes to tracked files" in (
+        refused.value.code)
+    assert "M src/opemeso/tridiagonal.py" in refused.value.code
+    assert tool.runs == []
+    assert not list(tmp_path.rglob("BENCH_*.json"))
+
+
+def test_dirty_git_root_refused_but_untracked_files_are_not(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "perfbench").mkdir(parents=True)
+    run_py = checkout / "perfbench" / "run.py"
+    run_py.write_text("raise SystemExit('must not run')\n")
+    for args in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "stand-in"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=checkout, check=True, capture_output=True)
+    (checkout / "notes.txt").write_text("untracked\n")
+    done = record(tmp_path, "--root", str(checkout))
+    assert "must not run" in done.stderr       # past the check, into the first run
+    run_py.write_text("raise SystemExit('must not run, edited')\n")
+    done = record(tmp_path, "--root", str(checkout))
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert f"checkout {checkout} has uncommitted changes to tracked files" in done.stderr
+    assert "must not run" not in done.stderr
+    assert not (checkout / "BENCH_x.json").exists()

@@ -368,6 +368,23 @@ class TestAlmostToeplitz:
         assert 0 <= d.eps2 < 1
         assert math.isfinite(d.bound_constant)
 
+    @pytest.mark.parametrize("N, b, z, pinned", [
+        (50, 2.0, 0.1j, 6.480221104520996),
+        (200, 2.0, 0.1j, 6.480221074897702),
+        (30, 2.5, 0.3j, 8.148210966506534),
+    ], ids=["b2-N50", "b2-N200", "b2.5-N30"])
+    def test_bound_constant_closed_form_on_toeplitz_data(self, N, b, z, pinned):
+        # constant coefficients give c0 = c2 = 1 and eps1 = 0 exactly, so the bound is
+        # (1 + sqrt 5)|b - z| / (1 - ((1 + sqrt 5)|b - z| / 2)^2 |omega-/omega+|^(N-2))
+        J = om.TridiagonalMatrix(np.full(N, b), np.ones(N - 1), z)
+        d = om.almost_toeplitz_decompose(J).diagnostics
+        assert (d.c0, d.c2, d.eps1) == (1.0, 1.0, 0.0)
+        root = np.sqrt((b - z) ** 2 - 4)
+        s = (1 + math.sqrt(5)) * abs(b - z)
+        closed = s / (1 - (s / 2) ** 2 * abs((b - z - root) / (b - z + root)) ** (N - 2))
+        assert d.bound_constant == pytest.approx(closed, rel=1e-13)
+        assert d.bound_constant == pytest.approx(pinned, rel=1e-13)
+
 
 def _tri(diag, off, z=1j):
     return om.TridiagonalMatrix(diag, off, z)
@@ -703,13 +720,11 @@ class TestOneTriangle:
         assert (res.dense() == _broadcast_dense(res._S.conj(), res._S, res._U, res._V)).all()
 
     @pytest.mark.parametrize("N", [4, 37, 1000])
-    def test_split_is_the_broadcast_formula(self, N, regime, monkeypatch):
+    def test_split_is_the_broadcast_formula(self, N, regime):
+        # T is built from the entry oracle's R, so H is that R minus T, to the bit
         J = _split_fixture(N, regime)
         dec = om.almost_toeplitz_decompose(J)
-        monkeypatch.setattr(tridiagonal, "_semiseparable_dense", _broadcast_dense)
-        ref = om.almost_toeplitz_decompose(J)
-        assert (dec.T == ref.T).all() and (dec.H == ref.H).all()
-        assert dec.diagnostics == ref.diagnostics
+        assert (dec.H == om.TridiagonalResolvent(J).dense() - dec.T).all()
         sign_fails = dec.diagnostics.reason == "Re(b_j - z) > 0 fails on some row"
         assert sign_fails == (regime == "negative")
 

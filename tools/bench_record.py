@@ -36,9 +36,13 @@ same kind of checkout, so ``--commit`` (for a root outside git) and
 ``--parent`` do not go together.  An empty ``--label``, or one with a path
 separator, is refused, since it names the files, and so is a ``--parent``
 that resolves to the ``--root`` checkout, whose pairs would time one tree
-against itself.  Those three end the tool with exit status 2; a ``--root`` or ``--parent`` that is not a directory, or that
-is not a git checkout when its commit is read from git, ends it with exit
-status 1.  All of these come before any run, and no record is written.
+against itself.  Those three end the tool with exit status 2.  A ``--root`` or
+``--parent`` that is not a directory ends it with exit status 1, and so does
+one whose commit is read from git when it is not a git checkout or has
+uncommitted changes to tracked files (``git status --porcelain
+--untracked-files=no`` is not empty), since its record would name a commit
+that is not the tree that ran.  All of these come before any run, and no
+record is written.
 """
 
 from __future__ import annotations
@@ -78,15 +82,25 @@ def summary(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def git(root: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True)
+
+
 def git_head(root: Path) -> str:
-    """The root's short HEAD commit; a root that is not a git checkout ends the tool with exit status 1."""
-    run = subprocess.run(
-        ["git", "rev-parse", "--short", "HEAD"], cwd=root, capture_output=True, text=True
-    )
+    """The root's short HEAD commit.
+
+    A root that is not a git checkout, or whose tracked files differ from HEAD (so the
+    commit would not name the tree that runs), ends the tool with exit status 1."""
+    run = git(root, "rev-parse", "--short", "HEAD")
     if run.returncode != 0:
         sys.exit(f"checkout {root} is not a git checkout, so its commit cannot be read\n"
                  f"{run.stderr.rstrip()}")
-    return run.stdout.strip()
+    head = run.stdout.strip()
+    changed = git(root, "status", "--porcelain", "--untracked-files=no").stdout.rstrip()
+    if changed:
+        sys.exit(f"checkout {root} has uncommitted changes to tracked files, so {head} does "
+                 f"not name the tree that would run; commit them first\n{changed}")
+    return head
 
 
 def main(argv=None) -> int:
