@@ -314,8 +314,8 @@ class TestAlmostToeplitz:
         assert np.max(np.abs(dec.T + dec.H - oracle)) < 1e-10
 
     def test_long_toeplitz_window_stays_finite(self):
-        # exp(-LW_j) and exp(LW_{k-1}) each overflow at this length; their
-        # difference does not
+        # the product of omega- over all rows, |omega-|^1000 ~ 1e-461, leaves the
+        # float range at this length; T and H must not
         N = 1000
         J = om.TridiagonalMatrix(2.0 * np.ones(N), np.ones(N - 1), 2j)
         dec = om.almost_toeplitz_decompose(J)
